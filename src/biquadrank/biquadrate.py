@@ -22,8 +22,9 @@ import numpy as np
 
 from .arith import gcd_many, is_square
 
-# 2 * max_base**4 must stay inside int64 for the vectorized search
-MAX_SEARCH_BASE = 50_000
+# Largest base whose sums p^4 + q^4 <= 2 * base^4 stay below 2^63: from
+# 46341 on they wrap to negative int64 values and hits are lost.
+MAX_SEARCH_BASE = 46_340
 
 
 class NotEqual(ValueError):
@@ -158,7 +159,9 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     if max_base < 2:
         raise ValueError("max_base must be at least 2")
     if max_base > MAX_SEARCH_BASE:
-        raise ValueError(f"max_base beyond {MAX_SEARCH_BASE} overflows the int64 search")
+        raise ValueError(
+            f"max_base beyond {MAX_SEARCH_BASE}: 2 * max_base^4 overflows the int64 search"
+        )
     if shards < 1:
         raise ValueError("shards must be positive")
 

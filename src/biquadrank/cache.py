@@ -1,5 +1,4 @@
-"""Append-only result cache for the expensive steps: factorizations and
-search sweeps.
+"""Append-only result cache for search sweeps.
 
 One JSON record per line, each stamped with the tool version; records from
 other versions are ignored on load (never deleted, the file only grows).
@@ -13,7 +12,6 @@ import json
 import os
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor
 from .biquadrate import BiquadQuadruple, search_double_representations
 
 ENV_VAR = "BIQUADRANK_CACHE"
@@ -48,25 +46,6 @@ class Cache:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
-    # factorizations ------------------------------------------------------
-
-    def factorization(self, value: int) -> Factorization | None:
-        raw = self._mem.get(("factor", str(value)))
-        if raw is None:
-            return None
-        return Factorization(
-            value=value,
-            primes=tuple((int(p), int(e)) for p, e in raw),
-            certified=True,
-        )
-
-    def store_factorization(self, f: Factorization):
-        if not f.certified:
-            return  # only completed factorizations are worth replaying
-        self._append("factor", str(f.value), [[str(p), e] for p, e in f.primes])
-
-    # search sweeps -------------------------------------------------------
-
     def search(self, max_base: int) -> list[BiquadQuadruple] | None:
         raw = self._mem.get(("search", str(max_base)))
         if raw is None:
@@ -94,17 +73,6 @@ def open_cache(path: str | None = None) -> Cache | None:
     """Cache at `path`, or at $BIQUADRANK_CACHE, or None when neither is set."""
     path = path or os.environ.get(ENV_VAR)
     return Cache(path) if path else None
-
-
-def cached_factor(value: int, effort: FactorEffort = DEFAULT_EFFORT, cache: Cache | None = None) -> Factorization:
-    if cache is not None:
-        hit = cache.factorization(value)
-        if hit is not None:
-            return hit
-    f = factor(value, effort)
-    if cache is not None:
-        cache.store_factorization(f)
-    return f
 
 
 def cached_search(max_base: int, shards: int = 1, cache: Cache | None = None) -> list[BiquadQuadruple]:

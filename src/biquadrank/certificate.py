@@ -34,7 +34,7 @@ from .arith import (
     DEFAULT_SEED,
     FactorEffort,
     Factorization,
-    fourth_power_free_part,
+    factor,
     gcd_many,
 )
 from .biquadrate import (
@@ -47,7 +47,7 @@ from .biquadrate import (
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
 from .descent import DescentImage, Witness, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
-from .heights import GramMatrix, HeightValue, Inconclusive, canonical_height, gram_matrix, independence_rank
+from .heights import GramMatrix, HeightValue, Heights, Inconclusive
 from .parity import OutOfDomain, RootNumber, epsilon, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
@@ -162,6 +162,14 @@ def _resolve_quadruples(
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4 within bounds")
 
 
+def _torsion(n: int, f2n: Factorization, effort: FactorEffort = DEFAULT_EFFORT) -> str:
+    """Torsion of y^2 = x^3 - n x, read off the factorization of 2n (4 does not divide n)."""
+    m = 1
+    for p, e in f2n.primes:
+        m *= p ** ((e - (p == 2)) % 4)
+    return str(torsion_shape(-m, effort))
+
+
 def analyze(
     *,
     n: int | None = None,
@@ -174,8 +182,6 @@ def analyze(
     max_base: int | None = None,
     allow_single: bool = False,
     skip_heights: bool = False,
-    factor_of_n: Factorization | None = None,
-    factor_of_2n: Factorization | None = None,
 ) -> RankCertificate:
     """Build and internally verify a rank certificate.
 
@@ -201,8 +207,8 @@ def analyze(
 
     E = curve_from_n(n)
     t0 = time.perf_counter()
-    m, _ = fourth_power_free_part(n)
-    torsion = str(torsion_shape(-m, effort))
+    f2n = factor(2 * n, effort)
+    torsion = _torsion(n, f2n, effort)
     timings["torsion"] = time.perf_counter() - t0
 
     points = _dedupe_points(constructed_points(quad))
@@ -212,10 +218,11 @@ def analyze(
     independence: int | None = None
     t0 = time.perf_counter()
     if not skip_heights:
-        heights = tuple(canonical_height(E, P, precision, effort) for P in points)
-        gram = gram_matrix(E, list(points), precision, effort)
+        H = Heights(E, precision, f2n.distinct_primes())
+        heights = tuple(H.height(P) for P in points)
+        gram = H.gram(points)
         try:
-            independence = independence_rank(E, list(points), tol, precision, effort)
+            independence = gram.independence(tol)
         except Inconclusive:
             independence = None
             notes.append("independence inconclusive: determinants inside (0, tol]")
@@ -230,10 +237,10 @@ def analyze(
     timings["descent"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    root = root_number(n, f=factor_of_n, quad=quad, effort=effort)
+    root = root_number(n, quad=quad, effort=effort)
     unconditional = max(descent_lower, independence or 0)
     conditional = parity_adjusted_bound(unconditional, root)
-    heuristic = yoshida_upper_bound(n, f=factor_of_2n, effort=effort)
+    heuristic = yoshida_upper_bound(n, f=f2n)
     timings["parity"] = time.perf_counter() - t0
 
     if not (unconditional <= conditional <= heuristic):
@@ -461,6 +468,11 @@ def reverify(cert: RankCertificate) -> bool:
         fail("root number residue/epsilon mismatch")
     if cert.conditional_lower != parity_adjusted_bound(cert.unconditional_lower, cert.root):
         fail("conditional bound does not match omega")
+    f2n = factor(2 * n)
+    if cert.torsion != _torsion(n, f2n):
+        fail("torsion does not match n")
+    if cert.heuristic_upper != yoshida_upper_bound(n, f=f2n):
+        fail("heuristic upper bound does not match the primes of 2n")
     if not (cert.unconditional_lower <= cert.conditional_lower <= cert.heuristic_upper):
         fail("bound chain violated")
     if cert.gram is not None:

@@ -5,7 +5,7 @@ certificate for one n), verify-paper (run the reference claim suite),
 report (search + analyze each hit, table-style rows).
 
 Exit codes: 0 ok, 1 verification failure, 2 I/O error, 3 no representation,
-4 factoring budget exhausted, 64 usage.
+4 factoring budget exhausted, 64 usage (including unreachable precision).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 
 from ._version import VERSION
 from .arith import DEFAULT_EFFORT, DEFAULT_SEED, EffortExceeded, FactorEffort
-from .biquadrate import NotEqual, PropertyViolation
-from .cache import Cache, cached_factor, cached_search, open_cache
+from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation
+from .cache import cached_search, open_cache
 from .certificate import (
     CSV_HEADER,
     CertificateInvalid,
@@ -27,6 +27,7 @@ from .certificate import (
     render_table,
     to_json_line,
 )
+from .heights import PrecisionUnreachable
 from .parity import OutOfDomain
 from .reference import load_reference, run_claims
 
@@ -46,10 +47,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=["table", "json-lines", "csv"], default="table")
     sub.add_argument("--cache", metavar="PATH", default=None,
-                     help="append-only result cache (default: $BIQUADRANK_CACHE)")
+                     help="append-only cache of search sweeps, read by search and report "
+                          "(default: $BIQUADRANK_CACHE)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--factor-effort", type=int, default=DEFAULT_EFFORT.rho_iterations,
                      metavar="N", help="rho iteration budget per factorization")
@@ -62,7 +75,7 @@ def build_parser() -> _Parser:
 
     p_search = subs.add_parser("search", parents=[], help="find n = p^4+q^4 = r^4+s^4")
     p_search.add_argument("--max-base", type=int, required=True)
-    p_search.add_argument("--shards", type=int, default=1)
+    p_search.add_argument("--shards", type=_positive(int), default=1)
     p_search.add_argument("--output", metavar="PATH", default=None)
     _add_common(p_search)
 
@@ -71,8 +84,8 @@ def build_parser() -> _Parser:
     group.add_argument("--n", type=int)
     group.add_argument("--pqrs", type=int, nargs=4, metavar=("P", "Q", "R", "S"))
     group.add_argument("--ab", type=int, nargs=2, metavar=("A", "B"))
-    p_an.add_argument("--precision", type=float, default=1e-8)
-    p_an.add_argument("--tol", type=float, default=1e-3)
+    p_an.add_argument("--precision", type=_positive(float), default=1e-8)
+    p_an.add_argument("--tol", type=_positive(float), default=1e-3)
     p_an.add_argument("--max-base", type=int, default=None,
                       help="cap the representation scan for --n")
     p_an.add_argument("--allow-single", action="store_true",
@@ -83,16 +96,16 @@ def build_parser() -> _Parser:
 
     p_ver = subs.add_parser("verify-paper", help="run the reference claim suite")
     p_ver.add_argument("--fixtures", metavar="PATH", default=None)
-    p_ver.add_argument("--precision", type=float, default=1e-8)
+    p_ver.add_argument("--precision", type=_positive(float), default=1e-8)
     _add_common(p_ver)
 
     p_rep = subs.add_parser("report", help="search and summarize one row per hit")
     src = p_rep.add_mutually_exclusive_group(required=True)
     src.add_argument("--max-base", type=int)
     src.add_argument("--input", metavar="PATH", help="json-lines search output to re-analyze")
-    p_rep.add_argument("--shards", type=int, default=1)
-    p_rep.add_argument("--precision", type=float, default=1e-8)
-    p_rep.add_argument("--tol", type=float, default=1e-3)
+    p_rep.add_argument("--shards", type=_positive(int), default=1)
+    p_rep.add_argument("--precision", type=_positive(float), default=1e-8)
+    p_rep.add_argument("--tol", type=_positive(float), default=1e-3)
     p_rep.add_argument("--skip-heights", action="store_true")
     p_rep.add_argument("--output", metavar="PATH", default=None)
     _add_common(p_rep)
@@ -136,9 +149,16 @@ def _quad_line(q) -> str:
     )
 
 
+def _reject_max_base(cmd: str, max_base: int) -> bool:
+    if 2 <= max_base <= MAX_SEARCH_BASE:
+        return False
+    print(f"biquadrank {cmd}: error: --max-base must be between 2 and {MAX_SEARCH_BASE} "
+          "(larger bases overflow the int64 search)", file=sys.stderr)
+    return True
+
+
 def cmd_search(args) -> int:
-    if args.max_base < 2:
-        print("biquadrank search: error: --max-base must be at least 2", file=sys.stderr)
+    if _reject_max_base("search", args.max_base):
         return EXIT_USAGE
     cache = open_cache(args.cache)
     quads = cached_search(args.max_base, args.shards, cache)
@@ -157,44 +177,28 @@ def cmd_search(args) -> int:
     return _emit(text, args.output)
 
 
-def _run_analysis(args, *, n=None, pqrs=None, ab=None, cache=None):
-    effort = _effort(args)
-    f2n = None
-    if cache is not None:
-        if n is not None:
-            value = n
-        elif ab is not None:
-            from .biquadrate import euler_quadruple
-
-            value = euler_quadruple(*ab).n
-        else:
-            value = pqrs[0] ** 4 + pqrs[1] ** 4
-        if value % 4 != 0:
-            f2n = cached_factor(2 * value, effort, cache)
+def _run_analysis(args, *, n=None, pqrs=None, ab=None):
     return analyze(
         n=n,
         pqrs=pqrs,
         ab=ab,
         precision=args.precision,
         tol=args.tol,
-        effort=effort,
+        effort=_effort(args),
         seed=args.seed,
         max_base=getattr(args, "max_base", None),
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
-        factor_of_2n=f2n,
     )
 
 
 def cmd_analyze(args) -> int:
-    cache = open_cache(args.cache)
     try:
         cert = _run_analysis(
             args,
             n=args.n,
             pqrs=tuple(args.pqrs) if args.pqrs else None,
             ab=tuple(args.ab) if args.ab else None,
-            cache=cache,
         )
     except NoRepresentation as exc:
         print(f"biquadrank analyze: {exc}", file=sys.stderr)
@@ -255,7 +259,6 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cache = open_cache(args.cache)
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -269,16 +272,15 @@ def cmd_report(args) -> int:
             if rec.get("record") == "quadruple"
         ]
     else:
-        if args.max_base < 2:
-            print("biquadrank report: error: --max-base must be at least 2", file=sys.stderr)
+        if _reject_max_base("report", args.max_base):
             return EXIT_USAGE
-        quads = cached_search(args.max_base, args.shards, cache)
+        quads = cached_search(args.max_base, args.shards, open_cache(args.cache))
         inputs = [(q.p, q.q, q.r, q.s) for q in quads]
 
     certs = []
     for pqrs in inputs:
         try:
-            certs.append(_run_analysis(args, pqrs=pqrs, cache=cache))
+            certs.append(_run_analysis(args, pqrs=pqrs))
         except EffortExceeded as exc:
             print(f"biquadrank report: budget exhausted at {pqrs}: {exc}", file=sys.stderr)
             return EXIT_BUDGET
@@ -289,7 +291,6 @@ def cmd_report(args) -> int:
     if args.format == "json-lines":
         text = "\n".join(to_json_line(c) for c in certs)
     elif args.format == "table":
-        widths = None
         rows = [("p", "q", "n", "uncond", "cond", "omega")] + [
             tuple(csv_row(c).split(",")) for c in certs
         ]
@@ -310,7 +311,11 @@ def main(argv=None) -> int:
         "verify-paper": cmd_verify_paper,
         "report": cmd_report,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except PrecisionUnreachable as exc:
+        print(f"biquadrank {args.command}: error: precision unreachable: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -172,10 +172,9 @@ def phi_image(
     p, q = quad.p, quad.q
     gens: list[tuple[int, Witness]] = []
 
-    c_minus_n = square_class(-n, effort)
-    gens.append((c_minus_n, Witness("coefficient", c_minus_n)))
-    gens.append((-1, Witness("torsor", -1, (-1, n, p, 1, q * q))))
     c_n = square_class(n, effort)
+    gens.append((-c_n, Witness("coefficient", -c_n)))
+    gens.append((-1, Witness("torsor", -1, (-1, n, p, 1, q * q))))
     gens.append((c_n, Witness("torsor", c_n, (n, -1, 1, p, q * q))))
 
     params = quad.euler_params

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .arith import DEFAULT_EFFORT, EffortExceeded, FactorEffort, factor
-from .curve import Curve, INFINITY, Point, _add_unchecked, is_on_curve, OffCurve
+from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
 _MAX_SERIES_TERMS = 60
 _FALLBACK_MAX_BITS = 1 << 21
@@ -72,10 +71,26 @@ class GramMatrix:
     entries: tuple[tuple[float, ...], ...]
     determinant: float
 
+    def independence(self, tol: float = 1e-3) -> int:
+        """Largest k such that some k-subset has Gram determinant > tol.
 
-def _require(E: Curve, P: Point):
-    if not is_on_curve(E, P):
-        raise OffCurve(f"{P} is not on {E}")
+        Determinants in (0, tol] certify nothing; if no subset clears tol
+        and at least one lands in that gray zone, Inconclusive is raised
+        rather than returning a possibly wrong rank.
+        """
+        m = np.array(self.entries, dtype=np.float64)
+        size = len(self.entries)
+        ambiguous = False
+        for k in range(size, 0, -1):
+            for idx in combinations(range(size), k):
+                det = float(np.linalg.det(m[np.ix_(idx, idx)]))
+                if det > tol:
+                    return k
+                if 0 < det <= tol:
+                    ambiguous = True
+        if ambiguous:
+            raise Inconclusive("all candidate determinants fall in (0, tol]")
+        return 0
 
 
 def _is_torsion(E: Curve, P: Point) -> bool:
@@ -142,11 +157,7 @@ class _PadicTracker:
         return c
 
 
-def _bad_primes(E: Curve, effort: FactorEffort) -> list[int]:
-    return list(factor(2 * abs(E.b), effort).distinct_primes())
-
-
-def _series_height(E: Curve, P: Point, bad: list[int], precision: float) -> HeightValue:
+def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
     A = E.b
     x = P.x
     u0, w0 = x.numerator, x.denominator
@@ -207,6 +218,59 @@ def _doubling_height(E: Curve, P: Point, precision: float) -> HeightValue:
         k += 1
 
 
+class Heights:
+    """Canonical heights on E at one precision, each distinct point computed once.
+
+    bad_primes are the primes dividing 2b; None selects the doubling-limit
+    fallback, which may raise PrecisionUnreachable.
+    """
+
+    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...] | None):
+        if precision <= 0:
+            raise ValueError("precision must be positive")
+        self.E = E
+        self.precision = precision
+        self.bad_primes = bad_primes
+        self._memo: dict[tuple, HeightValue] = {}
+
+    def height(self, P: Point) -> HeightValue:
+        """Torsion points (including O) get an exact 0."""
+        _require_on_curve(self.E, P)
+        key = (P.x, P.y)
+        if key not in self._memo:
+            if P.is_infinity or _is_torsion(self.E, P):
+                h = HeightValue(0.0, 0.0)
+            elif self.bad_primes is None:
+                h = _doubling_height(self.E, P, self.precision)
+            else:
+                h = _series_height(self.E, P, self.bad_primes, self.precision)
+            self._memo[key] = h
+        return self._memo[key]
+
+    def pairing(self, P: Point, Q: Point) -> float:
+        """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2, within 3 * precision / 2."""
+        hP, hQ = self.height(P).value, self.height(Q).value
+        return (self.height(_add_unchecked(self.E, P, Q)).value - hP - hQ) / 2
+
+    def gram(self, points) -> GramMatrix:
+        """Height pairing Gram matrix; diagonal entries are canonical heights."""
+        k = len(points)
+        entries = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                entries[i][j] = entries[j][i] = self.pairing(points[i], points[j])
+        det = float(np.linalg.det(np.array(entries, dtype=np.float64))) if k else 1.0
+        return GramMatrix(tuple(tuple(row) for row in entries), det)
+
+
+def _heights(E: Curve, precision: float, effort: FactorEffort) -> Heights:
+    try:
+        bad = factor(2 * abs(E.b), effort).distinct_primes()
+    except EffortExceeded:
+        bad = None
+    return Heights(E, precision, bad)
+
+
 def canonical_height(
     E: Curve,
     P: Point,
@@ -215,20 +279,10 @@ def canonical_height(
 ) -> HeightValue:
     """Canonical height of P on E, accurate to within `precision`.
 
-    Torsion points (including O) get an exact 0.  The fast path needs the
-    primes dividing 2b; if factoring exceeds the budget the doubling-limit
-    fallback is used, which may raise PrecisionUnreachable.
+    The fast path needs the primes dividing 2b; if factoring exceeds the
+    budget the doubling-limit fallback is used.
     """
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    _require(E, P)
-    if P.is_infinity or _is_torsion(E, P):
-        return HeightValue(0.0, 0.0)
-    try:
-        bad = _bad_primes(E, effort)
-    except EffortExceeded:
-        return _doubling_height(E, P, precision)
-    return _series_height(E, P, bad, precision)
+    return _heights(E, precision, effort).height(P)
 
 
 def height_pairing(
@@ -237,21 +291,8 @@ def height_pairing(
     Q: Point,
     precision: float = 1e-8,
     effort: FactorEffort = DEFAULT_EFFORT,
-    _memo: dict | None = None,
 ) -> float:
-    """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2, within 3 * precision / 2."""
-
-    def h(R: Point) -> float:
-        if _memo is None:
-            return canonical_height(E, R, precision, effort).value
-        key = (R.x, R.y)
-        if key not in _memo:
-            _memo[key] = canonical_height(E, R, precision, effort).value
-        return _memo[key]
-
-    _require(E, P)
-    _require(E, Q)
-    return (h(_add_unchecked(E, P, Q)) - h(P) - h(Q)) / 2
+    return _heights(E, precision, effort).pairing(P, Q)
 
 
 def gram_matrix(
@@ -260,16 +301,7 @@ def gram_matrix(
     precision: float = 1e-8,
     effort: FactorEffort = DEFAULT_EFFORT,
 ) -> GramMatrix:
-    """Height pairing Gram matrix; diagonal entries are canonical heights."""
-    memo: dict = {}
-    k = len(points)
-    entries = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            v = height_pairing(E, points[i], points[j], precision, effort, _memo=memo)
-            entries[i][j] = entries[j][i] = v
-    det = float(np.linalg.det(np.array(entries, dtype=np.float64))) if k else 1.0
-    return GramMatrix(tuple(tuple(row) for row in entries), det)
+    return _heights(E, precision, effort).gram(points)
 
 
 def gram_determinant(
@@ -288,23 +320,4 @@ def independence_rank(
     precision: float = 1e-8,
     effort: FactorEffort = DEFAULT_EFFORT,
 ) -> int:
-    """Largest k such that some k-subset has Gram determinant > tol.
-
-    Determinants in (0, tol] certify nothing; if no subset clears tol and at
-    least one lands in that gray zone, Inconclusive is raised rather than
-    returning a possibly wrong rank.
-    """
-    full = gram_matrix(E, points, precision, effort)
-    m = np.array(full.entries, dtype=np.float64)
-    ambiguous = False
-    for k in range(len(points), 0, -1):
-        for idx in combinations(range(len(points)), k):
-            sub = m[np.ix_(idx, idx)]
-            det = float(np.linalg.det(sub))
-            if det > tol:
-                return k
-            if 0 < det <= tol:
-                ambiguous = True
-    if ambiguous:
-        raise Inconclusive("all candidate determinants fall in (0, tol]")
-    return 0
+    return gram_matrix(E, points, precision, effort).independence(tol)

@@ -216,6 +216,12 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_double_representations(100, shards=0)
 
+    def test_cap_is_the_last_int64_safe_base(self):
+        # every sum p^4 + q^4 is at most 2 * base^4; the next base wraps int64
+        assert 2 * MAX_SEARCH_BASE**4 < 2**63 <= 2 * (MAX_SEARCH_BASE + 1) ** 4
+        with pytest.raises(ValueError, match="int64"):
+            search_double_representations(MAX_SEARCH_BASE + 1)
+
 
 class TestRepresentations:
     def test_known_values(self):

@@ -3,23 +3,8 @@
 import json
 
 from biquadrank._version import VERSION
-from biquadrank.arith import FactorEffort, factor
-from biquadrank.cache import Cache, cached_factor, cached_search, open_cache
+from biquadrank.cache import Cache, cached_search, open_cache
 from biquadrank.biquadrate import search_double_representations
-
-
-def test_factorization_roundtrip(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = Cache(str(path))
-    f = factor(720720)
-    cache.store_factorization(f)
-
-    fresh = Cache(str(path))
-    hit = fresh.factorization(720720)
-    assert hit is not None
-    assert hit.primes == f.primes
-    assert hit.certified
-    assert fresh.factorization(99991) is None
 
 
 def test_search_roundtrip(tmp_path):
@@ -45,39 +30,21 @@ def test_cached_search_populates_then_replays(tmp_path):
     assert cached_search(250, 1, Cache(str(path))) == first
 
 
-def test_cached_factor_stores_result(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = Cache(str(path))
-    f = cached_factor(2 * 635318657, cache=cache)
-    assert f.primes == ((2, 1), (41, 1), (113, 1), (241, 1), (569, 1))
-    assert Cache(str(path)).factorization(2 * 635318657) == f
-
-
-def test_cached_factor_prefers_cache_hit(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = Cache(str(path))
-    cache.store_factorization(factor(35))
-    # a zero rho budget would still succeed here (35 is tiny), so prove the
-    # hit path by poisoning the in-memory table with a recognizable object
-    hit = cached_factor(35, FactorEffort(rho_iterations=0), cache)
-    assert hit.primes == ((5, 1), (7, 1))
-
-
 def test_records_from_other_versions_ignored(tmp_path):
     path = tmp_path / "cache.jsonl"
-    record = {"version": "0.0.0", "kind": "factor", "key": "10", "value": [["2", 1], ["5", 1]]}
+    record = {"version": "0.0.0", "kind": "search", "key": "200",
+              "value": [["59", "158", "133", "134"]]}
     path.write_text(json.dumps(record) + "\n")
-    assert Cache(str(path)).factorization(10) is None
+    assert Cache(str(path)).search(200) is None
 
 
 def test_torn_and_garbage_lines_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
-    good = {"version": VERSION, "kind": "factor", "key": "10", "value": [["2", 1], ["5", 1]]}
-    path.write_text("not json at all\n" + json.dumps(good) + "\n" + '{"version": "' )
-    cache = Cache(str(path))
-    hit = cache.factorization(10)
-    assert hit is not None
-    assert hit.primes == ((2, 1), (5, 1))
+    good = {"version": VERSION, "kind": "search", "key": "200",
+            "value": [["59", "158", "133", "134"]]}
+    path.write_text("not json at all\n" + json.dumps(good) + "\n" + '{"version": "')
+    hit = Cache(str(path)).search(200)
+    assert hit == search_double_representations(200)
 
 
 def test_open_cache_resolution(tmp_path, monkeypatch):
@@ -95,13 +62,3 @@ def test_open_cache_resolution(tmp_path, monkeypatch):
     # explicit flag wins over the environment
     cache = open_cache(str(explicit))
     assert cache.path == str(explicit)
-
-
-def test_uncertified_factorizations_not_stored(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = Cache(str(path))
-    from biquadrank.arith import Factorization
-
-    partial = Factorization(value=10, primes=((2, 1), (5, 1)), certified=False)
-    cache.store_factorization(partial)
-    assert not path.exists()

@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
+import biquadrank.heights as heights_module
+from biquadrank.arith import factor
 from biquadrank.biquadrate import PropertyViolation
 from biquadrank.certificate import (
     CSV_HEADER,
@@ -92,6 +95,31 @@ class TestAnalyzeEntryPoints:
         assert cert.quadruples[0].reduction == 2
         assert cert.descent_lower == 3
         assert any("reduced by common factor 2" in note for note in cert.notes)
+
+
+class TestOnePass:
+    def test_each_fact_computed_once(self, monkeypatch):
+        def counting(real, log):
+            def wrapper(*args, **kwargs):
+                log.append(args[0] if real is factor else (args[1].x, args[1].y))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        series, factored = [], []
+        monkeypatch.setattr(
+            heights_module, "_series_height", counting(heights_module._series_height, series)
+        )
+        # modules import factor by name, so patch every binding of it
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
+                monkeypatch.setattr(mod, "factor", counting(factor, factored))
+
+        cert = analyze(ab=(2, 1))
+        # 4 points, 4 doubles and 6 pairwise sums, each evaluated once
+        assert len(series) == len(set(series)) == 14
+        assert len(factored) <= 5
+        assert factored.count(2 * cert.n) == 1
 
 
 class TestBoundChain:
@@ -199,6 +227,20 @@ class TestTamperDetection:
     def test_wrong_euler_params_caught(self):
         def mutate(d):
             d["quadruples"][0]["euler_params"] = ["3", "1"]
+
+        with pytest.raises(CertificateInvalid):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_wrong_torsion_caught(self):
+        def mutate(d):
+            d["torsion"] = "Z/4Z"
+
+        with pytest.raises(CertificateInvalid):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_inflated_heuristic_upper_caught(self):
+        def mutate(d):
+            d["heuristic_upper"] = 99
 
         with pytest.raises(CertificateInvalid):
             reverify(parse_certificate(self.tampered(mutate)))

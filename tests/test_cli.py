@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from biquadrank.biquadrate import MAX_SEARCH_BASE
 from biquadrank.certificate import parse_certificate, reverify
 from biquadrank.cli import (
     EXIT_BUDGET,
@@ -62,6 +63,28 @@ class TestUsage:
             main(["search", "--max-base", "200", "--format", "yaml"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--ab", "2", "1", "--precision", "0"],
+        ["analyze", "--ab", "2", "1", "--precision", "-1", "--skip-heights"],
+        ["search", "--max-base", "200", "--shards", "0"],
+        ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
+    ])
+    def test_nonpositive_precision_tol_and_shards(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--ab", "2", "1", "--precision", "1e-40"],
+        ["report", "--max-base", "200", "--precision", "1e-40"],
+        ["verify-paper", "--precision", "1e-40"],
+    ])
+    def test_unreachable_precision(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "precision unreachable" in err
+
 
 class TestSearch:
     def test_table_output(self, capsys):
@@ -98,6 +121,11 @@ class TestSearch:
         rc, _, err = run(capsys, "search", "--max-base", "1")
         assert rc == EXIT_USAGE
         assert "--max-base" in err
+
+    def test_max_base_beyond_int64_cap(self, capsys):
+        rc, _, err = run(capsys, "search", "--max-base", str(MAX_SEARCH_BASE + 1))
+        assert rc == EXIT_USAGE
+        assert "int64" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "hits.txt"
@@ -163,6 +191,7 @@ class TestAnalyze:
         assert rc == EXIT_BUDGET
         partial = json.loads(out.strip())
         assert partial["record"] == "partial-certificate"
+        assert partial["value"] == str(2 * 627101168819629457861354977)
         assert int(partial["residual"]) > 1
         assert "budget" in err
 
