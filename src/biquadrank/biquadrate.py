@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import gcd_many, is_square
+from .arith import gcd_many, iroot, is_square
 
 # Largest base whose sums p^4 + q^4 <= 2 * base^4 stay below 2^63: from
 # 46341 on they wrap to negative int64 values and hits are lost.
@@ -268,18 +268,6 @@ def fourth_power_witness(a: int, b: int) -> tuple[int, int]:
     return K, N
 
 
-def _cube_root_exact(x: int) -> int | None:
-    if x < 0:
-        r = _cube_root_exact(-x)
-        return None if r is None else -r
-    r = round(x ** (1 / 3)) if x < 1 << 50 else 1 << (x.bit_length() // 3 + 1)
-    while r**3 > x:
-        r -= 1
-    while (r + 1) ** 3 <= x:
-        r += 1
-    return r if r**3 == x else None
-
-
 def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
     """Try to express a double representation via the parametrization.
 
@@ -310,10 +298,11 @@ def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
         num, den = num // g, den // g
         if den < 0:
             num, den = -num, -den
-        b_cand = _cube_root_exact(num)
-        a_cand = _cube_root_exact(den)
-        if b_cand is None or a_cand is None or a_cand == 0 or b_cand == 0:
+        b_cand, a_cand = iroot(abs(num), 3), iroot(den, 3)
+        if b_cand**3 != abs(num) or a_cand**3 != den:
             continue
+        if num < 0:
+            b_cand = -b_cand
         try:
             cand = euler_quadruple(a_cand, b_cand)
         except (ValueError, PropertyViolation):

@@ -29,14 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from ._version import VERSION
-from .arith import (
-    DEFAULT_EFFORT,
-    DEFAULT_SEED,
-    FactorEffort,
-    Factorization,
-    factor,
-    gcd_many,
-)
+from .arith import DEFAULT_EFFORT, FactorEffort, factor, gcd_many
 from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
@@ -48,7 +41,7 @@ from .biquadrate import (
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
 from .descent import DescentImage, Witness, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
 from .heights import GramMatrix, HeightValue, Heights, Inconclusive
-from .parity import OutOfDomain, RootNumber, epsilon, parity_adjusted_bound, root_number
+from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
 
@@ -162,14 +155,6 @@ def _resolve_quadruples(
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4 within bounds")
 
 
-def _torsion(n: int, f2n: Factorization, effort: FactorEffort = DEFAULT_EFFORT) -> str:
-    """Torsion of y^2 = x^3 - n x, read off the factorization of 2n (4 does not divide n)."""
-    m = 1
-    for p, e in f2n.primes:
-        m *= p ** ((e - (p == 2)) % 4)
-    return str(torsion_shape(-m, effort))
-
-
 def analyze(
     *,
     n: int | None = None,
@@ -178,7 +163,6 @@ def analyze(
     precision: float = 1e-8,
     tol: float = 1e-3,
     effort: FactorEffort = DEFAULT_EFFORT,
-    seed: int = DEFAULT_SEED,
     max_base: int | None = None,
     allow_single: bool = False,
     skip_heights: bool = False,
@@ -208,7 +192,7 @@ def analyze(
     E = curve_from_n(n)
     t0 = time.perf_counter()
     f2n = factor(2 * n, effort)
-    torsion = _torsion(n, f2n, effort)
+    torsion = str(torsion_shape(-n))
     timings["torsion"] = time.perf_counter() - t0
 
     points = _dedupe_points(constructed_points(quad))
@@ -266,7 +250,7 @@ def analyze(
         heuristic_upper=heuristic,
         root=root,
         tool_version=TOOL_VERSION,
-        seed=seed,
+        seed=effort.seed,
         precision=precision,
         tol=tol,
         notes=tuple(notes),
@@ -464,14 +448,13 @@ def reverify(cert: RankCertificate) -> bool:
         fail("descent bound does not match the images")
     if cert.unconditional_lower != max(cert.descent_lower, cert.independence or 0):
         fail("unconditional bound does not match its sources")
-    if cert.root.residue != n % 16 or cert.root.epsilon != epsilon(n):
-        fail("root number residue/epsilon mismatch")
+    if cert.root != root_number(n, quad=cert.quadruples[0]):
+        fail("root number does not match n")
     if cert.conditional_lower != parity_adjusted_bound(cert.unconditional_lower, cert.root):
         fail("conditional bound does not match omega")
-    f2n = factor(2 * n)
-    if cert.torsion != _torsion(n, f2n):
+    if cert.torsion != str(torsion_shape(-n)):
         fail("torsion does not match n")
-    if cert.heuristic_upper != yoshida_upper_bound(n, f=f2n):
+    if cert.heuristic_upper != yoshida_upper_bound(n):
         fail("heuristic upper bound does not match the primes of 2n")
     if not (cert.unconditional_lower <= cert.conditional_lower <= cert.heuristic_upper):
         fail("bound chain violated")

@@ -58,11 +58,15 @@ def _positive(kind):
     return parse
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--format", choices=["table", "json-lines", "csv"], default="table")
+FORMATS = ["table", "json-lines", "csv"]
+
+
+def _add_cache(sub: argparse.ArgumentParser):
     sub.add_argument("--cache", metavar="PATH", default=None,
-                     help="append-only cache of search sweeps, read by search and report "
-                          "(default: $BIQUADRANK_CACHE)")
+                     help="append-only cache of search sweeps (default: $BIQUADRANK_CACHE)")
+
+
+def _add_effort(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--factor-effort", type=int, default=DEFAULT_EFFORT.rho_iterations,
                      metavar="N", help="rho iteration budget per factorization")
@@ -77,7 +81,8 @@ def build_parser() -> _Parser:
     p_search.add_argument("--max-base", type=int, required=True)
     p_search.add_argument("--shards", type=_positive(int), default=1)
     p_search.add_argument("--output", metavar="PATH", default=None)
-    _add_common(p_search)
+    p_search.add_argument("--format", choices=FORMATS, default="table")
+    _add_cache(p_search)
 
     p_an = subs.add_parser("analyze", help="rank certificate for one n")
     group = p_an.add_mutually_exclusive_group(required=True)
@@ -92,12 +97,13 @@ def build_parser() -> _Parser:
                       help="analyze n with a single representation instead of exiting 3")
     p_an.add_argument("--skip-heights", action="store_true")
     p_an.add_argument("--output", metavar="PATH", default=None)
-    _add_common(p_an)
+    p_an.add_argument("--format", choices=FORMATS, default="table")
+    _add_effort(p_an)
 
     p_ver = subs.add_parser("verify-paper", help="run the reference claim suite")
     p_ver.add_argument("--fixtures", metavar="PATH", default=None)
     p_ver.add_argument("--precision", type=_positive(float), default=1e-8)
-    _add_common(p_ver)
+    p_ver.add_argument("--format", choices=["table", "json-lines"], default="table")
 
     p_rep = subs.add_parser("report", help="search and summarize one row per hit")
     src = p_rep.add_mutually_exclusive_group(required=True)
@@ -108,7 +114,9 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--tol", type=_positive(float), default=1e-3)
     p_rep.add_argument("--skip-heights", action="store_true")
     p_rep.add_argument("--output", metavar="PATH", default=None)
-    _add_common(p_rep)
+    p_rep.add_argument("--format", choices=FORMATS, default="table")
+    _add_cache(p_rep)
+    _add_effort(p_rep)
 
     return parser
 
@@ -185,7 +193,6 @@ def _run_analysis(args, *, n=None, pqrs=None, ab=None):
         precision=args.precision,
         tol=args.tol,
         effort=_effort(args),
-        seed=args.seed,
         max_base=getattr(args, "max_base", None),
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
@@ -316,6 +323,9 @@ def main(argv=None) -> int:
     except PrecisionUnreachable as exc:
         print(f"biquadrank {args.command}: error: precision unreachable: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except EffortExceeded as exc:
+        print(f"biquadrank {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

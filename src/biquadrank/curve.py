@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorEffort, DEFAULT_EFFORT, fourth_power_free_part, is_square
+from .arith import is_fourth_power, is_square
 
 
 class OffCurve(ValueError):
@@ -169,19 +169,16 @@ class TorsionShape(enum.Enum):
         return self.value
 
 
-def torsion_shape(D: int, effort: FactorEffort = DEFAULT_EFFORT) -> TorsionShape:
-    """Rational torsion of y^2 = x^3 + D*x for fourth-power-free D != 0.
+def torsion_shape(D: int) -> TorsionShape:
+    """Rational torsion of y^2 = x^3 + D*x for any D != 0.
 
-    Z/4 exactly at D = 4; Z/2 x Z/2 when -D is a perfect square (full
-    2-torsion is rational); Z/2 otherwise.  Rejects D with a fourth-power
-    factor: normalize with fourth_power_free_part first.
+    D and D*k^4 give isomorphic curves, so no factoring is needed: Z/4
+    exactly when D/4 is a fourth power; Z/2 x Z/2 when -D is a perfect
+    square (full 2-torsion is rational); Z/2 otherwise.
     """
     if D == 0:
         raise ValueError("D must be nonzero")
-    free, k = fourth_power_free_part(D, effort)
-    if k != 1:
-        raise ValueError(f"D = {D} has fourth-power part {k}**4; twist-normalize first")
-    if D == 4:
+    if D % 4 == 0 and is_fourth_power(D // 4):
         return TorsionShape.Z4
     if is_square(-D):
         return TorsionShape.Z2xZ2

@@ -22,10 +22,8 @@ no exact big-integer orbit is ever needed.  The tail after K terms is at
 most C * 4^{-K} / 3 with the explicit constant below (cofactor identities
 bound |D_k| on the unit box), so the series is truncated rigorously.
 
-When factoring 2b exceeds the budget, a fallback computes the limit directly
-on exact fractions with the same tail bound; it reaches only coarse
-precision before the integers blow up, and raises PrecisionUnreachable
-beyond that.
+The trackers need the primes of 2b, so the public functions factor 2b with
+the caller's effort and let EffortExceeded propagate when that fails.
 """
 
 from __future__ import annotations
@@ -37,20 +35,14 @@ from itertools import combinations
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import DEFAULT_EFFORT, EffortExceeded, FactorEffort, factor
+from .arith import DEFAULT_EFFORT, FactorEffort, factor
 from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
 _MAX_SERIES_TERMS = 60
-_FALLBACK_MAX_BITS = 1 << 21
 
 
 class PrecisionUnreachable(RuntimeError):
     """The convergence budget ran out before the requested precision."""
-
-    def __init__(self, message: str, value: float | None = None, error_bound: float | None = None):
-        super().__init__(message)
-        self.value = value
-        self.error_bound = error_bound
 
 
 class Inconclusive(RuntimeError):
@@ -98,14 +90,6 @@ def _is_torsion(E: Curve, P: Point) -> bool:
     Q = _add_unchecked(E, P, P)
     Q = _add_unchecked(E, Q, Q)
     return Q.is_infinity
-
-
-def _log_big(m: int) -> float:
-    """log of a positive integer without overflowing float."""
-    if m.bit_length() <= 900:
-        return math.log(m)
-    e = m.bit_length() - 60
-    return math.log(m >> e) + e * math.log(2)
 
 
 def _tail_constant(A: int) -> float:
@@ -192,40 +176,13 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
         return HeightValue(float(total), precision)
 
 
-def _doubling_height(E: Curve, P: Point, precision: float) -> HeightValue:
-    """Exact-fraction fallback: h_k / 4^k with tail bound C * 4^{-k} / 3."""
-    A = E.b
-    x = P.x
-    u, w = x.numerator, x.denominator
-    c_tail = _tail_constant(A)
-    k = 0
-    while True:
-        err = c_tail / (3 * 4**k)
-        if err <= precision:
-            return HeightValue(_log_big(max(abs(u), abs(w))) / 4**k, err)
-        if u.bit_length() + w.bit_length() > _FALLBACK_MAX_BITS:
-            value = _log_big(max(abs(u), abs(w))) / 4**k
-            raise PrecisionUnreachable(
-                f"doubling fallback stalled at error {err:.3g} > {precision:.3g}",
-                value=value,
-                error_bound=err,
-            )
-        t = u * u - A * w * w
-        fu = t * t
-        gw = 4 * u * w * (u * u + A * w * w)
-        g = math.gcd(fu, gw)
-        u, w = fu // g, gw // g
-        k += 1
-
-
 class Heights:
     """Canonical heights on E at one precision, each distinct point computed once.
 
-    bad_primes are the primes dividing 2b; None selects the doubling-limit
-    fallback, which may raise PrecisionUnreachable.
+    bad_primes are the primes dividing 2b.
     """
 
-    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...] | None):
+    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...]):
         if precision <= 0:
             raise ValueError("precision must be positive")
         self.E = E
@@ -240,8 +197,6 @@ class Heights:
         if key not in self._memo:
             if P.is_infinity or _is_torsion(self.E, P):
                 h = HeightValue(0.0, 0.0)
-            elif self.bad_primes is None:
-                h = _doubling_height(self.E, P, self.precision)
             else:
                 h = _series_height(self.E, P, self.bad_primes, self.precision)
             self._memo[key] = h
@@ -264,11 +219,7 @@ class Heights:
 
 
 def _heights(E: Curve, precision: float, effort: FactorEffort) -> Heights:
-    try:
-        bad = factor(2 * abs(E.b), effort).distinct_primes()
-    except EffortExceeded:
-        bad = None
-    return Heights(E, precision, bad)
+    return Heights(E, precision, factor(2 * abs(E.b), effort).distinct_primes())
 
 
 def canonical_height(
@@ -279,8 +230,9 @@ def canonical_height(
 ) -> HeightValue:
     """Canonical height of P on E, accurate to within `precision`.
 
-    The fast path needs the primes dividing 2b; if factoring exceeds the
-    budget the doubling-limit fallback is used.
+    The series needs the primes dividing 2b: raises EffortExceeded when
+    factoring 2b exceeds `effort`, and PrecisionUnreachable when `precision`
+    needs more than the series' term budget.
     """
     return _heights(E, precision, effort).height(P)
 

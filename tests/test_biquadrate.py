@@ -5,6 +5,7 @@ vectorized implementation on purpose.
 """
 
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -268,6 +269,14 @@ class TestRecoverEulerParams:
             quad.pairs(),
             tuple(reversed(quad.pairs())),
         )
+
+    def test_large_negated_quadruple_is_fast(self):
+        # |p - r| near 2^80: exact cube roots must not step down one at a time
+        p, q, r, s = euler_quadruple(3000, 7).components()
+        quad = validate_double_representation(-p, -q, r, s)
+        start = time.perf_counter()
+        assert recover_euler_params(quad) == (3000, 7)
+        assert time.perf_counter() - start < 1.0
 
     def test_unrelated_quadruple_returns_none(self):
         # degenerate but not of parametrized shape

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import biquadrank.heights as heights_module
-from biquadrank.arith import factor
+from biquadrank.arith import FactorEffort, factor
 from biquadrank.biquadrate import PropertyViolation
 from biquadrank.certificate import (
     CSV_HEADER,
@@ -23,7 +23,7 @@ from biquadrank.certificate import (
     to_json_line,
 )
 from biquadrank.descent import WitnessInvalid
-from biquadrank.parity import OutOfDomain
+from biquadrank.parity import OutOfDomain, parity_adjusted_bound
 
 
 # one full-featured certificate shared by the serialization tests
@@ -89,6 +89,9 @@ class TestAnalyzeEntryPoints:
         with pytest.raises(NoRepresentation):
             analyze(n=635318657, max_base=100)
 
+    def test_seed_recorded_is_the_factoring_seed(self):
+        assert analyze(ab=(2, 1), skip_heights=True, effort=FactorEffort(seed=7)).seed == 7
+
     def test_reduced_parameters(self):
         cert = analyze(ab=(3, 1), skip_heights=True)
         assert cert.n == 2094447251857
@@ -118,8 +121,11 @@ class TestOnePass:
         cert = analyze(ab=(2, 1))
         # 4 points, 4 doubles and 6 pairwise sums, each evaluated once
         assert len(series) == len(set(series)) == 14
-        assert len(factored) <= 5
+        # 2n once; n in each descent image and the quartic class B*D; torsion
+        # and the coprime root number need no factoring
+        assert len(factored) == 4
         assert factored.count(2 * cert.n) == 1
+        assert -cert.n not in factored
 
 
 class TestBoundChain:
@@ -206,6 +212,18 @@ class TestTamperDetection:
         def mutate(d):
             d["root_number"]["omega"] = -1
             d["root_number"]["epsilon"] = 1
+
+        with pytest.raises(CertificateInvalid):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_flipped_square_part_caught(self):
+        # a self-consistent root number that n's factorization contradicts
+        def mutate(d):
+            rn = d["root_number"]
+            rn["square_part_product"] = -1
+            rn["omega"] = -rn["omega"]
+            rn["justification"] = "factored"
+            d["conditional_lower"] = parity_adjusted_bound(d["unconditional_lower"], rn["omega"])
 
         with pytest.raises(CertificateInvalid):
             reverify(parse_certificate(self.tampered(mutate)))

@@ -6,9 +6,11 @@ surface as SystemExit(64) and handler-level errors as return codes.
 
 import copy
 import json
+import sys
 
 import pytest
 
+from biquadrank.arith import EffortExceeded, factor
 from biquadrank.biquadrate import MAX_SEARCH_BASE
 from biquadrank.certificate import parse_certificate, reverify
 from biquadrank.cli import (
@@ -61,6 +63,20 @@ class TestUsage:
     def test_bad_format_value(self):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--max-base", "200", "--format", "yaml"])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--max-base", "200", "--seed", "1"],
+        ["search", "--max-base", "200", "--factor-effort", "5"],
+        ["analyze", "--ab", "2", "1", "--cache", "c.jsonl"],
+        ["verify-paper", "--seed", "1"],
+        ["verify-paper", "--factor-effort", "5"],
+        ["verify-paper", "--cache", "c.jsonl"],
+        ["verify-paper", "--format", "csv"],
+    ])
+    def test_flags_a_subcommand_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
@@ -219,6 +235,19 @@ class TestVerifyPaper:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert len(records) == 21
         assert all(r["record"] == "claim" and r["passed"] for r in records)
+
+    def test_factoring_budget_exhaustion(self, capsys, monkeypatch):
+        def exhausted(n, effort=None):
+            raise EffortExceeded(n, (), n)
+
+        # modules import factor by name, so patch every binding of it
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
+                monkeypatch.setattr(mod, "factor", exhausted)
+        rc, _, err = run(capsys, "verify-paper")
+        assert rc == EXIT_BUDGET
+        assert err.count("\n") == 1 and "budget exhausted" in err
+        assert "Traceback" not in err
 
     def test_missing_fixture_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "verify-paper", "--fixtures", str(tmp_path / "none.json"))

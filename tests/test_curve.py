@@ -183,12 +183,18 @@ class TestTorsionShape:
         assert torsion_shape(-635318657) is TorsionShape.Z2
 
     def test_fourth_power_part_rejected(self):
-        with pytest.raises(ValueError):
-            torsion_shape(16)
-        with pytest.raises(ValueError):
-            torsion_shape(-16 * 17)
+        # a fourth-power factor is not rejected: D and D*k^4 are isomorphic
+        assert torsion_shape(4 * 3**4) is TorsionShape.Z4
+        assert torsion_shape(16) is TorsionShape.Z2
+        assert torsion_shape(-16) is TorsionShape.Z2xZ2
+        assert torsion_shape(-16 * 17) is TorsionShape.Z2
         with pytest.raises(ValueError):
             torsion_shape(0)
+
+    @pytest.mark.parametrize("D", [4, -1, -4, -17, 2, -635318657])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_invariant_under_fourth_power_scaling(self, D, k):
+        assert torsion_shape(D * k**4) is torsion_shape(D)
 
     def test_str_values(self):
         assert str(TorsionShape.Z2) == "Z/2Z"

@@ -1,15 +1,15 @@
 """Canonical height tests.
 
-Two independent routes exist (p-adic series and exact-fraction doubling);
-they must agree within their stated error bounds.  The frozen determinant
-values were computed at high precision and cross-checked against the
-published four-decimal figures.
+The frozen determinant values were computed at high precision and
+cross-checked against the published four-decimal figures.
 """
 
 import math
+import time
 
 import pytest
 
+from biquadrank.arith import EffortExceeded, FactorEffort
 from biquadrank.biquadrate import euler_quadruple
 from biquadrank.curve import INFINITY, OffCurve, Point, add, curve_from_n, negate, scalar_mul
 from biquadrank.heights import (
@@ -17,7 +17,6 @@ from biquadrank.heights import (
     HeightValue,
     Inconclusive,
     PrecisionUnreachable,
-    _doubling_height,
     canonical_height,
     gram_determinant,
     gram_matrix,
@@ -92,26 +91,15 @@ class TestCanonicalHeight:
         with pytest.raises(PrecisionUnreachable):
             canonical_height(E17, P17, precision=1e-40)
 
-
-class TestDoublingFallback:
-    def test_agrees_with_series(self):
-        series = canonical_height(E17, P17, precision=1e-6)
-        direct = _doubling_height(E17, P17, precision=1e-3)
-        assert abs(series.value - direct.value) <= series.error_bound + direct.error_bound
-
-    def test_error_bound_honest(self):
-        direct = _doubling_height(E17, P17, precision=1e-2)
-        assert direct.error_bound <= 1e-2
-        assert abs(direct.value - 1.7550260161728168) <= direct.error_bound
-
-    def test_raises_when_integers_blow_up(self, monkeypatch):
-        import biquadrank.heights as hmod
-
-        monkeypatch.setattr(hmod, "_FALLBACK_MAX_BITS", 2000)
-        with pytest.raises(PrecisionUnreachable) as exc:
-            _doubling_height(E17, P17, precision=1e-12)
-        assert exc.value.value is not None
-        assert exc.value.error_bound > 1e-12
+    def test_unfactorable_2b_propagates(self):
+        # 2n of the 27-digit (2, 9) curve needs rho; with no rho budget the
+        # height cannot be computed and must fail at once
+        quad = euler_quadruple(2, 9)
+        E = curve_from_n(quad.n)
+        start = time.perf_counter()
+        with pytest.raises(EffortExceeded):
+            canonical_height(E, constructed_points(quad)[0], effort=FactorEffort(rho_iterations=0))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPairing:
