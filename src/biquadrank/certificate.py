@@ -40,7 +40,7 @@ from .biquadrate import (
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
 from .descent import DescentImage, Witness, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
-from .heights import GramMatrix, HeightValue, Heights, Inconclusive
+from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
@@ -454,19 +454,52 @@ def reverify(cert: RankCertificate) -> bool:
         fail("conditional bound does not match omega")
     if cert.torsion != str(torsion_shape(-n)):
         fail("torsion does not match n")
-    if cert.heuristic_upper != yoshida_upper_bound(n):
+    f2n = factor(2 * n)
+    if cert.heuristic_upper != yoshida_upper_bound(n, f=f2n):
         fail("heuristic upper bound does not match the primes of 2n")
     if not (cert.unconditional_lower <= cert.conditional_lower <= cert.heuristic_upper):
         fail("bound chain violated")
-    if cert.gram is not None:
-        entries = np.array(cert.gram.entries, dtype=np.float64)
-        det = float(np.linalg.det(entries)) if len(cert.points) else 1.0
-        if abs(det - cert.gram.determinant) > 1e-9 * max(1.0, abs(det)):
-            fail("gram determinant does not match its entries")
-        for i, h in enumerate(cert.heights):
-            if abs(entries[i][i] - h.value) > 4 * max(h.error_bound, 1e-12):
-                fail("gram diagonal disagrees with stored heights")
+    if cert.gram is None:
+        if cert.heights or cert.independence is not None:
+            fail("heights or independence recorded without a Gram matrix")
+    else:
+        _reverify_heights(cert, E, f2n.distinct_primes())
     return True
+
+
+def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) -> None:
+    """Recompute the heights and the Gram matrix from the points at the
+    recorded precision, and rebuild independence from the recorded Gram."""
+    k = len(cert.points)
+    recorded = cert.gram.entries
+    if len(cert.heights) != k or len(recorded) != k or any(len(row) != k for row in recorded):
+        raise CertificateInvalid("heights or Gram matrix do not match the points")
+    if not (cert.precision > 0 and cert.tol > 0):
+        raise CertificateInvalid("precision and tol must be positive")
+    H = Heights(E, cert.precision, primes)
+    try:
+        fresh = H.gram(cert.points)
+        for P, h in zip(cert.points, cert.heights):
+            # the recorded and the recomputed value each lie within the
+            # error bound of the true height
+            f = H.height(P)
+            if h.error_bound != f.error_bound or abs(h.value - f.value) > 2 * f.error_bound:
+                raise CertificateInvalid(f"height of ({P.x}, {P.y}) does not match the point")
+    except PrecisionUnreachable as exc:
+        raise CertificateInvalid(f"recorded precision is unreachable: {exc}") from exc
+    # each pairing lies within 3 * precision / 2 of the true one
+    for row, fresh_row in zip(recorded, fresh.entries):
+        if any(abs(a - b) > 3 * cert.precision for a, b in zip(row, fresh_row)):
+            raise CertificateInvalid("gram entries do not match the points")
+    det = float(np.linalg.det(np.array(recorded, dtype=np.float64))) if k else 1.0
+    if abs(det - cert.gram.determinant) > 1e-9 * max(1.0, abs(det)):
+        raise CertificateInvalid("gram determinant does not match its entries")
+    try:
+        independence = cert.gram.independence(cert.tol)
+    except Inconclusive:
+        independence = None
+    if cert.independence != independence or (cert.independence or 0) > k:
+        raise CertificateInvalid("independence does not match the Gram matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,21 @@ no exact big-integer orbit is ever needed.  The tail after K terms is at
 most C * 4^{-K} / 3 with the explicit constant below (cofactor identities
 bound |D_k| on the unit box), so the series is truncated rigorously.
 
+Each part runs at the precision it needs (C the tail constant, h_0 the
+first term log max(|u_0|, |w_0|)):
+
+* Logs and the sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
+  precision * 10^-17.  A term rounds s_k (moving log s_k by at most
+  10^(1-d)), the logs, gamma_k and the partial sum, all below 2C + h_0 in
+  size, each by a relative 10^(1-d); K terms add at most that.
+* The orbit: each step is budgeted a loss of L = 2*digits(b) + 4 digits, so
+  it starts at 30 + K*L digits and after step k continues at
+  30 + (K-k-1)*L; an error made then only has to survive the steps left.
+* The trackers: a cancellation c_k <= r is read exactly while the modulus
+  exceeds p^r, and each step loses c_k digits, so after a step the residues
+  are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
+  lower bound that the starting p^((K+2)r + 8) guarantees.
+
 The trackers need the primes of 2b, so the public functions factor 2b with
 the caller's effort and let EffortExceeded propagate when that fails.
 """
@@ -113,6 +128,7 @@ class _PadicTracker:
         self.p = p
         r = (12 if p == 2 else 0) + 6 * _valuation(abs(A), p)
         self.cap = r
+        self.left = steps
         self.M = (steps + 2) * r + 8
         self.mod = p**self.M
         self.u = u0 % self.mod
@@ -133,8 +149,9 @@ class _PadicTracker:
         if c > self.cap:
             raise AssertionError(f"cancellation {c} above resultant cap at p={self.p}")
         pc = self.p**c
-        self.M -= c
-        self.mod = mod // pc if c else mod
+        self.left -= 1
+        self.M = min(self.M - c, (self.left + 2) * self.cap + 8)
+        self.mod = self.p**self.M
         self.u = (fu // pc) % self.mod
         self.w = (gw // pc) % self.mod
         self.A %= self.mod
@@ -145,34 +162,40 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     A = E.b
     x = P.x
     u0, w0 = x.numerator, x.denominator
+    scale = max(abs(u0), abs(w0))
     c_tail = _tail_constant(A)
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
     trackers = [_PadicTracker(p, A, u0, w0, K) for p in bad]
-    digits = 30 + K * (2 * len(str(abs(A))) + 4)
-    with mp.workdps(max(50, digits)):
-        scale = mpf(max(abs(u0), abs(w0)))
+    loss = 2 * len(str(abs(A))) + 4
+    sizes = []
+    with mp.workdps(30 + K * loss):
         U = mpf(u0) / scale
         W = mpf(w0) / scale
         Amp = mpf(A)
-        logs = {p: mp.log(p) for p in bad}
-        total = mp.log(scale)
-        quarter = mpf(1) / 4
-        weight = quarter
-        for _ in range(K):
+        for left in range(K - 1, -1, -1):
             t = U * U - Amp * W * W
             fu = t * t
             gw = 4 * U * W * (U * U + Amp * W * W)
             s = max(abs(fu), abs(gw))
+            sizes.append(s)
+            mp.dps = 30 + left * loss
+            U, W = fu / s, gw / s
+    # digits for the logs and the sum, see the module docstring
+    d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(scale) + 1) / precision))
+    with mp.workdps(d):
+        logs = {p: mp.log(p) for p in bad}
+        total = mp.log(scale)
+        weight = mpf(1)
+        for s in sizes:
+            weight /= 4
             gamma = mpf(0)
             for tr in trackers:
                 c = tr.step()
                 if c:
                     gamma += c * logs[tr.p]
             total += weight * (mp.log(s) - gamma)
-            weight *= quarter
-            U, W = fu / s, gw / s
         return HeightValue(float(total), precision)
 
 
@@ -203,8 +226,10 @@ class Heights:
         return self._memo[key]
 
     def pairing(self, P: Point, Q: Point) -> float:
-        """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2, within 3 * precision / 2."""
+        """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2 within 3 * precision / 2; <P, P> = h^(P)."""
         hP, hQ = self.height(P).value, self.height(Q).value
+        if (P.x, P.y) == (Q.x, Q.y):
+            return hP
         return (self.height(_add_unchecked(self.E, P, Q)).value - hP - hQ) / 2
 
     def gram(self, points) -> GramMatrix:

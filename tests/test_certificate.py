@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import biquadrank.heights as heights_module
@@ -119,8 +120,9 @@ class TestOnePass:
                 monkeypatch.setattr(mod, "factor", counting(factor, factored))
 
         cert = analyze(ab=(2, 1))
-        # 4 points, 4 doubles and 6 pairwise sums, each evaluated once
-        assert len(series) == len(set(series)) == 14
+        # 4 points and 6 pairwise sums, each evaluated once; the Gram
+        # diagonal is the points' heights, so no doubles are evaluated
+        assert len(series) == len(set(series)) == 10
         # 2n once; n in each descent image and the quartic class B*D; torsion
         # and the coprime root number need no factoring
         assert len(factored) == 4
@@ -261,6 +263,39 @@ class TestTamperDetection:
             d["heuristic_upper"] = 99
 
         with pytest.raises(CertificateInvalid):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_inflated_independence_caught(self):
+        # 6 independent points claimed from 4, every bound raised to match
+        def mutate(d):
+            d["independence"] = 6
+            d["unconditional_lower"] = 6
+            d["conditional_lower"] = parity_adjusted_bound(6, d["root_number"]["omega"])
+
+        with pytest.raises(CertificateInvalid, match="independence"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_independence_without_gram_caught(self):
+        cert = analyze(ab=(2, 1), skip_heights=True)
+        tampered = dataclasses.replace(
+            cert,
+            independence=4,
+            unconditional_lower=4,
+            conditional_lower=parity_adjusted_bound(4, cert.root),
+        )
+        with pytest.raises(CertificateInvalid, match="without a Gram matrix"):
+            reverify(tampered)
+
+    def test_scaled_heights_caught(self):
+        # a self-consistent Gram matrix that the points contradict
+        def mutate(d):
+            for h in d["heights"]:
+                h["value"] *= 10
+            entries = [[10 * v for v in row] for row in d["gram"]["entries"]]
+            d["gram"]["entries"] = entries
+            d["gram"]["determinant"] = float(np.linalg.det(np.array(entries)))
+
+        with pytest.raises(CertificateInvalid, match="height"):
             reverify(parse_certificate(self.tampered(mutate)))
 
 

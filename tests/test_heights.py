@@ -8,6 +8,7 @@ import math
 import time
 
 import pytest
+from mpmath import mp
 
 from biquadrank.arith import EffortExceeded, FactorEffort
 from biquadrank.biquadrate import euler_quadruple
@@ -24,6 +25,26 @@ from biquadrank.heights import (
     independence_rank,
 )
 from biquadrank.curve import constructed_points
+
+# h^ of the four constructed points, as float.hex(), from the series run
+# entirely at 30 + K * (2 * digits(b) + 4) digits
+PINNED_HEIGHTS = {
+    ((2, 1), 1e-4): ("0x1.4f5235fb768aep+3", "0x1.3b260a716508ap+3", "0x1.4cc115fb28ab4p+3", "0x1.418f58fcafe05p+3"),
+    ((2, 1), 1e-8): ("0x1.4f52360523e14p+3", "0x1.3b260a7a4291ap+3", "0x1.4cc115fb519e1p+3", "0x1.418f58fce2d66p+3"),
+    ((2, 1), 1e-20): ("0x1.4f5236052400ap+3", "0x1.3b260a7a42a48p+3", "0x1.4cc115fb52441p+3", "0x1.418f58fce2f50p+3"),
+    ((5, 3), 1e-4): ("0x1.5d4d55a2ea87dp+4", "0x1.5fa8d3148329bp+4", "0x1.6031aa47855d5p+4", "0x1.5d236d7e79491p+4"),
+    ((5, 3), 1e-8): ("0x1.5d4d55a2ee805p+4", "0x1.5fa8d314fd1b3p+4", "0x1.6031aa47c25e2p+4", "0x1.5d236d83d5d30p+4"),
+    ((5, 3), 1e-20): ("0x1.5d4d55a2ee8bdp+4", "0x1.5fa8d314fd2e3p+4", "0x1.6031aa47c2618p+4", "0x1.5d236d83d5d6fp+4"),
+    ((1, 11), 1e-4): ("0x1.fdc17dcf4aab6p+4", "0x1.04604fce2bfc8p+5", "0x1.019e69f039c0dp+5", "0x1.019a91f2cea52p+5"),
+    ((1, 11), 1e-8): ("0x1.fdc17dcf59e57p+4", "0x1.04604fce2fa0dp+5", "0x1.019e69f09eb08p+5", "0x1.019a91f3c8e5ap+5"),
+    ((1, 11), 1e-20): ("0x1.fdc17dcf59fa3p+4", "0x1.04604fce2fa10p+5", "0x1.019e69f09eb9dp+5", "0x1.019a91f3c8eb2p+5"),
+}
+# points whose orbits cancel 16 digits at p = 2 and 8 at p = 3, where the
+# family curves above cancel at most 2: these pin the p-adic trackers
+PINNED_CANCELLING = {
+    (1280, 80, 640): ("0x1.45640508655b7p-1", "0x1.456405086aa1ap-1"),
+    (2997, -9, 162): ("0x1.87a587f43a652p+0", "0x1.87a587f43f71ap+0"),
+}
 
 E17 = curve_from_n(17)
 P17 = Point.affine(-4, 2)
@@ -102,6 +123,36 @@ class TestCanonicalHeight:
         assert time.perf_counter() - start < 1.0
 
 
+class TestWorkingPrecision:
+    @pytest.mark.parametrize("ab, precision", list(PINNED_HEIGHTS), ids=str)
+    def test_heights_match_full_precision_series(self, ab, precision):
+        quad = euler_quadruple(*ab)
+        E = curve_from_n(quad.n)
+        got = tuple(canonical_height(E, P, precision).value.hex() for P in constructed_points(quad))
+        assert got == PINNED_HEIGHTS[ab, precision]
+
+    @pytest.mark.parametrize("n, x, y", list(PINNED_CANCELLING), ids=str)
+    def test_cancelling_orbits_match_full_precision_series(self, n, x, y):
+        E = curve_from_n(n)
+        got = tuple(canonical_height(E, Point.affine(x, y), p).value.hex() for p in (1e-8, 1e-20))
+        assert got == PINNED_CANCELLING[n, x, y]
+
+    def test_logs_run_at_term_precision(self, monkeypatch):
+        # the orbit of the 28-digit (1, 11) curve starts above 1,000 digits;
+        # each log only needs the requested 8 digits and the sum's guard digits
+        seen = []
+        log = mp.log
+
+        def recording(x):
+            seen.append(mp.dps)
+            return log(x)
+
+        monkeypatch.setattr(mp, "log", recording)
+        quad = euler_quadruple(1, 11)
+        canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
+        assert seen and max(seen) <= 40
+
+
 class TestPairing:
     def test_symmetric(self):
         a = height_pairing(E17, P17, Q17, precision=1e-9)
@@ -109,10 +160,11 @@ class TestPairing:
         assert abs(a - b) < 1e-8
 
     def test_self_pairing_is_height(self):
-        # <P, P> = (h(2P) - 2 h(P)) / 2 = h(P) by quadraticity
+        # <P, P> = (h(2P) - 2 h(P)) / 2 = h(P) by quadraticity, so no series
+        # for 2P is evaluated and the value is the height itself
         v = height_pairing(E17, P17, P17, precision=1e-9)
         h = canonical_height(E17, P17, precision=1e-9).value
-        assert abs(v - h) < 1e-7
+        assert v == h
 
     def test_bilinear_in_multiples(self):
         v = height_pairing(E17, P17, Q17, precision=1e-10)

@@ -2,8 +2,9 @@
 
 `perfbench/workloads.py` calls the layer modules' public functions in the
 forms `analyze` once used.  Running its `algebraic` operations for one seed
-and the 9-digit `ladder` operation here makes a change to one of those call
-forms fail the test suite, not only the benchmark.
+and the 9- and 19-digit `ladder` operations here makes a change to one of
+those call forms, or to a recorded Gram determinant, fail the test suite,
+not only the benchmark.
 """
 
 import importlib.util
@@ -25,8 +26,9 @@ def _load_workloads():
 
 workloads = _load_workloads()
 LAYERS, PACKAGE_ERROR = workloads.load_layers()
-# bands are built in order of size, so the first ladder operation is 9 digits
-OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:1]
+# bands are built in order of size: the first two ladder operations are the
+# 9- and 19-digit ones
+OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:2]
 
 
 def test_package_imports():
