@@ -15,6 +15,7 @@ uses the identity as a cross-check and the descent step uses the factors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -122,19 +123,6 @@ def validate_double_representation(p: int, q: int, r: int, s: int) -> BiquadQuad
     )
 
 
-def _pairs_for(n: int, max_base: int) -> list[tuple[int, int]]:
-    """All 0 < p <= q <= max_base with p^4 + q^4 == n, ascending."""
-    out = []
-    p = 1
-    while 2 * p**4 <= n:
-        rest = n - p**4
-        q = math.isqrt(math.isqrt(rest))
-        if q**4 == rest and p <= q <= max_base:
-            out.append((p, q))
-        p += 1
-    return out
-
-
 def representations(n: int, max_base: int | None = None) -> list[tuple[int, int]]:
     """All pairs 0 < p <= q with p^4 + q^4 == n, ascending in p.
 
@@ -145,7 +133,12 @@ def representations(n: int, max_base: int | None = None) -> list[tuple[int, int]
     bound = math.isqrt(math.isqrt(n))
     if max_base is not None:
         bound = min(bound, max_base)
-    return _pairs_for(n, bound)
+    out = []
+    for p in range(1, math.isqrt(math.isqrt(n // 2)) + 1):  # 2 p^4 <= n, so p <= q
+        q = math.isqrt(math.isqrt(n - p**4))
+        if p**4 + q**4 == n and q <= bound:
+            out.append((p, q))
+    return out
 
 
 def search_double_representations(max_base: int, shards: int = 1) -> list[BiquadQuadruple]:
@@ -153,8 +146,9 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     pairs, gcd(p,q,r,s) == 1.
 
     Returns one quadruple per unordered pair of representations, sorted by
-    (n, pairs); deterministic.  Shards partition sums by n mod shards and are
-    scanned one at a time, bounding peak memory at ~B^2/(2*shards) entries.
+    (n, pairs); deterministic.  Sums go into `shards` value windows [L, U) of
+    about equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
+    slice, so each sum is built once; peak memory is 8*max_base^2/(2*shards) bytes.
     """
     if max_base < 2:
         raise ValueError("max_base must be at least 2")
@@ -166,30 +160,44 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
         raise ValueError("shards must be positive")
 
     fourth = np.arange(max_base + 1, dtype=np.int64) ** 4
-    hits: set[int] = set()
-    for shard in range(shards):
-        sums = []
-        for q in range(2, max_base + 1):
-            block = fourth[1 : q + 1] + fourth[q]
-            if shards > 1:
-                block = block[block % shards == shard]
-            sums.append(block)
-        flat = np.sort(np.concatenate(sums))
-        dup = flat[1:] == flat[:-1]
-        hits.update(int(v) for v in np.unique(flat[1:][dup]))
+    q4, past = fourth[1:], np.arange(2, max_base + 2)  # for q = 1..max_base
 
+    def first_p(v: int) -> np.ndarray:  # per q: least p >= 1 with p^4 + q^4 >= v, or q + 1
+        return np.clip(np.searchsorted(fourth, v - q4), 1, past)
+
+    def below(v: int) -> int:  # how many sums are below v
+        return int(first_p(v).sum()) - max_base
+
+    total, top = max_base * (max_base + 1) // 2, 2 * max_base**4 + 1
+    shards = min(shards, total)
+    edges = [0]  # edge k is the least v with k/shards of the sums below it
+    for k in range(1, shards):
+        edges.append(bisect_left(range(top), k * total // shards, lo=edges[-1], key=below))
+    edges.append(top)
+    counts = np.diff([below(v) for v in edges])
+
+    buf = np.empty(int(counts.max()), dtype=np.int64)
     results: list[BiquadQuadruple] = []
-    for n in sorted(hits):
-        pairs = _pairs_for(n, max_base)
-        for (p, q), (r, s) in combinations(pairs, 2):
-            if gcd_many([p, q, r, s]) != 1:
-                continue
-            quad = BiquadQuadruple(
-                p=p, q=q, r=r, s=s, n=n,
-                primitive=True,
-                degenerate=False,  # distinct normalized pairs
+    start = first_p(0)
+    for upper, m in zip(edges[1:], counts.tolist()):
+        stop = first_p(upper)
+        window, lo, hi, pos = buf[:m], start.tolist(), stop.tolist(), 0
+        for i in np.flatnonzero(stop > start).tolist():
+            np.add(fourth[lo[i] : hi[i]], q4[i], out=window[pos : pos + hi[i] - lo[i]])
+            pos += hi[i] - lo[i]
+        window.sort()
+        start = stop
+        for n in np.unique(window[1:][window[1:] == window[:-1]]).tolist():
+            # p <= q  <=>  2 p^4 <= n; then q^4 = n - p^4 is looked up exactly
+            ps = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1)
+            qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
+            found = fourth[ps] + fourth[qs] == n
+            pairs = zip(ps[found].tolist(), qs[found].tolist())
+            results.extend(  # distinct normalized pairs, so never degenerate
+                BiquadQuadruple(p=p, q=q, r=r, s=s, n=n, primitive=True, degenerate=False)
+                for (p, q), (r, s) in combinations(pairs, 2)
+                if gcd_many([p, q, r, s]) == 1
             )
-            results.append(quad)
     return results
 
 

@@ -8,9 +8,9 @@ bounds:
 
   unconditional_lower   max(descent count, Gram-certified independent points)
   conditional_lower     parity-adjusted (assumes the parity conjecture)
-  heuristic_upper       2 * omega(2n) - 1 prime-count ceiling
+  heuristic_upper       2 * omega(2n) - 1, proven (Silverman, AEC X.6.2)
 
-The chain unconditional <= conditional <= heuristic is enforced at build
+The chain unconditional <= conditional <= upper is enforced at build
 time; a violation means a closure or factoring bug and aborts loudly.
 Serialization is line-delimited JSON with decimal strings for all exact
 integers; floats appear only for measured heights.  parse() rebuilds the
@@ -224,13 +224,13 @@ def analyze(
     root = root_number(n, quad=quad, effort=effort)
     unconditional = max(descent_lower, independence or 0)
     conditional = parity_adjusted_bound(unconditional, root)
-    heuristic = yoshida_upper_bound(n, f=f2n)
+    upper = yoshida_upper_bound(n, f=f2n)
     timings["parity"] = time.perf_counter() - t0
 
-    if not (unconditional <= conditional <= heuristic):
+    if not (unconditional <= conditional <= upper):
         raise PropertyViolation(
             f"bound chain violated for n = {n}: "
-            f"{unconditional} <= {conditional} <= {heuristic} fails; "
+            f"{unconditional} <= {conditional} <= {upper} fails; "
             "suspect image closure or an incomplete factorization"
         )
 
@@ -247,7 +247,7 @@ def analyze(
         descent_lower=descent_lower,
         unconditional_lower=unconditional,
         conditional_lower=conditional,
-        heuristic_upper=heuristic,
+        heuristic_upper=upper,
         root=root,
         tool_version=TOOL_VERSION,
         seed=effort.seed,
@@ -456,7 +456,7 @@ def reverify(cert: RankCertificate) -> bool:
         fail("torsion does not match n")
     f2n = factor(2 * n)
     if cert.heuristic_upper != yoshida_upper_bound(n, f=f2n):
-        fail("heuristic upper bound does not match the primes of 2n")
+        fail("prime-count upper bound does not match the primes of 2n")
     if not (cert.unconditional_lower <= cert.conditional_lower <= cert.heuristic_upper):
         fail("bound chain violated")
     if cert.gram is None:

@@ -230,12 +230,6 @@ def psi_image(
     return _close("psi", E_dual.b, gens)
 
 
-def independence_mod_squares(values: list[int], effort: FactorEffort = DEFAULT_EFFORT) -> bool:
-    """True iff no ratio of two of the values is a rational square."""
-    reps = [square_class(v, effort) for v in values]
-    return len(set(reps)) == len(reps)
-
-
 def rank_lower_bound(phi: DescentImage, psi: DescentImage) -> int:
     """From |phi| * |psi| = 2^{r+2}: the verified subgroups give a bound."""
     m1, m2 = phi.order, psi.order
@@ -250,10 +244,10 @@ def yoshida_upper_bound(
     f: Factorization | None = None,
     effort: FactorEffort = DEFAULT_EFFORT,
 ) -> int:
-    """Heuristic upper bound 2 * #{primes dividing 2n} - 1.
+    """Upper bound 2 * #{primes dividing 2n} - 1, proven for y^2 = x^3 + D x
+    (Silverman, The Arithmetic of Elliptic Curves, Prop. X.6.2; D = -n).
 
-    Stated in the literature for a narrower family; applied here as a
-    sanity ceiling, so it is labeled heuristic wherever reported.
+    Certificates keep its historical field name `heuristic_upper`.
     """
     if n <= 0:
         raise ValueError("n must be positive")

@@ -4,8 +4,10 @@ The search oracle is a pure-dict brute force kept independent of the
 vectorized implementation on purpose.
 """
 
+import functools
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -164,6 +166,7 @@ class TestFourthPowerWitness:
         assert 183184 != 132496
 
 
+@functools.cache
 def brute_force_search(max_base: int) -> list[tuple[int, int, int, int, int]]:
     """Dict-of-lists oracle, no numpy, no dedup tricks."""
     by_sum: dict[int, list[tuple[int, int]]] = {}
@@ -195,8 +198,28 @@ class TestSearch:
     def test_no_hits_below_100(self):
         assert search_double_representations(100) == []
 
-    def test_sharding_is_transparent(self):
-        assert search_double_representations(300, shards=4) == search_double_representations(300)
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_sharding_is_transparent(self, shards):
+        got = [
+            (t.p, t.q, t.r, t.s, t.n)
+            for t in search_double_representations(2000, shards=shards)
+        ]
+        assert got == sorted(brute_force_search(2000), key=lambda t: (t[4], t[:4]))
+
+    def test_more_shards_than_sums(self):
+        # base 10 has 55 sums, so shards is clamped to 55: one sum per window
+        assert search_double_representations(10, shards=1000) == search_double_representations(10)
+
+    @pytest.mark.parametrize("shards, limit_mb", [(1, 24), (4, 12)])
+    def test_peak_memory_follows_the_window(self, shards, limit_mb):
+        # the 2,001,000 sums up to base 2000 take 16 MB as int64
+        tracemalloc.start()
+        try:
+            search_double_representations(2000, shards=shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
 
     def test_results_are_primitive_distinct_pairs(self):
         for quad in search_double_representations(700, shards=2):

@@ -19,7 +19,6 @@ from biquadrank.descent import (
     Witness,
     WitnessInvalid,
     class_mul,
-    independence_mod_squares,
     phi_image,
     psi_image,
     rank_lower_bound,
@@ -228,15 +227,6 @@ class TestRankBounds:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             rank_lower_bound(SimpleNamespace(order=3), SimpleNamespace(order=4))
-
-
-class TestIndependenceModSquares:
-    def test_examples(self):
-        assert independence_mod_squares([2, 3, 6])
-        assert not independence_mod_squares([1, 4])
-        assert not independence_mod_squares([2, 8])
-        assert independence_mod_squares([-1, 1])
-        assert independence_mod_squares([137129, -4633, N21])
 
 
 class TestYoshidaBound:
