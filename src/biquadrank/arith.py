@@ -278,19 +278,6 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
     return Factorization(value=n, primes=primes, certified=True)
 
 
-def squarefree_part(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> tuple[int, int]:
-    """(s, t) with n = s * t**2, s squarefree, sign(s) = sign(n); rejects 0."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    f = factor(n, effort)
-    s, t = f.sign, 1
-    for p, e in f.primes:
-        if e % 2:
-            s *= p
-        t *= p ** (e // 2)
-    return s, t
-
-
 def fourth_power_free_part(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> tuple[int, int]:
     """(m, k) with n = m * k**4, m fourth-power-free, sign(m) = sign(n)."""
     if n == 0:

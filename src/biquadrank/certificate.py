@@ -215,8 +215,8 @@ def analyze(
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    phi = phi_image(E, quad, effort=effort)
-    psi = psi_image(dual_curve(E), quad, effort=effort)
+    phi = phi_image(E, quad, f2n)
+    psi = psi_image(dual_curve(E), quad, f2n)
     descent_lower = rank_lower_bound(phi, psi)
     timings["descent"] = time.perf_counter() - t0
 

@@ -33,14 +33,6 @@ class Curve:
         """The twist parameter when the curve is written y^2 = x^3 - n*x."""
         return -self.b
 
-    @property
-    def discriminant(self) -> int:
-        return -64 * self.b**3
-
-    @property
-    def j_invariant(self) -> int:
-        return 1728
-
     def __repr__(self):
         sign = "+" if self.b >= 0 else "-"
         return f"Curve(y^2 = x^3 {sign} {abs(self.b)}*x)"

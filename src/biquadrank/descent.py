@@ -15,9 +15,15 @@ previously witnessed classes.  No torseur solving is attempted: only
 witnesses that exist in closed form for n = p^4 + q^4 are used.
 
 Square classes are canonicalized to signed squarefree integers once, at
-construction; closure and verification afterwards never factor anything
-(two integers share a class iff their product is a positive perfect
-square, and squarefree reps multiply via gcd cancellation).
+construction, from the primes of the one certified factorization of 2n.
+The classes read there, of n and of the quartic factor B*D (which
+divides the raw n*g^4, g the reduction), have all their primes of odd
+exponent among them, so reading a class is division by known primes plus
+a perfect-square check on the cofactor; a class with a prime outside them
+raises ValueError instead of coming out wrong.  Given that factorization,
+nothing here factors; closure and verification never do (two integers
+share a class iff their product is a positive perfect square, and
+squarefree reps multiply via gcd cancellation).
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, is_square, squarefree_part
-from .biquadrate import BiquadQuadruple, QuarticFactors, fourth_power_witness, quartic_factors
+from .arith import Factorization, factor, is_square
+from .biquadrate import BiquadQuadruple, fourth_power_witness, quartic_factors
 from .curve import Curve
 
 
@@ -37,12 +43,37 @@ class WitnessInvalid(RuntimeError):
     """A stored witness failed exact re-verification."""
 
 
-def square_class(m: int, effort: FactorEffort = DEFAULT_EFFORT) -> int:
-    """Canonical representative: the signed squarefree part."""
+def square_class(m: int, primes: tuple[int, ...]) -> int:
+    """Canonical representative, the signed squarefree part, read from
+    primes that include every prime of odd exponent in m.
+
+    Raises ValueError when the cofactor left after dividing out the primes
+    is not a perfect square, i.e. m has a prime of odd exponent outside them.
+    """
     if m == 0:
         raise ValueError("0 has no square class")
-    s, _ = squarefree_part(m, effort)
-    return s
+    c, rest = (-1 if m < 0 else 1), abs(m)
+    for p in primes:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2:
+            c *= p
+    if not is_square(rest):
+        raise ValueError(f"{m} has a prime of odd exponent outside {primes}")
+    return c
+
+
+def _primes_of_2n(n: int, f: Factorization | None) -> tuple[int, ...]:
+    """The primes of 2n from its certified factorization f (factored when None)."""
+    if f is None:
+        f = factor(2 * n)
+    if f.value != 2 * n:
+        raise ValueError("factorization is not of 2n")
+    if not f.certified:
+        raise ValueError("factorization must be certified complete")
+    return f.distinct_primes()
 
 
 def class_mul(c1: int, c2: int) -> int:
@@ -152,42 +183,35 @@ def _close(side: str, curve_b: int, gens: list[tuple[int, Witness]]) -> DescentI
     return DescentImage(side, curve_b, frozenset(table), MappingProxyType(table))
 
 
-def phi_image(
-    E: Curve,
-    quad: BiquadQuadruple,
-    factors: QuarticFactors | None = None,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> DescentImage:
+def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
     """Verified subgroup of phi(E(Q)) for E: y^2 = x^3 - n x, n = p^4 + q^4.
 
     Always contains 1, -n (from (0,0)), -1 (solution (M,e,N) = (p,1,q^2) of
     N^2 = -M^4 + n e^4) and n (solution (1,p,q^2) of N^2 = n M^4 - e^4).
     When the quadruple carries generating parameters, the quartic factor
     class B*D joins via the fourth-power identity BD - b^4 AC = N^2, and
-    closure brings the full eight-element subgroup.
+    closure brings the full eight-element subgroup.  Every class is read
+    from the primes of the certified factorization f of 2n.
     """
     n = quad.n
     if E.n != n:
         raise ValueError("curve does not match the quadruple")
+    primes = _primes_of_2n(n, f)
     p, q = quad.p, quad.q
     gens: list[tuple[int, Witness]] = []
 
-    c_n = square_class(n, effort)
+    c_n = square_class(n, primes)
     gens.append((-c_n, Witness("coefficient", -c_n)))
     gens.append((-1, Witness("torsor", -1, (-1, n, p, 1, q * q))))
     gens.append((c_n, Witness("torsor", c_n, (n, -1, 1, p, q * q))))
 
-    params = quad.euler_params
-    if factors is None and params is not None:
-        factors = quartic_factors(*params)
-    if factors is not None:
-        if params is None:
-            raise ValueError("quartic factor witnesses need generating parameters")
-        a, b = params
+    if quad.euler_params is not None:
+        a, b = quad.euler_params
+        factors = quartic_factors(a, b)
         if factors.n_raw != n * quad.reduction**4:
             raise ValueError("quartic factors do not match the quadruple")
         _, nwit = fourth_power_witness(a, b)
-        c_bd = square_class(factors.B * factors.D, effort)
+        c_bd = square_class(factors.B * factors.D, primes)
         g = quad.reduction
         if g == 1:
             w = Witness("torsor", c_bd, (factors.b1, factors.b2, 1, b, nwit))
@@ -205,15 +229,12 @@ def phi_image(
     return _close("phi", E.b, gens)
 
 
-def psi_image(
-    E_dual: Curve,
-    quad: BiquadQuadruple,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> DescentImage:
+def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
     """Verified subgroup of psi on the dual curve y^2 = x^3 + 4 n x.
 
     Contains 1, the class of 4n ~ n (from (0,0)) and 2, witnessed by the
     identity 2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2; closure adds 2n.
+    The class of n is read from the primes of the factorization f of 2n.
     """
     n = quad.n
     if E_dual.b != 4 * n:
@@ -221,7 +242,7 @@ def psi_image(
     p, q = abs(quad.p), abs(quad.q)
     gens: list[tuple[int, Witness]] = []
 
-    c_n = square_class(n, effort)
+    c_n = square_class(n, _primes_of_2n(n, f))
     gens.append((c_n, Witness("coefficient", c_n)))
     m = p + q
     nn = 2 * (p * p + p * q + q * q)
@@ -239,11 +260,7 @@ def rank_lower_bound(phi: DescentImage, psi: DescentImage) -> int:
     return (m1.bit_length() - 1) + (m2.bit_length() - 1) - 2
 
 
-def yoshida_upper_bound(
-    n: int,
-    f: Factorization | None = None,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> int:
+def yoshida_upper_bound(n: int, f: Factorization | None = None) -> int:
     """Upper bound 2 * #{primes dividing 2n} - 1, proven for y^2 = x^3 + D x
     (Silverman, The Arithmetic of Elliptic Curves, Prop. X.6.2; D = -n).
 
@@ -251,10 +268,4 @@ def yoshida_upper_bound(
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if f is None:
-        f = factor(2 * n, effort)
-    if f.value != 2 * n:
-        raise ValueError("factorization is not of 2n")
-    if not f.certified:
-        raise ValueError("factorization must be certified complete")
-    return 2 * len(f.distinct_primes()) - 1
+    return 2 * len(_primes_of_2n(n, f)) - 1

@@ -6,7 +6,6 @@ fast code must agree with them everywhere they can reach.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +22,6 @@ from biquadrank.arith import (
     is_probable_prime,
     is_square,
     jacobi,
-    squarefree_part,
 )
 
 
@@ -181,33 +179,6 @@ class TestFactor:
 
 
 class TestSquarefreeParts:
-    def oracle_sf(self, n):
-        s = 1
-        t = 1
-        for p, e in trial_factor(n):
-            if e % 2:
-                s *= p
-            t *= p ** (e // 2)
-        return (s if n > 0 else -s, t)
-
-    def test_against_oracle(self):
-        rng = random.Random(11)
-        values = list(range(1, 400)) + [rng.randrange(2, 10**6) for _ in range(200)]
-        for n in values:
-            for signed in (n, -n):
-                s, t = squarefree_part(signed)
-                assert (s, t) == self.oracle_sf(signed), signed
-                assert s * t * t == signed
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_decomposition_invariants(self, n):
-        s, t = squarefree_part(n)
-        assert s * t * t == n
-        # s squarefree: no prime square divides it
-        for p, e in factor(s).primes:
-            assert e == 1
-
     def test_fourth_power_free(self):
         m, k = fourth_power_free_part(16 * 17)
         assert (m, k) == (17, 2)

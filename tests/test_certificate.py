@@ -93,6 +93,13 @@ class TestAnalyzeEntryPoints:
     def test_seed_recorded_is_the_factoring_seed(self):
         assert analyze(ab=(2, 1), skip_heights=True, effort=FactorEffort(seed=7)).seed == 7
 
+    def test_budget_that_factors_2n_suffices(self):
+        # 2n factors within 5000 rho iterations and n is never factored on
+        # its own, so the small budget gives the default-effort certificate
+        low = analyze(ab=(1, 10), skip_heights=True, effort=FactorEffort(rho_iterations=5000))
+        assert low.n == 10399290953968403530629990401
+        assert to_json_line(low) == to_json_line(analyze(ab=(1, 10), skip_heights=True))
+
     def test_reduced_parameters(self):
         cert = analyze(ab=(3, 1), skip_heights=True)
         assert cert.n == 2094447251857
@@ -123,11 +130,10 @@ class TestOnePass:
         # 4 points and 6 pairwise sums, each evaluated once; the Gram
         # diagonal is the points' heights, so no doubles are evaluated
         assert len(series) == len(set(series)) == 10
-        # 2n once; n in each descent image and the quartic class B*D; torsion
-        # and the coprime root number need no factoring
-        assert len(factored) == 4
-        assert factored.count(2 * cert.n) == 1
-        assert -cert.n not in factored
+        # 2n once: heights, both descent images (n and the quartic class
+        # B*D) and the upper bound read its primes; torsion and the coprime
+        # root number need no factoring
+        assert factored == [2 * cert.n]
 
 
 class TestBoundChain:

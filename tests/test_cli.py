@@ -211,6 +211,17 @@ class TestAnalyze:
         assert int(partial["residual"]) > 1
         assert "budget" in err
 
+    def test_budget_that_factors_2n_suffices(self, capsys):
+        rc, out, _ = run(
+            capsys,
+            "analyze", "--ab", "1", "10", "--skip-heights", "--factor-effort", "5000",
+            "--format", "json-lines",
+        )
+        assert rc == EXIT_OK
+        cert = parse_certificate(out.strip())
+        assert cert.n == 10399290953968403530629990401
+        assert reverify(cert)
+
     def test_budget_succeeds_with_default_effort(self, capsys):
         rc, out, _ = run(
             capsys,

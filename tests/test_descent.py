@@ -5,6 +5,7 @@ witnesses; every test re-verifies the stored witnesses by exact integer
 arithmetic through DescentImage's own audit path.
 """
 
+import dataclasses
 import math
 from types import MappingProxyType, SimpleNamespace
 
@@ -28,15 +29,25 @@ from biquadrank.descent import (
 )
 
 
+PRIMES_BELOW_300 = tuple(p for p in range(2, 300) if all(p % d for d in range(2, p)))
+
+
 class TestSquareClasses:
     def test_canonical_representatives(self):
-        assert square_class(12) == 3
-        assert square_class(-12) == -3
-        assert square_class(49) == 1
-        assert square_class(-1) == -1
-        assert square_class(635318657) == 635318657  # squarefree
+        assert square_class(12, (2, 3)) == 3
+        assert square_class(-12, (2, 3)) == -3
+        assert square_class(49, (7,)) == 1
+        assert square_class(49, ()) == 1  # the cofactor 49 is a square
+        assert square_class(1, ()) == 1
+        assert square_class(-1, ()) == -1
+        # 2n = 2 * 41 * 113 * 241 * 569, so n is its own class
+        assert square_class(635318657, (2, 41, 113, 241, 569)) == 635318657
         with pytest.raises(ValueError):
-            square_class(0)
+            square_class(0, (2, 3))
+
+    def test_prime_outside_the_list_rejected(self):
+        with pytest.raises(ValueError):
+            square_class(6, (3,))
 
     def test_class_mul_on_squarefree_reps(self):
         assert class_mul(3, 3) == 1
@@ -50,8 +61,22 @@ class TestSquareClasses:
         st.integers(min_value=-300, max_value=300).filter(bool),
     )
     def test_class_mul_matches_square_class_of_product(self, a, b):
-        ca, cb = square_class(a), square_class(b)
-        assert class_mul(ca, cb) == square_class(a * b)
+        ca, cb = square_class(a, PRIMES_BELOW_300), square_class(b, PRIMES_BELOW_300)
+        assert class_mul(ca, cb) == square_class(a * b, PRIMES_BELOW_300)
+
+    def test_family_classes_from_the_primes_of_2n(self):
+        # covers the reduced (3, 1) and the non-coprime (2, 4)
+        def oracle(m):
+            f = factor(m)
+            return math.prod((p for p, e in f.primes if e % 2), start=f.sign)
+
+        for a in range(1, 13):
+            for b in range(1, 13):
+                quad = euler_quadruple(a, b)
+                factors = quartic_factors(a, b)
+                primes = factor(2 * quad.n).distinct_primes()
+                for m in (quad.n, factors.B * factors.D):
+                    assert square_class(m, primes) == oracle(m), (a, b, m)
 
     def test_same_class(self):
         assert same_class(2, 8)
@@ -102,9 +127,19 @@ class TestPhiImage:
             phi_image(curve_from_n(17), QUAD21)
 
     def test_factors_must_match(self):
-        wrong = quartic_factors(3, 1)
-        with pytest.raises(ValueError):
-            phi_image(E21, QUAD21, factors=wrong)
+        wrong = dataclasses.replace(QUAD21, euler_params=(3, 1))
+        with pytest.raises(ValueError, match="quartic factors do not match"):
+            phi_image(E21, wrong)
+
+    def test_given_factorization_is_used_and_checked(self):
+        f = factor(2 * N21)
+        assert phi_image(E21, QUAD21, f).classes == phi_image(E21, QUAD21).classes
+        assert psi_image(dual_curve(E21), QUAD21, f).classes == frozenset({1, 2, N21, 2 * N21})
+        for wrong in (factor(N21), factor(2 * 17)):
+            with pytest.raises(ValueError):
+                phi_image(E21, QUAD21, wrong)
+            with pytest.raises(ValueError):
+                psi_image(dual_curve(E21), QUAD21, wrong)
 
     @settings(max_examples=25, deadline=None)
     @given(
