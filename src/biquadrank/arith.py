@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 # Deterministic default seed for the rho stage.
 DEFAULT_SEED = 0x5EED
 
@@ -23,7 +25,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 64
 
 _SIEVE_BOUND = 1_000_000
-_sieve_primes: list[int] | None = None
+_sieve_primes: np.ndarray | None = None
 
 
 class EffortExceeded(RuntimeError):
@@ -85,16 +87,25 @@ class Factorization:
         return 0
 
 
-def _primes_below_bound() -> list[int]:
+def _primes_below_bound() -> np.ndarray:
     global _sieve_primes
     if _sieve_primes is None:
-        flags = bytearray([1]) * _SIEVE_BOUND
-        flags[0:2] = b"\x00\x00"
+        flags = np.ones(_SIEVE_BOUND, dtype=bool)
+        flags[:2] = False
         for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
             if flags[i]:
-                flags[i * i :: i] = b"\x00" * len(range(i * i, _SIEVE_BOUND, i))
-        _sieve_primes = [i for i in range(_SIEVE_BOUND) if flags[i]]
+                flags[i * i :: i] = False
+        _sieve_primes = np.flatnonzero(flags).astype(np.uint64)
     return _sieve_primes
+
+
+def _residues(m: int, primes: np.ndarray) -> np.ndarray:
+    """m mod each prime, by Horner over the 32-bit limbs of m: with every
+    prime below 2^20 each partial value stays below 2^52, so uint64 is exact."""
+    r = np.zeros(len(primes), dtype=np.uint64)
+    for shift in range(32 * ((m.bit_length() - 1) // 32), -1, -32):
+        r = ((r << np.uint64(32)) | np.uint64((m >> shift) & 0xFFFFFFFF)) % primes
+    return r
 
 
 def gcd_many(values) -> int:
@@ -235,14 +246,16 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
         raise ValueError("0 has no factorization")
     m = abs(n)
     found: dict[int, int] = {}
-    for p in _primes_below_bound():
-        if p > effort.trial_bound or p * p > m:
-            break
+    # trial division tests every prime up to bound, and no larger one
+    bound = max(0, min(effort.trial_bound, _SIEVE_BOUND))
+    primes = _primes_below_bound()
+    primes = primes[: np.searchsorted(primes, np.uint64(min(bound, math.isqrt(m))), side="right")]
+    for p in primes[_residues(m, primes) == 0].tolist():
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if m > 1 and (m < effort.trial_bound * effort.trial_bound or is_probable_prime(m, effort.seed)):
-        # below trial_bound**2 any survivor of trial division is prime
+    if m > 1 and (m < bound * bound or is_probable_prime(m, effort.seed)):
+        # below bound**2 any survivor of trial division is prime
         found[m] = found.get(m, 0) + 1
         m = 1
 

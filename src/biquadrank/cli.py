@@ -227,9 +227,6 @@ def cmd_analyze(args) -> int:
         print(json.dumps(partial, sort_keys=True, separators=(",", ":")))
         print(f"biquadrank analyze: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PropertyViolation, CertificateInvalid) as exc:
-        print(f"biquadrank analyze: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
     if args.format == "json-lines":
         text = to_json_line(cert)
@@ -326,6 +323,9 @@ def main(argv=None) -> int:
     except EffortExceeded as exc:
         print(f"biquadrank {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (PropertyViolation, CertificateInvalid) as exc:
+        print(f"biquadrank {args.command}: verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

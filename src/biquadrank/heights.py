@@ -35,7 +35,13 @@ first term log max(|u_0|, |w_0|)):
 * The trackers: a cancellation c_k <= r is read exactly while the modulus
   exceeds p^r, and each step loses c_k digits, so after a step the residues
   are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
-  lower bound that the starting p^((K+2)r + 8) guarantees.
+  lower bound that the starting p^((K+2)r + 8) guarantees.  If p does not
+  divide u_k but divides b w_k, then F_k = u_k^4 mod p, so c_k = 0, and
+  u_{k+1} ~ F_k, w_{k+1} ~ G_k = 4 u_k w_k (...) keep both properties: every
+  later c at p is 0 (only singular reduction contributes at a bad prime;
+  Silverman, Math. Comp. 51, 1988).  This is read exactly from the residues
+  mod p, so such a tracker retires, and one settled at (u_0, w_0) is never
+  built.
 
 The trackers need the primes of 2b, so the public functions factor 2b with
 the caller's effort and let EffortExceeded propagate when that fails.
@@ -51,6 +57,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .arith import DEFAULT_EFFORT, FactorEffort, factor
+from .biquadrate import PropertyViolation
 from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
 _MAX_SERIES_TERMS = 60
@@ -120,6 +127,11 @@ def _valuation(m: int, p: int) -> int:
     return v
 
 
+def _settled(p: int, A: int, u: int, w: int) -> bool:
+    """p does not divide u but divides A*w: every cancellation at p from here on is 0."""
+    return u % p != 0 and A * w % p == 0
+
+
 class _PadicTracker:
     """Tracks (u_k, w_k) mod p^M just closely enough to read off the
     cancellation min(v_p(F), v_p(G)) at every step."""
@@ -135,19 +147,14 @@ class _PadicTracker:
         self.w = w0 % self.mod
         self.A = A % self.mod
 
-    def _vp(self, residue: int) -> int:
-        if residue == 0:
-            return self.M
-        return _valuation(residue, self.p)
-
     def step(self) -> int:
         mod = self.mod
         t = (self.u * self.u - self.A * self.w * self.w) % mod
         fu = t * t % mod
         gw = 4 * self.u * self.w % mod * ((self.u * self.u + self.A * self.w * self.w) % mod) % mod
-        c = min(self._vp(fu), self._vp(gw))
+        c = _valuation(math.gcd(fu, gw, mod), self.p)  # min(v_p(fu), v_p(gw), M)
         if c > self.cap:
-            raise AssertionError(f"cancellation {c} above resultant cap at p={self.p}")
+            raise PropertyViolation(f"cancellation {c} above resultant cap at p={self.p}")
         pc = self.p**c
         self.left -= 1
         self.M = min(self.M - c, (self.left + 2) * self.cap + 8)
@@ -156,6 +163,17 @@ class _PadicTracker:
         self.w = (gw // pc) % self.mod
         self.A %= self.mod
         return c
+
+
+def _cancellations(A: int, u0: int, w0: int, bad: tuple[int, ...], steps: int) -> list[dict[int, int]]:
+    """{p: c_k} for the nonzero cancellations at step k < steps; a tracker
+    leaves once it is settled, and one settled at (u0, w0) is never built."""
+    live = [_PadicTracker(p, A, u0, w0, steps) for p in bad if not _settled(p, A, u0, w0)]
+    out = []
+    for _ in range(steps):
+        out.append({tr.p: c for tr in live if (c := tr.step())})
+        live = [tr for tr in live if not _settled(tr.p, tr.A, tr.u, tr.w)]
+    return out
 
 
 def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
@@ -167,7 +185,7 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
-    trackers = [_PadicTracker(p, A, u0, w0, K) for p in bad]
+    cancellations = _cancellations(A, u0, w0, bad, K)
     loss = 2 * len(str(abs(A))) + 4
     sizes = []
     with mp.workdps(30 + K * loss):
@@ -188,13 +206,11 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
         logs = {p: mp.log(p) for p in bad}
         total = mp.log(scale)
         weight = mpf(1)
-        for s in sizes:
+        for s, cs in zip(sizes, cancellations):
             weight /= 4
             gamma = mpf(0)
-            for tr in trackers:
-                c = tr.step()
-                if c:
-                    gamma += c * logs[tr.p]
+            for p, c in cs.items():
+                gamma += c * logs[p]
             total += weight * (mp.log(s) - gamma)
         return HeightValue(float(total), precision)
 

@@ -6,6 +6,7 @@ fast code must agree with them everywhere they can reach.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from biquadrank.arith import (
     EffortExceeded,
     FactorEffort,
     Factorization,
+    _primes_below_bound,
     factor,
     fourth_power_free_part,
     gcd_many,
@@ -130,6 +132,10 @@ PRIME_POOL = [
 ]
 
 
+# the primes within 100 of 10^6, on both sides of the sieve bound
+NEAR_MILLION = [p for p in range(999_900, 1_000_100) if trial_factor(p) == [(p, 1)]]
+
+
 class TestFactor:
     def test_matches_trial_division(self):
         for n in list(range(2, 2000)) + [2**20, 3**12, 510510, 720720]:
@@ -170,6 +176,52 @@ class TestFactor:
             factor(4 * p * q, tiny)
         assert exc.value.residual > 1
         assert exc.value.value == 4 * p * q
+
+    def test_sieve_holds_every_prime_below_its_bound(self):
+        primes = _primes_below_bound().tolist()
+        assert len(primes) == 78498  # pi(10^6)
+        assert primes[:1229] == [p for p in range(2, 10**4) if trial_factor(p) == [(p, 1)]]
+        assert primes[-1] == 999983 and all(trial_factor(p) == [(p, 1)] for p in primes[-50:])
+
+    def test_composite_above_the_sieve_is_not_certified_prime(self):
+        # trial division stops at the sieve (primes below 10^6) whatever the
+        # bound asks for, so only squares of the sieve bound are safe
+        n = 1000003 * 1000033
+        f = factor(n, FactorEffort(trial_bound=10**7))
+        assert f.primes == ((1000003, 1), (1000033, 1))
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3, 10, 100, 10**6, 10**7])
+    def test_small_values_match_trial_division_at_any_bound(self, bound):
+        effort = FactorEffort(trial_bound=bound)
+        for n in [*range(-300, 0), *range(1, 300), 2**20, -(3**12), 7**9, 999983**2]:
+            f = factor(n, effort)
+            assert f.value == n
+            assert list(f.primes) == trial_factor(n), (n, bound)
+
+    @pytest.mark.parametrize("bound", [999_983, 10**6, 10**6 + 1, 10**7])
+    def test_products_of_two_primes_near_the_sieve_bound(self, bound):
+        effort = FactorEffort(trial_bound=bound)
+        for p, q in combinations_with_replacement(NEAR_MILLION, 2):
+            expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
+            assert factor(p * q, effort).primes == expected, (p, q, bound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from(NEAR_MILLION + PRIME_POOL[:6]), min_size=0, max_size=4),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4),
+        st.sampled_from([-1, 1]),
+        st.sampled_from([0, 2, 50, 999_983, 999_999, 10**6, 10**6 + 1, 10**7]),
+    )
+    def test_prime_powers_near_the_sieve_bound(self, picks, exps, sign, bound):
+        # the oracle is the construction: n = sign * prod(p^e) over primes
+        # that trial division certifies below
+        expected = {}
+        for p, e in zip(picks, exps):
+            expected[p] = expected.get(p, 0) + e
+        n = sign * math.prod(p**e for p, e in expected.items())
+        f = factor(n, FactorEffort(trial_bound=bound))
+        assert f.primes == tuple(sorted(expected.items()))
+        assert f.sign == sign
 
     def test_exponent_of(self):
         f = factor(720)

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from biquadrank import heights
 from biquadrank.arith import EffortExceeded, factor
 from biquadrank.biquadrate import MAX_SEARCH_BASE
 from biquadrank.certificate import parse_certificate, reverify
@@ -25,6 +26,19 @@ from biquadrank.cli import (
 from biquadrank.reference import load_reference
 
 SEARCH_LINE = "59^4 + 158^4 = 133^4 + 134^4 = 635318657"
+
+
+@pytest.fixture
+def tracker_cap_of_one(monkeypatch):
+    """Lower every p-adic tracker's resultant cap to 1: the constructed
+    points of (2, 1) cancel 2 digits at p = 2 in their first step."""
+    init = heights._PadicTracker.__init__
+
+    def lowered(self, *args):
+        init(self, *args)
+        self.cap = 1
+
+    monkeypatch.setattr(heights._PadicTracker, "__init__", lowered)
 
 
 def run(capsys, *argv):
@@ -229,6 +243,14 @@ class TestAnalyze:
         )
         assert rc == EXIT_OK
         assert out.splitlines()[1].split(",")[2] == "627101168819629457861354977"
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--ab", "2", "1"), ("verify-paper",)], ids=str)
+def test_tracker_cap_failure_is_a_verification_failure(capsys, tracker_cap_of_one, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == EXIT_VERIFY
+    assert err.count("\n") == 1 and "above resultant cap" in err
+    assert "Traceback" not in err
 
 
 class TestVerifyPaper:

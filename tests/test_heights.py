@@ -8,11 +8,13 @@ import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from biquadrank.arith import EffortExceeded, FactorEffort
-from biquadrank.biquadrate import euler_quadruple
-from biquadrank.curve import INFINITY, OffCurve, Point, add, curve_from_n, negate, scalar_mul
+from biquadrank import heights
+from biquadrank.arith import EffortExceeded, FactorEffort, factor
+from biquadrank.biquadrate import PropertyViolation, euler_quadruple
+from biquadrank.curve import INFINITY, Curve, OffCurve, Point, add, curve_from_n, negate, scalar_mul
 from biquadrank.heights import (
     GramMatrix,
     HeightValue,
@@ -151,6 +153,107 @@ class TestWorkingPrecision:
         quad = euler_quadruple(1, 11)
         canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
         assert seen and max(seen) <= 40
+
+
+def exact_gcds(b: int, u: int, w: int, steps: int) -> list[int]:
+    """gcd(F, G) at each step of the exact integer orbit of x = u/w."""
+    out = []
+    for _ in range(steps):
+        F = (u * u - b * w * w) ** 2
+        G = 4 * u * w * (u * u + b * w * w)
+        g = math.gcd(F, G)
+        out.append(g)
+        u, w = F // g, G // g
+    return out
+
+
+def valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def point_for_case(case: str, p: int, v: int, e: int, z: int) -> tuple[int, Point]:
+    """b and the integer point (x, x z) on y^2 = x^3 + b x, b = x (z^2 - x),
+    shaped so that `case` holds at p."""
+    if case == "p divides u0":  # v_p(x) = v, p does not divide z^2 - x
+        z = z * p + 1
+        x = p**v * e
+    elif case == "p prime to u0":  # x = z^2 mod p, v_p(z^2 - x) = v
+        z = z * p + 1
+        x = z * z - p**v * e
+    elif case == "b odd":  # x odd, z even
+        x, z = 2 * e + 1, 2 * z
+    elif case == "b even, u0 even":
+        x = 2 * e
+    else:  # "b even, u0 odd": x and z odd
+        x, z = 2 * e + 1, 2 * z + 1
+    return x * (z * z - x), Point.affine(x, x * z)
+
+
+ODD_CASES = [(p, case, v) for p in (3, 5, 7) for case in ("p divides u0", "p prime to u0") for v in (1, 2, 3)]
+TWO_CASES = [(2, case, 1) for case in ("b odd", "b even, u0 even", "b even, u0 odd")]
+
+
+class TestSettledTrackers:
+    """A tracker leaves the series once p does not divide u_k but divides
+    b w_k; from there every cancellation at p is 0 (module docstring)."""
+
+    @pytest.mark.parametrize("p, case, v", ODD_CASES + TWO_CASES, ids=str)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        e=st.integers(min_value=1, max_value=12).filter(lambda e: all(e % q for q in (2, 3, 5, 7))),
+        z=st.integers(min_value=0, max_value=12),
+        sign=st.sampled_from([-1, 1]),
+    )
+    def test_cancellations_match_the_exact_orbit(self, p, case, v, e, z, sign):
+        b, P = point_for_case(case, p, v, sign * e, z)
+        assume(b != 0 and P.y != 0 and not heights._is_torsion(Curve(b), P))
+        x = int(P.x)
+        if p > 2:
+            assert valuation(b, p) == v and (x % p == 0) == (case == "p divides u0")
+        else:
+            assert (b % 2 == 0) == case.startswith("b even") and (x % 2 == 0) == case.endswith("u0 even")
+        assert heights._settled(p, b, x, 1) == (case in ("p prime to u0", "b even, u0 odd"))
+        bad = factor(2 * abs(b)).distinct_primes()
+        steps = 6
+        cancellations = heights._cancellations(b, x, 1, bad, steps)
+        for k, g in enumerate(exact_gcds(b, x, 1, steps)):
+            assert {q: valuation(g, q) for q in bad if g % q == 0} == cancellations[k], (b, x, k)
+            assert g == math.prod(q**c for q, c in cancellations[k].items())
+
+    def test_gram_matrix_runs_few_tracker_steps(self, monkeypatch):
+        # the constructed points of (1, 11) and their pairwise sums start
+        # settled at the 9 odd primes of 2b and settle at 2 within two
+        # steps; without retirement the Gram matrix ran 1,900 steps
+        steps = 0
+        step = heights._PadicTracker.step
+
+        def counting(self):
+            nonlocal steps
+            steps += 1
+            return step(self)
+
+        monkeypatch.setattr(heights._PadicTracker, "step", counting)
+        quad = euler_quadruple(1, 11)
+        g = gram_matrix(curve_from_n(quad.n), constructed_points(quad), precision=1e-8)
+        assert g.determinant > 0
+        assert 0 < steps < 20
+
+    def test_cancellation_above_the_cap_is_a_property_violation(self, monkeypatch):
+        # the first step of this point cancels 16 digits at 2 and 2 at 5,
+        # within the resultant caps 18 and 6, and above a cap lowered to 1
+        init = heights._PadicTracker.__init__
+
+        def lowered(self, *args):
+            init(self, *args)
+            self.cap = 1
+
+        monkeypatch.setattr(heights._PadicTracker, "__init__", lowered)
+        with pytest.raises(PropertyViolation, match="above resultant cap"):
+            canonical_height(curve_from_n(1280), Point.affine(80, 640))
 
 
 class TestPairing:
