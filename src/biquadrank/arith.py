@@ -218,7 +218,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
                 steps = min(m, r - k)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 used += steps
                 g = math.gcd(q, n)
                 k += m
@@ -228,7 +228,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 used += 1
         if 1 < g < n:
             return g, used

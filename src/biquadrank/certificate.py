@@ -10,8 +10,10 @@ bounds:
   conditional_lower     parity-adjusted (assumes the parity conjecture)
   heuristic_upper       2 * omega(2n) - 1, proven (Silverman, AEC X.6.2)
 
-The chain unconditional <= conditional <= upper is enforced at build
-time; a violation means a closure or factoring bug and aborts loudly.
+Every bound, with torsion, independence and the root number, is derived
+in one function that analyze records and reverify compares against.  It
+enforces the chain unconditional <= conditional <= upper; a violation
+means a closure or factoring bug and aborts loudly.
 Serialization is line-delimited JSON with decimal strings for all exact
 integers; floats appear only for measured heights.  parse() rebuilds the
 full object, re-running every witness check on the way in.
@@ -23,15 +25,17 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, factor, gcd_many
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor
 from .biquadrate import (
     BiquadQuadruple,
+    NotEqual,
     PropertyViolation,
     euler_quadruple,
     recover_euler_params,
@@ -79,15 +83,13 @@ class RankCertificate:
     timings: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
 
-def _dedupe_points(points) -> tuple[Point, ...]:
-    seen = set()
-    out = []
-    for P in points:
-        key = (P.x, P.y)
-        if key not in seen:
-            seen.add(key)
-            out.append(P)
-    return tuple(out)
+def _with_params(quad: BiquadQuadruple, notes: list[str]) -> BiquadQuadruple:
+    """Attach the family parameters (a, b) when the quadruple has them."""
+    params = recover_euler_params(quad)
+    if params is None:
+        return quad
+    notes.append(f"matched parametrization (a, b) = {params}")
+    return replace(quad, euler_params=params, reduction=euler_quadruple(*params).reduction)
 
 
 def _resolve_quadruples(
@@ -109,32 +111,15 @@ def _resolve_quadruples(
         return (quad,), quad
 
     if pqrs is not None:
-        quad = validate_double_representation(*pqrs)
-        params = recover_euler_params(quad)
-        if params is not None:
-            refit = euler_quadruple(*params)
-            quad = replace(quad, euler_params=params, reduction=refit.reduction)
-            notes.append(f"matched parametrization (a, b) = {params}")
+        quad = _with_params(validate_double_representation(*pqrs), notes)
         return (quad,), quad
 
     pairs = representations(n, max_base)
-    combos = []
-    from itertools import combinations
-
-    for (p, q), (r, s) in combinations(pairs, 2):
-        if gcd_many([p, q, r, s]) == 1:
-            combos.append(
-                BiquadQuadruple(p=p, q=q, r=r, s=s, n=n, primitive=True, degenerate=False)
-            )
+    combos = [validate_double_representation(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2)]
+    combos = [quad for quad in combos if quad.primitive]
     if combos:
-        primary = combos[0]
-        params = recover_euler_params(primary)
-        if params is not None:
-            refit = euler_quadruple(*params)
-            primary = replace(primary, euler_params=params, reduction=refit.reduction)
-            combos[0] = primary
-            notes.append(f"matched parametrization (a, b) = {params}")
-        return tuple(combos), primary
+        combos[0] = _with_params(combos[0], notes)
+        return tuple(combos), combos[0]
     if len(pairs) >= 2:
         raise NoRepresentation(
             f"all double representations of {n} share a common factor; "
@@ -146,13 +131,47 @@ def _resolve_quadruples(
                 f"{n} has a single representation {pairs[0]} within bounds; "
                 "pass allow_single to analyze it anyway"
             )
-        p, q = pairs[0]
-        quad = BiquadQuadruple(
-            p=p, q=q, r=p, s=q, n=n, primitive=gcd_many([p, q]) == 1, degenerate=True
-        )
+        quad = validate_double_representation(*pairs[0], *pairs[0])
         notes.append("single representation: two-point certificate only")
         return (quad,), quad
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4 within bounds")
+
+
+def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
+            f2n: Factorization, tol: float, effort: FactorEffort) -> dict:
+    """Every certificate field that follows from the evidence, keyed by
+    RankCertificate field name: analyze records these, and reverify
+    compares a certificate with them.
+
+    An Inconclusive independence count gives None.  Raises PropertyViolation
+    when the bounds break their chain.
+    """
+    independence = None
+    if gram is not None:
+        try:
+            independence = gram.independence(tol)
+        except Inconclusive:
+            pass
+    descent = rank_lower_bound(phi, psi)
+    unconditional = max(descent, independence or 0)
+    root = root_number(n, quad=quad, effort=effort)
+    conditional = parity_adjusted_bound(unconditional, root)
+    upper = yoshida_upper_bound(n, f=f2n)
+    if not (unconditional <= conditional <= upper):
+        raise PropertyViolation(
+            f"bound chain violated for n = {n}: "
+            f"{unconditional} <= {conditional} <= {upper} fails; "
+            "suspect image closure or an incomplete factorization"
+        )
+    return {
+        "torsion": str(torsion_shape(-n)),
+        "independence": independence,
+        "descent_lower": descent,
+        "unconditional_lower": unconditional,
+        "conditional_lower": conditional,
+        "heuristic_upper": upper,
+        "root": root,
+    }
 
 
 def analyze(
@@ -187,83 +206,56 @@ def analyze(
         raise OutOfDomain(
             f"n = {n} is divisible by 4; analyze the quartic twist n/16 instead"
         )
+    E = curve_from_n(n)
+    points = tuple(dict.fromkeys(constructed_points(quad)))  # distinct, in order
     timings["resolve"] = time.perf_counter() - t0
 
-    E = curve_from_n(n)
     t0 = time.perf_counter()
     f2n = factor(2 * n, effort)
-    torsion = str(torsion_shape(-n))
-    timings["torsion"] = time.perf_counter() - t0
-
-    points = _dedupe_points(constructed_points(quad))
+    timings["factor"] = time.perf_counter() - t0
 
     heights: tuple[HeightValue, ...] = ()
     gram: GramMatrix | None = None
-    independence: int | None = None
     t0 = time.perf_counter()
-    if not skip_heights:
+    if skip_heights:
+        notes.append("heights skipped by request")
+    else:
         H = Heights(E, precision, f2n.distinct_primes())
         heights = tuple(H.height(P) for P in points)
         gram = H.gram(points)
-        try:
-            independence = gram.independence(tol)
-        except Inconclusive:
-            independence = None
-            notes.append("independence inconclusive: determinants inside (0, tol]")
-    else:
-        notes.append("heights skipped by request")
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     phi = phi_image(E, quad, f2n)
     psi = psi_image(dual_curve(E), quad, f2n)
-    descent_lower = rank_lower_bound(phi, psi)
     timings["descent"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    root = root_number(n, quad=quad, effort=effort)
-    unconditional = max(descent_lower, independence or 0)
-    conditional = parity_adjusted_bound(unconditional, root)
-    upper = yoshida_upper_bound(n, f=f2n)
-    timings["parity"] = time.perf_counter() - t0
-
-    if not (unconditional <= conditional <= upper):
-        raise PropertyViolation(
-            f"bound chain violated for n = {n}: "
-            f"{unconditional} <= {conditional} <= {upper} fails; "
-            "suspect image closure or an incomplete factorization"
-        )
+    bounds = _bounds(n, quad, gram, phi, psi, f2n, tol, effort)
+    if gram is not None and bounds["independence"] is None:
+        notes.append("independence inconclusive: determinants inside (0, tol]")
+    timings["bounds"] = time.perf_counter() - t0
 
     return RankCertificate(
         n=n,
         quadruples=quadruples,
-        torsion=torsion,
         points=points,
         heights=heights,
         gram=gram,
-        independence=independence,
         phi=phi,
         psi=psi,
-        descent_lower=descent_lower,
-        unconditional_lower=unconditional,
-        conditional_lower=conditional,
-        heuristic_upper=upper,
-        root=root,
         tool_version=TOOL_VERSION,
         seed=effort.seed,
         precision=precision,
         tol=tol,
         notes=tuple(notes),
         timings=MappingProxyType(timings),
+        **bounds,
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _quad_record(q: BiquadQuadruple) -> dict:
@@ -307,7 +299,7 @@ def certificate_record(cert: RankCertificate) -> dict:
         "n": str(cert.n),
         "torsion": cert.torsion,
         "quadruples": [_quad_record(q) for q in cert.quadruples],
-        "points": [{"x": _frac_str(P.x), "y": _frac_str(P.y)} for P in cert.points],
+        "points": [{"x": str(P.x), "y": str(P.y)} for P in cert.points],
         "heights": [{"value": h.value, "error_bound": h.error_bound} for h in cert.heights],
         "gram": (
             {"entries": [list(row) for row in cert.gram.entries], "determinant": cert.gram.determinant}
@@ -371,66 +363,81 @@ def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
     Descent images re-run their witness checks during construction, so a
-    tampered line fails here rather than at reverify time.
+    tampered line fails here rather than at reverify time.  A line that is
+    not JSON, or lacks a field or has one of the wrong type, raises
+    CertificateInvalid.
     """
-    d = json.loads(line)
-    if d.get("record") != "rank-certificate":
-        raise CertificateInvalid("not a rank-certificate record")
-    rn = d["root_number"]
-    return RankCertificate(
-        n=int(d["n"]),
-        quadruples=tuple(_parse_quad(q) for q in d["quadruples"]),
-        torsion=d["torsion"],
-        points=tuple(
-            Point(Fraction(p["x"]), Fraction(p["y"])) for p in d["points"]
-        ),
-        heights=tuple(HeightValue(h["value"], h["error_bound"]) for h in d["heights"]),
-        gram=(
-            GramMatrix(
-                tuple(tuple(row) for row in d["gram"]["entries"]),
-                d["gram"]["determinant"],
-            )
-            if d["gram"] is not None
-            else None
-        ),
-        independence=d["independence"],
-        phi=_parse_image(d["phi"]),
-        psi=_parse_image(d["psi"]),
-        descent_lower=d["descent_lower"],
-        unconditional_lower=d["unconditional_lower"],
-        conditional_lower=d["conditional_lower"],
-        heuristic_upper=d["heuristic_upper"],
-        root=RootNumber(
-            omega=rn["omega"],
-            epsilon=rn["epsilon"],
-            square_part_product=rn["square_part_product"],
-            residue=rn["residue"],
-            conditional=rn["conditional"],
-            justification=rn["justification"],
-        ),
-        tool_version=d["tool_version"],
-        seed=d["seed"],
-        precision=d["precision"],
-        tol=d["tol"],
-        notes=tuple(d.get("notes", ())),
-    )
+    try:
+        d = json.loads(line)
+        if d.get("record") != "rank-certificate":
+            raise CertificateInvalid("not a rank-certificate record")
+        rn = d["root_number"]
+        return RankCertificate(
+            n=int(d["n"]),
+            quadruples=tuple(_parse_quad(q) for q in d["quadruples"]),
+            torsion=d["torsion"],
+            points=tuple(
+                Point(Fraction(p["x"]), Fraction(p["y"])) for p in d["points"]
+            ),
+            heights=tuple(HeightValue(h["value"], h["error_bound"]) for h in d["heights"]),
+            gram=(
+                GramMatrix(
+                    tuple(tuple(row) for row in d["gram"]["entries"]),
+                    d["gram"]["determinant"],
+                )
+                if d["gram"] is not None
+                else None
+            ),
+            independence=d["independence"],
+            phi=_parse_image(d["phi"]),
+            psi=_parse_image(d["psi"]),
+            descent_lower=d["descent_lower"],
+            unconditional_lower=d["unconditional_lower"],
+            conditional_lower=d["conditional_lower"],
+            heuristic_upper=d["heuristic_upper"],
+            root=RootNumber(
+                omega=rn["omega"],
+                epsilon=rn["epsilon"],
+                square_part_product=rn["square_part_product"],
+                residue=rn["residue"],
+                conditional=rn["conditional"],
+                justification=rn["justification"],
+            ),
+            tool_version=d["tool_version"],
+            seed=d["seed"],
+            precision=d["precision"],
+            tol=d["tol"],
+            notes=tuple(d.get("notes", ())),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateInvalid(f"malformed certificate record: {type(exc).__name__}: {exc}") from exc
 
 
 def reverify(cert: RankCertificate) -> bool:
-    """Full offline audit of a certificate; True or CertificateInvalid."""
+    """Full offline audit of a certificate; True or CertificateInvalid.
+
+    First the exact evidence: the quadruples, the points on the curve, the
+    descent witnesses, and the heights and Gram matrix within their error
+    bounds.  Then every derived field is rebuilt by _bounds, the one
+    derivation analyze records, and compared with the certificate.
+    """
     n = cert.n
     E = curve_from_n(n)
 
     def fail(msg: str):
         raise CertificateInvalid(msg)
 
+    if not cert.quadruples:
+        fail("no quadruple recorded")
     for q in cert.quadruples:
-        if q.p**4 + q.q**4 != q.n or q.r**4 + q.s**4 != q.n:
-            fail(f"quadruple {q.components()} does not represent {q.n}")
-        if q.n != n:
-            fail("quadruple n mismatch")
-        if q.primitive != (gcd_many(list(q.components())) == 1):
-            fail("primitive flag wrong")
+        try:
+            fresh = validate_double_representation(*q.components())
+        except NotEqual as exc:
+            raise CertificateInvalid(f"quadruple {q.components()} is not a double representation") from exc
+        if fresh.n != q.n or q.n != n:
+            fail(f"quadruple {q.components()} does not represent {n}")
+        if (q.primitive, q.degenerate) != (fresh.primitive, fresh.degenerate):
+            fail(f"primitive or degenerate flag of {q.components()} is wrong")
         if q.euler_params is not None:
             refit = euler_quadruple(*q.euler_params)
             if refit.pairs() not in (q.pairs(), tuple(reversed(q.pairs()))):
@@ -444,32 +451,26 @@ def reverify(cert: RankCertificate) -> bool:
         fail("psi image bound to the wrong curve")
     cert.phi.reverify()
     cert.psi.reverify()
-    if cert.descent_lower != rank_lower_bound(cert.phi, cert.psi):
-        fail("descent bound does not match the images")
-    if cert.unconditional_lower != max(cert.descent_lower, cert.independence or 0):
-        fail("unconditional bound does not match its sources")
-    if cert.root != root_number(n, quad=cert.quadruples[0]):
-        fail("root number does not match n")
-    if cert.conditional_lower != parity_adjusted_bound(cert.unconditional_lower, cert.root):
-        fail("conditional bound does not match omega")
-    if cert.torsion != str(torsion_shape(-n)):
-        fail("torsion does not match n")
     f2n = factor(2 * n)
-    if cert.heuristic_upper != yoshida_upper_bound(n, f=f2n):
-        fail("prime-count upper bound does not match the primes of 2n")
-    if not (cert.unconditional_lower <= cert.conditional_lower <= cert.heuristic_upper):
-        fail("bound chain violated")
     if cert.gram is None:
         if cert.heights or cert.independence is not None:
             fail("heights or independence recorded without a Gram matrix")
     else:
         _reverify_heights(cert, E, f2n.distinct_primes())
+
+    try:
+        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.tol, DEFAULT_EFFORT)
+    except PropertyViolation as exc:
+        raise CertificateInvalid(str(exc)) from exc
+    for name, value in derived.items():
+        if getattr(cert, name) != value:
+            fail(f"{name} does not match the evidence")
     return True
 
 
 def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) -> None:
     """Recompute the heights and the Gram matrix from the points at the
-    recorded precision, and rebuild independence from the recorded Gram."""
+    recorded precision, and check the recorded ones against them."""
     k = len(cert.points)
     recorded = cert.gram.entries
     if len(cert.heights) != k or len(recorded) != k or any(len(row) != k for row in recorded):
@@ -494,12 +495,6 @@ def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) 
     det = float(np.linalg.det(np.array(recorded, dtype=np.float64))) if k else 1.0
     if abs(det - cert.gram.determinant) > 1e-9 * max(1.0, abs(det)):
         raise CertificateInvalid("gram determinant does not match its entries")
-    try:
-        independence = cert.gram.independence(cert.tol)
-    except Inconclusive:
-        independence = None
-    if cert.independence != independence or (cert.independence or 0) > k:
-        raise CertificateInvalid("independence does not match the Gram matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,25 @@ EXIT_BUDGET = 4
 EXIT_USAGE = 64
 
 
+class Unreadable(Exception):
+    """An input file is missing or malformed."""
+
+
+# exception type -> (exit code, stderr line): main maps every failure of a
+# subcommand through the most specific entry and prints exactly one line
+FAILURES = {
+    PrecisionUnreachable: (EXIT_USAGE, "error: precision unreachable: {}"),
+    EffortExceeded: (EXIT_BUDGET, "error: {}"),
+    PropertyViolation: (EXIT_VERIFY, "verification failure: {}"),
+    CertificateInvalid: (EXIT_VERIFY, "verification failure: {}"),
+    NoRepresentation: (EXIT_NO_REPRESENTATION, "{}"),
+    NotEqual: (EXIT_USAGE, "not a double representation: {}"),
+    OutOfDomain: (EXIT_USAGE, "{}"),
+    Unreadable: (EXIT_IO, "cannot read {}"),
+    OSError: (EXIT_IO, "I/O error: {}"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 64."""
 
@@ -126,19 +145,13 @@ def _effort(args) -> FactorEffort:
 
 
 def _emit(text: str, path: str | None) -> int:
-    try:
-        if path is None:
-            sys.stdout.write(text)
-            if text and not text.endswith("\n"):
-                sys.stdout.write("\n")
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if text and not text.endswith("\n"):
-                    fh.write("\n")
-    except OSError as exc:
-        print(f"biquadrank: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if text and not text.endswith("\n"):
+        text += "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -207,15 +220,6 @@ def cmd_analyze(args) -> int:
             pqrs=tuple(args.pqrs) if args.pqrs else None,
             ab=tuple(args.ab) if args.ab else None,
         )
-    except NoRepresentation as exc:
-        print(f"biquadrank analyze: {exc}", file=sys.stderr)
-        return EXIT_NO_REPRESENTATION
-    except NotEqual as exc:
-        print(f"biquadrank analyze: not a double representation: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OutOfDomain as exc:
-        print(f"biquadrank analyze: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except EffortExceeded as exc:
         partial = {
             "record": "partial-certificate",
@@ -225,8 +229,7 @@ def cmd_analyze(args) -> int:
             "residual": str(exc.residual),
         }
         print(json.dumps(partial, sort_keys=True, separators=(",", ":")))
-        print(f"biquadrank analyze: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        raise
 
     if args.format == "json-lines":
         text = to_json_line(cert)
@@ -240,9 +243,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify_paper(args) -> int:
     try:
         ref = load_reference(args.fixtures)
-    except OSError as exc:
-        print(f"biquadrank verify-paper: cannot read fixtures: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (OSError, ValueError) as exc:
+        raise Unreadable(f"fixtures: {exc}") from exc
     claims = run_claims(ref, precision=args.precision)
     failures = [c for c in claims if not c.passed]
     if args.format == "json-lines":
@@ -267,30 +269,20 @@ def cmd_report(args) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh if line.strip()]
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"biquadrank report: cannot read input: {exc}", file=sys.stderr)
-            return EXIT_IO
-        inputs = [
-            tuple(int(rec[k]) for k in ("p", "q", "r", "s"))
-            for rec in records
-            if rec.get("record") == "quadruple"
-        ]
+            inputs = [
+                tuple(int(rec[k]) for k in ("p", "q", "r", "s"))
+                for rec in records
+                if rec.get("record") == "quadruple"
+            ]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise Unreadable(f"input: {exc}") from exc
     else:
         if _reject_max_base("report", args.max_base):
             return EXIT_USAGE
         quads = cached_search(args.max_base, args.shards, open_cache(args.cache))
         inputs = [(q.p, q.q, q.r, q.s) for q in quads]
 
-    certs = []
-    for pqrs in inputs:
-        try:
-            certs.append(_run_analysis(args, pqrs=pqrs))
-        except EffortExceeded as exc:
-            print(f"biquadrank report: budget exhausted at {pqrs}: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        except (PropertyViolation, CertificateInvalid) as exc:
-            print(f"biquadrank report: verification failure at {pqrs}: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+    certs = [_run_analysis(args, pqrs=pqrs) for pqrs in inputs]
 
     if args.format == "json-lines":
         text = "\n".join(to_json_line(c) for c in certs)
@@ -317,15 +309,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except PrecisionUnreachable as exc:
-        print(f"biquadrank {args.command}: error: precision unreachable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EffortExceeded as exc:
-        print(f"biquadrank {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (PropertyViolation, CertificateInvalid) as exc:
-        print(f"biquadrank {args.command}: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    except tuple(FAILURES) as exc:
+        code, line = next(FAILURES[kind] for kind in type(exc).__mro__ if kind in FAILURES)
+        print(f"biquadrank {args.command}: " + line.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

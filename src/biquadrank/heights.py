@@ -203,7 +203,7 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     # digits for the logs and the sum, see the module docstring
     d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(scale) + 1) / precision))
     with mp.workdps(d):
-        logs = {p: mp.log(p) for p in bad}
+        logs = {p: mp.log(p) for p in set().union(*cancellations)}
         total = mp.log(scale)
         weight = mpf(1)
         for s, cs in zip(sizes, cancellations):
@@ -278,16 +278,6 @@ def canonical_height(
     return _heights(E, precision, effort).height(P)
 
 
-def height_pairing(
-    E: Curve,
-    P: Point,
-    Q: Point,
-    precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> float:
-    return _heights(E, precision, effort).pairing(P, Q)
-
-
 def gram_matrix(
     E: Curve,
     points: list[Point],
@@ -295,15 +285,6 @@ def gram_matrix(
     effort: FactorEffort = DEFAULT_EFFORT,
 ) -> GramMatrix:
     return _heights(E, precision, effort).gram(points)
-
-
-def gram_determinant(
-    E: Curve,
-    points: list[Point],
-    precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> float:
-    return gram_matrix(E, points, precision, effort).determinant
 
 
 def independence_rank(

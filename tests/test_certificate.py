@@ -292,6 +292,27 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match="without a Gram matrix"):
             reverify(tampered)
 
+    def test_flipped_degenerate_flag_caught(self):
+        def mutate(d):
+            d["quadruples"][0]["degenerate"] = True
+
+        with pytest.raises(CertificateInvalid, match="degenerate"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_missing_field_caught_on_parse(self):
+        def mutate(d):
+            del d["tol"]
+
+        with pytest.raises(CertificateInvalid, match="tol"):
+            parse_certificate(self.tampered(mutate))
+
+    def test_empty_quadruple_list_caught(self):
+        def mutate(d):
+            d["quadruples"] = []
+
+        with pytest.raises(CertificateInvalid, match="no quadruple"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
     def test_scaled_heights_caught(self):
         # a self-consistent Gram matrix that the points contradict
         def mutate(d):

@@ -338,6 +338,20 @@ class TestReport:
         assert rc == EXIT_IO
         assert "cannot read input" in err
 
+    @pytest.mark.parametrize("pqrs, code, message", [
+        (("1", "2", "3", "4"), EXIT_USAGE, "not a double representation"),
+        (("2", "4", "4", "2"), EXIT_USAGE, "divisible by 4"),
+        (("59", "158", "133", "x"), EXIT_IO, "cannot read input"),
+    ], ids=["unequal-sums", "multiple-of-four", "non-integer-field"])
+    def test_bad_input_record_exits_with_one_line(self, capsys, tmp_path, pqrs, code, message):
+        src = tmp_path / "hits.jsonl"
+        src.write_text(json.dumps({"record": "quadruple", **dict(zip("pqrs", pqrs))}) + "\n")
+        rc, out, err = run(capsys, "report", "--input", str(src), "--skip-heights")
+        assert rc == code
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
     def test_heights_change_unconditional_bound(self, capsys):
         # with heights on, four independent points lift the bound to 4
         rc, out, _ = run(capsys, "report", "--max-base", "200", "--format", "csv")

@@ -18,12 +18,11 @@ from biquadrank.curve import INFINITY, Curve, OffCurve, Point, add, curve_from_n
 from biquadrank.heights import (
     GramMatrix,
     HeightValue,
+    Heights,
     Inconclusive,
     PrecisionUnreachable,
     canonical_height,
-    gram_determinant,
     gram_matrix,
-    height_pairing,
     independence_rank,
 )
 from biquadrank.curve import constructed_points
@@ -55,6 +54,10 @@ Q17 = Point.affine(-1, 4)
 QUAD21 = euler_quadruple(2, 1)
 E21 = curve_from_n(QUAD21.n)
 PTS21 = constructed_points(QUAD21)
+
+
+def heights_on(E, precision):
+    return Heights(E, precision, factor(2 * abs(E.b)).distinct_primes())
 
 
 class TestCanonicalHeight:
@@ -258,37 +261,37 @@ class TestSettledTrackers:
 
 class TestPairing:
     def test_symmetric(self):
-        a = height_pairing(E17, P17, Q17, precision=1e-9)
-        b = height_pairing(E17, Q17, P17, precision=1e-9)
-        assert abs(a - b) < 1e-8
+        H = heights_on(E17, 1e-9)
+        assert abs(H.pairing(P17, Q17) - H.pairing(Q17, P17)) < 1e-8
 
     def test_self_pairing_is_height(self):
         # <P, P> = (h(2P) - 2 h(P)) / 2 = h(P) by quadraticity, so no series
         # for 2P is evaluated and the value is the height itself
-        v = height_pairing(E17, P17, P17, precision=1e-9)
+        v = heights_on(E17, 1e-9).pairing(P17, P17)
         h = canonical_height(E17, P17, precision=1e-9).value
         assert v == h
 
     def test_bilinear_in_multiples(self):
-        v = height_pairing(E17, P17, Q17, precision=1e-10)
-        v2 = height_pairing(E17, scalar_mul(E17, 2, P17), Q17, precision=1e-10)
+        H = heights_on(E17, 1e-10)
+        v = H.pairing(P17, Q17)
+        v2 = H.pairing(scalar_mul(E17, 2, P17), Q17)
         assert abs(v2 - 2 * v) < 1e-7
 
     def test_torsion_pairs_to_zero(self):
         T = Point.affine(0, 0)
-        v = height_pairing(E17, T, P17, precision=1e-9)
+        v = heights_on(E17, 1e-9).pairing(T, P17)
         assert abs(v) < 1e-7
 
 
 class TestGramDeterminants:
     def test_rank_two_reference_value(self):
-        det = gram_determinant(E17, [P17, Q17], precision=1e-9)
+        det = heights_on(E17, 1e-9).gram([P17, Q17]).determinant
         assert abs(det - 1.8567788824280043) < 1e-7
         # published four-decimal value
         assert abs(det - 1.8567) / 1.8567 < 5e-4
 
     def test_rank_four_reference_value(self):
-        det = gram_determinant(E21, PTS21, precision=1e-8)
+        det = heights_on(E21, 1e-8).gram(PTS21).determinant
         assert abs(det - 5635.736544081042) < 1e-4
         assert abs(det - 5635.73654) / 5635.73654 < 1e-4
 
