@@ -1,8 +1,10 @@
 """Exact integer arithmetic: gcds, Jacobi symbols, factoring, power-free parts.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic for a fixed seed.  Factoring is trial division up to a bound
-followed by Brent's variant of Pollard rho with a seeded RNG; primality is
+deterministic for a fixed seed.  Factoring is trial division up to a bound,
+then gcd splits against any known parts of the number (for a family
+quadruple, the quartic factors A, B, C, D of its raw n), then Brent's variant
+of Pollard rho with a seeded RNG on the composite pieces left; primality is
 Miller-Rabin, deterministic below the published 3.3e24 threshold and with
 enough random rounds above it that the error probability is below 2**-128.
 """
@@ -236,8 +238,20 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
+def _split(c: int, part: int) -> tuple[int, ...]:
+    """c as g * (c // g) for g = gcd(c, part) when that is a proper split."""
+    g = math.gcd(c, part)
+    return (g, c // g) if 1 < g < c else (c,)
+
+
+def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...] = ()) -> Factorization:
     """Complete factorization of n != 0.
+
+    `parts` are integers that may share factors with n, such as known
+    factors of a multiple of n: after trial division each piece of n is
+    split by its gcd with each part before rho runs.  A gcd can only split,
+    so parts change the work and never the result; a part that is 0,
+    negative, a multiple of n or coprime to it splits nothing.
 
     Raises EffortExceeded (with the partial factorization and composite
     residual attached) when the rho budget runs out.
@@ -262,6 +276,8 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
     budget = effort.rho_iterations
     rng = random.Random(effort.seed ^ (abs(n) & 0xFFFFFFFFFFFF))
     stack = [m] if m > 1 else []
+    for part in parts:
+        stack = [piece for c in stack for piece in _split(c, part)]
     while stack:
         c = stack.pop()
         if is_probable_prime(c, effort.seed):

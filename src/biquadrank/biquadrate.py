@@ -9,7 +9,8 @@ The classical two-parameter family
 
 satisfies p^4 + q^4 = r^4 + s^4 identically, and the common value factors as
 A*B*C*D for the quartic forms below.  Both facts are load-bearing: the search
-uses the identity as a cross-check and the descent step uses the factors.
+uses the identity as a cross-check, the descent step uses the factors, and
+factor_2n splits 2n through them before Pollard rho.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import gcd_many, iroot, is_square
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, gcd_many, iroot, is_square
 
 # Largest base whose sums p^4 + q^4 <= 2 * base^4 stay below 2^63: from
 # 46341 on they wrap to negative int64 values and hits are lost.
@@ -244,6 +245,19 @@ def quartic_factors(a: int, b: int) -> QuarticFactors:
         if is_square(A) or is_square(D):
             raise PropertyViolation(f"unexpected square factor at ({a}, {b})")
     return QuarticFactors(A=A, B=B, C=C, D=D, b1=B * D, b2=-A * C, n_raw=n_raw)
+
+
+def factor_2n(quad: BiquadQuadruple, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
+    """The factorization of 2n, split through the quartic factors A, B, C, D
+    of the raw n = n * reduction^4 when the quadruple has family parameters.
+
+    The parameters only guide the work: the result is factor(2n) whatever
+    they are.
+    """
+    if quad.euler_params is None:
+        return factor(2 * quad.n, effort)
+    f = quartic_factors(*quad.euler_params)
+    return factor(2 * quad.n, effort, (f.A, f.B, f.C, f.D))
 
 
 def witness_root_polynomial(a: int, b: int) -> int:

@@ -32,12 +32,13 @@ from typing import Mapping
 import numpy as np
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization
 from .biquadrate import (
     BiquadQuadruple,
     NotEqual,
     PropertyViolation,
     euler_quadruple,
+    factor_2n,
     recover_euler_params,
     representations,
     validate_double_representation,
@@ -211,7 +212,7 @@ def analyze(
     timings["resolve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    f2n = factor(2 * n, effort)
+    f2n = factor_2n(quad, effort)
     timings["factor"] = time.perf_counter() - t0
 
     heights: tuple[HeightValue, ...] = ()
@@ -416,17 +417,20 @@ def parse_certificate(line: str) -> RankCertificate:
 def reverify(cert: RankCertificate) -> bool:
     """Full offline audit of a certificate; True or CertificateInvalid.
 
-    First the exact evidence: the quadruples, the points on the curve, the
+    First the exact evidence: n positive and not divisible by 4, the
+    quadruples with their reductions, the points on the curve, the
     descent witnesses, and the heights and Gram matrix within their error
     bounds.  Then every derived field is rebuilt by _bounds, the one
     derivation analyze records, and compared with the certificate.
     """
     n = cert.n
-    E = curve_from_n(n)
 
     def fail(msg: str):
         raise CertificateInvalid(msg)
 
+    if n <= 0 or n % 4 == 0:
+        fail(f"n = {n} is not positive or is divisible by 4")
+    E = curve_from_n(n)
     if not cert.quadruples:
         fail("no quadruple recorded")
     for q in cert.quadruples:
@@ -438,10 +442,18 @@ def reverify(cert: RankCertificate) -> bool:
             fail(f"quadruple {q.components()} does not represent {n}")
         if (q.primitive, q.degenerate) != (fresh.primitive, fresh.degenerate):
             fail(f"primitive or degenerate flag of {q.components()} is wrong")
-        if q.euler_params is not None:
+        if q.euler_params is None:
+            if q.reduction != 1:
+                fail(f"reduction {q.reduction} recorded without euler parameters")
+            continue
+        try:
             refit = euler_quadruple(*q.euler_params)
-            if refit.pairs() not in (q.pairs(), tuple(reversed(q.pairs()))):
-                fail("euler parameters do not regenerate the quadruple")
+        except (ValueError, PropertyViolation) as exc:
+            raise CertificateInvalid(f"euler parameters {q.euler_params} are invalid: {exc}") from exc
+        if refit.pairs() not in (q.pairs(), tuple(reversed(q.pairs()))):
+            fail("euler parameters do not regenerate the quadruple")
+        if q.reduction != refit.reduction:
+            fail(f"reduction {q.reduction} is not the parametrized gcd {refit.reduction}")
     for P in cert.points:
         if not is_on_curve(E, P):
             fail(f"point {P} is off the curve")
@@ -451,7 +463,7 @@ def reverify(cert: RankCertificate) -> bool:
         fail("psi image bound to the wrong curve")
     cert.phi.reverify()
     cert.psi.reverify()
-    f2n = factor(2 * n)
+    f2n = factor_2n(cert.quadruples[0])
     if cert.gram is None:
         if cert.heights or cert.independence is not None:
             fail("heights or independence recorded without a Gram matrix")

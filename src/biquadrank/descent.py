@@ -20,10 +20,12 @@ The classes read there, of n and of the quartic factor B*D (which
 divides the raw n*g^4, g the reduction), have all their primes of odd
 exponent among them, so reading a class is division by known primes plus
 a perfect-square check on the cofactor; a class with a prime outside them
-raises ValueError instead of coming out wrong.  Given that factorization,
-nothing here factors; closure and verification never do (two integers
-share a class iff their product is a positive perfect square, and
-squarefree reps multiply via gcd cancellation).
+raises ValueError instead of coming out wrong.  Only when that
+factorization is not given do the images factor, by factor_2n (through
+the quartic factors A*B*C*D), and yoshida_upper_bound, by factor(2n).
+Closure and verification never factor (two integers share a class iff
+their product is a positive perfect square, and squarefree reps multiply
+via gcd cancellation).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .arith import Factorization, factor, is_square
-from .biquadrate import BiquadQuadruple, fourth_power_witness, quartic_factors
+from .biquadrate import BiquadQuadruple, factor_2n, fourth_power_witness, quartic_factors
 from .curve import Curve
 
 
@@ -191,12 +193,13 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     When the quadruple carries generating parameters, the quartic factor
     class B*D joins via the fourth-power identity BD - b^4 AC = N^2, and
     closure brings the full eight-element subgroup.  Every class is read
-    from the primes of the certified factorization f of 2n.
+    from the primes of the certified factorization f of 2n (when None,
+    factor_2n(quad) computes it).
     """
     n = quad.n
     if E.n != n:
         raise ValueError("curve does not match the quadruple")
-    primes = _primes_of_2n(n, f)
+    primes = _primes_of_2n(n, f or factor_2n(quad))
     p, q = quad.p, quad.q
     gens: list[tuple[int, Witness]] = []
 
@@ -234,7 +237,8 @@ def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = No
 
     Contains 1, the class of 4n ~ n (from (0,0)) and 2, witnessed by the
     identity 2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2; closure adds 2n.
-    The class of n is read from the primes of the factorization f of 2n.
+    The class of n is read from the primes of the factorization f of 2n
+    (when None, factor_2n(quad) computes it).
     """
     n = quad.n
     if E_dual.b != 4 * n:
@@ -242,7 +246,7 @@ def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = No
     p, q = abs(quad.p), abs(quad.q)
     gens: list[tuple[int, Witness]] = []
 
-    c_n = square_class(n, _primes_of_2n(n, f))
+    c_n = square_class(n, _primes_of_2n(n, f or factor_2n(quad)))
     gens.append((c_n, Witness("coefficient", c_n)))
     m = p + q
     nn = 2 * (p * p + p * q + q * q)

@@ -223,6 +223,26 @@ class TestFactor:
         assert f.primes == tuple(sorted(expected.items()))
         assert f.sign == sign
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from(NEAR_MILLION[:4] + PRIME_POOL), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_parts_never_change_the_result(self, picks, data):
+        m = math.prod(picks)
+        divisor = st.lists(st.sampled_from(picks), max_size=4).map(math.prod)
+        part = st.one_of(
+            st.just(0),
+            st.integers(min_value=-(10**40), max_value=10**40),
+            divisor,
+            divisor.map(lambda d: -d),
+            divisor.map(lambda d: d * 1000033),  # times a prime outside the pool
+            st.integers(min_value=-5, max_value=5).map(lambda k: k * m),
+        )
+        parts = tuple(data.draw(st.lists(part, max_size=5)))
+        assert factor(m, parts=parts) == factor(m)
+        assert factor(-m, parts=parts) == factor(-m)
+
     def test_exponent_of(self):
         f = factor(720)
         assert f.exponent_of(2) == 4

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biquadrank.arith import gcd_many, is_square
+from biquadrank.arith import EffortExceeded, FactorEffort, factor, gcd_many, is_square
 from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
     BiquadQuadruple,
@@ -21,6 +21,7 @@ from biquadrank.biquadrate import (
     NotEqual,
     euler_quadruple,
     euler_raw_quadruple,
+    factor_2n,
     fourth_power_witness,
     quartic_factors,
     recover_euler_params,
@@ -140,6 +141,30 @@ class TestQuarticFactors:
         if abs(a) != abs(b):
             assert not is_square(f.A)
             assert not is_square(f.D)
+
+
+class TestFactor2n:
+    def test_quartic_parts_leave_the_factorization_unchanged(self):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                quad = euler_quadruple(a, b)
+                f = quartic_factors(a, b)
+                plain = factor(2 * quad.n)
+                assert factor(2 * quad.n, parts=(f.A, f.B, f.C, f.D)) == plain, (a, b)
+                assert factor_2n(quad) == plain, (a, b)
+
+    def test_without_params_factors_2n(self):
+        quad = validate_double_representation(7, 239, 157, 227)
+        assert factor_2n(quad) == factor(2 * quad.n)
+
+    def test_exhaustion_with_parts_keeps_the_partial_contract(self):
+        # one piece of 2n at (43, 50) stays composite after the gcd splits
+        quad = euler_quadruple(43, 50)
+        with pytest.raises(EffortExceeded) as exc:
+            factor_2n(quad, FactorEffort(rho_iterations=0))
+        assert exc.value.value == 2 * quad.n
+        assert exc.value.residual > 1
+        assert math.prod(p**e for p, e in exc.value.partial) * exc.value.residual == 2 * quad.n
 
 
 class TestFourthPowerWitness:

@@ -299,6 +299,43 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match="degenerate"):
             reverify(parse_certificate(self.tampered(mutate)))
 
+    def test_wrong_reduction_caught(self):
+        def mutate(d):
+            d["quadruples"][0]["reduction"] = "7"
+
+        with pytest.raises(CertificateInvalid, match="reduction"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_reduction_without_params_caught(self):
+        def mutate(d):
+            d["quadruples"][0]["euler_params"] = None
+            d["quadruples"][0]["reduction"] = "3"
+
+        with pytest.raises(CertificateInvalid, match="reduction"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_zero_euler_param_caught(self):
+        def mutate(d):
+            d["quadruples"][0]["euler_params"] = ["0", "1"]
+
+        with pytest.raises(CertificateInvalid, match="euler parameters"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    @pytest.mark.parametrize("n", [0, -635318657])
+    def test_nonpositive_n_caught(self, n):
+        def mutate(d):
+            d["n"] = str(n)
+
+        with pytest.raises(CertificateInvalid, match="not positive"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_n_divisible_by_four_caught(self):
+        def mutate(d):
+            d["n"] = str(16 * 635318657)
+
+        with pytest.raises(CertificateInvalid, match="divisible by 4"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
     def test_missing_field_caught_on_parse(self):
         def mutate(d):
             del d["tol"]

@@ -214,16 +214,25 @@ class TestAnalyze:
         assert "divisible by 4" in err
 
     def test_factoring_budget_exhaustion(self, capsys):
+        # the quartic factors of (43, 50) leave a composite piece of 2n
+        # that only rho splits
         rc, out, err = run(
             capsys,
-            "analyze", "--ab", "2", "9", "--skip-heights", "--factor-effort", "0",
+            "analyze", "--ab", "43", "50", "--skip-heights", "--factor-effort", "0",
         )
         assert rc == EXIT_BUDGET
         partial = json.loads(out.strip())
         assert partial["record"] == "partial-certificate"
-        assert partial["value"] == str(2 * 627101168819629457861354977)
+        assert partial["value"] == str(2 * 17695434600206896737638013662285390857656040411601)
         assert int(partial["residual"]) > 1
         assert "budget" in err
+
+    def test_quartic_factors_split_2n_without_rho(self, capsys):
+        # 2n at (2, 9) factors by trial division and gcds against A, B, C, D
+        argv = ("analyze", "--ab", "2", "9", "--skip-heights", "--format", "json-lines")
+        rc, out, _ = run(capsys, *argv, "--factor-effort", "0")
+        assert rc == EXIT_OK
+        assert out == run(capsys, *argv)[1]
 
     def test_budget_that_factors_2n_suffices(self, capsys):
         rc, out, _ = run(
@@ -270,7 +279,7 @@ class TestVerifyPaper:
         assert all(r["record"] == "claim" and r["passed"] for r in records)
 
     def test_factoring_budget_exhaustion(self, capsys, monkeypatch):
-        def exhausted(n, effort=None):
+        def exhausted(n, *args, **kwargs):
             raise EffortExceeded(n, (), n)
 
         # modules import factor by name, so patch every binding of it
