@@ -29,8 +29,9 @@ print(f"printed variant gives {a**4 * printed_inner**2}, not {K}")
 assert a**4 * printed_inner**2 != K
 
 # the descent itself: phi on y^2 = x^3 - n x, psi on the dual curve, each
-# image a group of square classes where every class carries a witness the
-# verifier can re-check (a point, a torsor solution, or a product relation)
+# image the F2 span of a few generator classes; every generator carries a
+# witness the verifier can re-check (a point or a torsor solution), and the
+# order of the span is 2^rank
 from biquadrank import curve_from_n, dual_curve, phi_image, psi_image
 
 quad = euler_quadruple(2, 1)
@@ -39,10 +40,10 @@ phi = phi_image(E, quad)
 psi = psi_image(dual_curve(E), quad)
 
 print()
-print(f"phi image, order {phi.order}:")
-for cls in sorted(phi.witnesses):
-    print(f"  class {cls:>12d}  via {phi.witnesses[cls].kind}")
-print(f"psi image, order {psi.order}: {sorted(psi.classes)}")
+for img in (phi, psi):
+    print(f"{img.side} image, rank {img.rank}, order {img.order}:")
+    for w in img.generators:
+        print(f"  class {w.square_class:>12d}  via {w.kind}")
 
 from biquadrank import parity_adjusted_bound, rank_lower_bound, root_number
 

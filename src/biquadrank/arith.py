@@ -296,11 +296,13 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         g, used = _brent_rho(c, rng, budget)
         budget -= used
         if g is None:
-            partial = tuple(sorted(found.items()))
             residual = c
             for other in stack:
-                residual *= other
-            raise EffortExceeded(n, partial, residual)
+                if is_probable_prime(other, effort.seed):
+                    found[other] = found.get(other, 0) + 1
+                else:
+                    residual *= other
+            raise EffortExceeded(n, tuple(sorted(found.items())), residual)
         stack.extend([g, c // g])
 
     primes = tuple(sorted(found.items()))

@@ -13,7 +13,7 @@ bounds:
 Every bound, with torsion, independence and the root number, is derived
 in one function that analyze records and reverify compares against.  It
 enforces the chain unconditional <= conditional <= upper; a violation
-means a closure or factoring bug and aborts loudly.
+means a descent or factoring bug and aborts loudly.
 Serialization is line-delimited JSON with decimal strings for all exact
 integers; floats appear only for measured heights.  parse() rebuilds the
 full object, re-running every witness check on the way in.
@@ -162,7 +162,7 @@ def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: Descent
         raise PropertyViolation(
             f"bound chain violated for n = {n}: "
             f"{unconditional} <= {conditional} <= {upper} fails; "
-            "suspect image closure or an incomplete factorization"
+            "suspect a descent image or an incomplete factorization"
         )
     return {
         "torsion": str(torsion_shape(-n)),
@@ -277,14 +277,10 @@ def _image_record(img: DescentImage) -> dict:
     return {
         "side": img.side,
         "curve_b": str(img.curve_b),
-        "classes": [str(c) for c in sorted(img.classes)],
-        "witnesses": [
-            {
-                "square_class": str(c),
-                "kind": w.kind,
-                "data": [str(v) for v in w.data],
-            }
-            for c, w in sorted(img.witnesses.items())
+        "primes": [str(p) for p in img.primes],
+        "generators": [
+            {"square_class": str(w.square_class), "kind": w.kind, "data": [str(v) for v in w.data]}
+            for w in img.generators
         ],
     }
 
@@ -346,17 +342,14 @@ def _parse_quad(d: dict) -> BiquadQuadruple:
 
 
 def _parse_image(d: dict) -> DescentImage:
-    witnesses = {
-        int(w["square_class"]): Witness(
-            w["kind"], int(w["square_class"]), tuple(int(v) for v in w["data"])
-        )
-        for w in d["witnesses"]
-    }
     return DescentImage(
         side=d["side"],
         curve_b=int(d["curve_b"]),
-        classes=frozenset(int(c) for c in d["classes"]),
-        witnesses=MappingProxyType(witnesses),
+        primes=tuple(int(p) for p in d["primes"]),
+        generators=tuple(
+            Witness(w["kind"], int(w["square_class"]), tuple(int(v) for v in w["data"]))
+            for w in d["generators"]
+        ),
     )
 
 
@@ -365,13 +358,15 @@ def parse_certificate(line: str) -> RankCertificate:
 
     Descent images re-run their witness checks during construction, so a
     tampered line fails here rather than at reverify time.  A line that is
-    not JSON, or lacks a field or has one of the wrong type, raises
-    CertificateInvalid.
+    not JSON, lacks a field or has one of the wrong type, or was written by
+    another tool_version, raises CertificateInvalid.
     """
     try:
         d = json.loads(line)
         if d.get("record") != "rank-certificate":
             raise CertificateInvalid("not a rank-certificate record")
+        if d["tool_version"] != TOOL_VERSION:
+            raise CertificateInvalid(f"tool_version {d['tool_version']!r} is not {TOOL_VERSION}")
         rn = d["root_number"]
         return RankCertificate(
             n=int(d["n"]),
@@ -461,9 +456,11 @@ def reverify(cert: RankCertificate) -> bool:
         fail("phi image bound to the wrong curve")
     if cert.psi.curve_b != 4 * n:
         fail("psi image bound to the wrong curve")
-    cert.phi.reverify()
-    cert.psi.reverify()
     f2n = factor_2n(cert.quadruples[0])
+    for img in (cert.phi, cert.psi):
+        if img.primes != f2n.distinct_primes():
+            fail(f"{img.side} image primes are not the primes of 2n")
+        img.reverify()
     if cert.gram is None:
         if cert.heights or cert.independence is not None:
             fail("heights or independence recorded without a Gram matrix")
@@ -547,8 +544,8 @@ def render_table(cert: RankCertificate) -> str:
     if cert.gram is not None:
         add(f"gram determinant: {cert.gram.determinant:.8g}   tol {cert.tol}")
         add(f"independent points certified: {cert.independence}")
-    add(f"phi classes ({cert.phi.order}): {sorted(cert.phi.classes)}")
-    add(f"psi classes ({cert.psi.order}): {sorted(cert.psi.classes)}")
+    for img in (cert.phi, cert.psi):
+        add(f"{img.side} image of order {img.order}, generators {[w.square_class for w in img.generators]}")
     w = cert.root
     add(
         f"root number: omega = {w.omega:+d} "

@@ -7,12 +7,11 @@ in Q*/Q*^2, and |phi(G)| * |psi(G-dual)| = 2^{r+2} where r is the rank.
 Exhibiting explicit elements of either image therefore gives an
 unconditional rank lower bound.
 
-Every class recorded here carries a witness that re-verifies by exact
-integer arithmetic: the point at infinity (class 1), the coefficient class
-of (0,0), an affine point's x-coordinate, a solution (M, e, N) of a
-homogeneous space N^2 = b1 M^4 + b2 e^4 with b1 b2 = b, or a product of two
-previously witnessed classes.  No torseur solving is attempted: only
-witnesses that exist in closed form for n = p^4 + q^4 are used.
+Every generator recorded here carries a witness that re-verifies by
+exact integer arithmetic: the coefficient class of (0,0), an affine
+point's x-coordinate, or a solution (M, e, N) of a homogeneous space
+N^2 = b1 M^4 + b2 e^4 with b1 b2 = b.  No torseur solving is attempted:
+only witnesses that exist in closed form for n = p^4 + q^4 are used.
 
 Square classes are canonicalized to signed squarefree integers once, at
 construction, from the primes of the one certified factorization of 2n.
@@ -23,18 +22,20 @@ a perfect-square check on the cofactor; a class with a prime outside them
 raises ValueError instead of coming out wrong.  Only when that
 factorization is not given do the images factor, by factor_2n (through
 the quartic factors A*B*C*D), and yoshida_upper_bound, by factor(2n).
-Closure and verification never factor (two integers share a class iff
-their product is a positive perfect square, and squarefree reps multiply
-via gcd cancellation).
+
+An image is the F2 span of its generators (Silverman, AEC X.4; Cremona,
+Algorithms for Modular Elliptic Curves 3.6).  A class is a bitmask over
+(-1, p_1, ..., p_k), the p_i the primes of 2n, so the product of two
+classes is the XOR of their vectors, and the order of the image is
+2^rank for the F2 rank of the generator vectors.  Verification never
+factors: two integers share a class iff their product is a positive
+perfect square.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
 from .arith import Factorization, factor, is_square
 from .biquadrate import BiquadQuadruple, factor_2n, fourth_power_witness, quartic_factors
@@ -78,14 +79,22 @@ def _primes_of_2n(n: int, f: Factorization | None) -> tuple[int, ...]:
     return f.distinct_primes()
 
 
-def class_mul(c1: int, c2: int) -> int:
-    """Product of two squarefree representatives, again squarefree."""
-    g = math.gcd(abs(c1), abs(c2))
-    return (c1 // g) * (c2 // g)
-
-
-def same_class(m1: int, m2: int) -> bool:
+def _same_class(m1: int, m2: int) -> bool:
     return m1 * m2 > 0 and is_square(m1 * m2)
+
+
+def _vector(c: int, primes: tuple[int, ...]) -> int:
+    """The squarefree class c as an F2 vector: bit 0 for the sign, bit
+    i + 1 for primes[i].  Raises ValueError when c is not a product of
+    distinct listed primes (up to sign)."""
+    v, rest = int(c < 0), abs(c)
+    for i, p in enumerate(primes):
+        if rest % p == 0:
+            rest //= p
+            v |= 2 << i
+    if rest != 1:
+        raise ValueError(f"{c} is not a squarefree class over {primes}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -93,28 +102,24 @@ class Witness:
     """Exactly checkable evidence that a square class lies in an image.
 
     data layout by kind:
-      identity     ()
       coefficient  ()                      class of the curve coefficient b
       point        (xn, xd, yn, yd)        affine point, class of x
       torsor       (b1, b2, M, e, N)       N^2 = b1 M^4 + b2 e^4, b1 b2 = b
-      product      (c1, c2)                classes already in the image
     """
 
     kind: str
     square_class: int
     data: tuple[int, ...] = ()
 
-    def verify(self, curve_b: int, classes: frozenset[int]) -> None:
+    def verify(self, curve_b: int) -> None:
         c = self.square_class
-        if self.kind == "identity":
-            ok = c == 1
-        elif self.kind == "coefficient":
-            ok = same_class(curve_b, c)
+        if self.kind == "coefficient":
+            ok = _same_class(curve_b, c)
         elif self.kind == "point":
             xn, xd, yn, yd = self.data
             x = Fraction(xn, xd)
             y = Fraction(yn, yd)
-            ok = x != 0 and y * y == x**3 + curve_b * x and same_class(xn * xd, c)
+            ok = x != 0 and y * y == x**3 + curve_b * x and _same_class(xn * xd, c)
         elif self.kind == "torsor":
             b1, b2, m, e, nn = self.data
             ok = (
@@ -122,11 +127,8 @@ class Witness:
                 and m != 0
                 and e != 0
                 and nn * nn == b1 * m**4 + b2 * e**4
-                and same_class(b1, c)
+                and _same_class(b1, c)
             )
-        elif self.kind == "product":
-            c1, c2 = self.data
-            ok = c1 in classes and c2 in classes and same_class(c1 * c2, c)
         else:
             ok = False
         if not ok:
@@ -135,54 +137,43 @@ class Witness:
 
 @dataclass(frozen=True)
 class DescentImage:
-    """A verified subgroup of Q*/Q*^2 inside one descent image."""
+    """The subgroup of Q*/Q*^2 spanned by witnessed generators inside one
+    descent image, read as F2 vectors over (-1, primes).  The rank counts
+    that subgroup only when primes are distinct primes; certificate.reverify
+    checks them against the factorization of 2n."""
 
     side: str
     curve_b: int
-    classes: frozenset[int]
-    witnesses: Mapping[int, Witness] = field(compare=False)
+    primes: tuple[int, ...]
+    generators: tuple[Witness, ...]
 
     def __post_init__(self):
         if self.side not in ("phi", "psi"):
             raise ValueError("side must be phi or psi")
-        m = len(self.classes)
-        if m == 0 or m & (m - 1):
-            raise ValueError(f"image size {m} is not a power of 2")
-        if 1 not in self.classes:
-            raise ValueError("image must contain the trivial class")
-        for c1 in self.classes:
-            for c2 in self.classes:
-                if class_mul(c1, c2) not in self.classes:
-                    raise ValueError("classes not closed under multiplication")
-        if set(self.witnesses) != set(self.classes):
-            raise ValueError("every class needs a witness")
         self.reverify()
 
     def reverify(self) -> None:
-        """Re-check every witness; raises WitnessInvalid on any failure."""
-        for w in self.witnesses.values():
-            w.verify(self.curve_b, self.classes)
+        """Re-check every witness; raises WitnessInvalid on any failure, and
+        ValueError for a class with a prime outside primes."""
+        for w in self.generators:
+            w.verify(self.curve_b)
+            _vector(w.square_class, self.primes)
+
+    @property
+    def rank(self) -> int:
+        """F2 rank of the generator vectors, by XOR elimination."""
+        basis: list[int] = []
+        for w in self.generators:
+            v = _vector(w.square_class, self.primes)
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+        return len(basis)
 
     @property
     def order(self) -> int:
-        return len(self.classes)
-
-
-def _close(side: str, curve_b: int, gens: list[tuple[int, Witness]]) -> DescentImage:
-    table: dict[int, Witness] = {1: Witness("identity", 1)}
-    for c, w in gens:
-        table.setdefault(c, w)
-    grew = True
-    while grew:
-        grew = False
-        reps = list(table)
-        for c1 in reps:
-            for c2 in reps:
-                c = class_mul(c1, c2)
-                if c not in table:
-                    table[c] = Witness("product", c, (c1, c2))
-                    grew = True
-    return DescentImage(side, curve_b, frozenset(table), MappingProxyType(table))
+        return 1 << self.rank
 
 
 def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
@@ -192,21 +183,20 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     N^2 = -M^4 + n e^4) and n (solution (1,p,q^2) of N^2 = n M^4 - e^4).
     When the quadruple carries generating parameters, the quartic factor
     class B*D joins via the fourth-power identity BD - b^4 AC = N^2, and
-    closure brings the full eight-element subgroup.  Every class is read
-    from the primes of the certified factorization f of 2n (when None,
-    factor_2n(quad) computes it).
+    the span has order eight.  Every class is read from the primes of the
+    certified factorization f of 2n (when None, factor_2n(quad) computes it).
     """
     n = quad.n
     if E.n != n:
         raise ValueError("curve does not match the quadruple")
     primes = _primes_of_2n(n, f or factor_2n(quad))
     p, q = quad.p, quad.q
-    gens: list[tuple[int, Witness]] = []
-
     c_n = square_class(n, primes)
-    gens.append((-c_n, Witness("coefficient", -c_n)))
-    gens.append((-1, Witness("torsor", -1, (-1, n, p, 1, q * q))))
-    gens.append((c_n, Witness("torsor", c_n, (n, -1, 1, p, q * q))))
+    gens = [
+        Witness("coefficient", -c_n),
+        Witness("torsor", -1, (-1, n, p, 1, q * q)),
+        Witness("torsor", c_n, (n, -1, 1, p, q * q)),
+    ]
 
     if quad.euler_params is not None:
         a, b = quad.euler_params
@@ -227,16 +217,16 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
                 c_bd,
                 (x.numerator, x.denominator, y.numerator, y.denominator),
             )
-        gens.append((c_bd, w))
+        gens.append(w)
 
-    return _close("phi", E.b, gens)
+    return DescentImage("phi", E.b, primes, tuple(gens))
 
 
 def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
     """Verified subgroup of psi on the dual curve y^2 = x^3 + 4 n x.
 
     Contains 1, the class of 4n ~ n (from (0,0)) and 2, witnessed by the
-    identity 2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2; closure adds 2n.
+    identity 2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2; they span 2n too.
     The class of n is read from the primes of the factorization f of 2n
     (when None, factor_2n(quad) computes it).
     """
@@ -244,24 +234,18 @@ def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = No
     if E_dual.b != 4 * n:
         raise ValueError("expected the dual curve with coefficient 4n")
     p, q = abs(quad.p), abs(quad.q)
-    gens: list[tuple[int, Witness]] = []
-
-    c_n = square_class(n, _primes_of_2n(n, f or factor_2n(quad)))
-    gens.append((c_n, Witness("coefficient", c_n)))
-    m = p + q
-    nn = 2 * (p * p + p * q + q * q)
-    gens.append((2, Witness("torsor", 2, (2, 2 * n, m, 1, nn))))
-
-    return _close("psi", E_dual.b, gens)
+    primes = _primes_of_2n(n, f or factor_2n(quad))
+    c_n = square_class(n, primes)
+    gens = (
+        Witness("coefficient", c_n),
+        Witness("torsor", 2, (2, 2 * n, p + q, 1, 2 * (p * p + p * q + q * q))),
+    )
+    return DescentImage("psi", E_dual.b, primes, gens)
 
 
 def rank_lower_bound(phi: DescentImage, psi: DescentImage) -> int:
     """From |phi| * |psi| = 2^{r+2}: the verified subgroups give a bound."""
-    m1, m2 = phi.order, psi.order
-    for m in (m1, m2):
-        if m & (m - 1):
-            raise ValueError(f"image size {m} is not a power of 2")
-    return (m1.bit_length() - 1) + (m2.bit_length() - 1) - 2
+    return phi.rank + psi.rank - 2
 
 
 def yoshida_upper_bound(n: int, f: Factorization | None = None) -> int:

@@ -177,6 +177,15 @@ class TestFactor:
         assert exc.value.residual > 1
         assert exc.value.value == 4 * p * q
 
+    def test_budget_exhaustion_moves_waiting_primes_into_partial(self):
+        # the parts split off the two primes before rho runs out on p * q
+        p, q, r, s = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
+        tiny = FactorEffort(trial_bound=1000, rho_iterations=0, seed=7)
+        with pytest.raises(EffortExceeded) as exc:
+            factor(p * q * r * s, tiny, parts=(p, q))
+        assert exc.value.partial == ((p, 1), (q, 1))
+        assert exc.value.residual == r * s
+
     def test_sieve_holds_every_prime_below_its_bound(self):
         primes = _primes_below_bound().tolist()
         assert len(primes) == 78498  # pi(10^6)

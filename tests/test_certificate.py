@@ -157,8 +157,8 @@ class TestSerialization:
         back = parse_certificate(line)
         assert back.n == CERT21.n
         assert back.quadruples == CERT21.quadruples
-        assert back.phi.classes == CERT21.phi.classes
-        assert back.psi.classes == CERT21.psi.classes
+        assert back.phi == CERT21.phi
+        assert back.psi == CERT21.psi
         assert back.points == CERT21.points
         assert back.heights == CERT21.heights
         assert back.root == CERT21.root
@@ -174,7 +174,15 @@ class TestSerialization:
         record = certificate_record(CERT21)
         assert record["n"] == "635318657"
         assert record["quadruples"][0]["p"] == "158"
-        assert all(isinstance(c, str) for c in record["phi"]["classes"])
+        assert record["phi"]["primes"] == ["2", "41", "113", "241", "569"]
+        assert [g["square_class"] for g in record["phi"]["generators"]] == [
+            "-635318657", "-1", "635318657", "137129"
+        ]
+
+    def test_images_list_only_generators(self):
+        record = certificate_record(CERT21)
+        assert set(record["phi"]) == {"side", "curve_b", "primes", "generators"}
+        assert [g["kind"] for g in record["psi"]["generators"]] == ["coefficient", "torsor"]
 
     def test_timings_not_serialized(self):
         record = certificate_record(CERT21)
@@ -203,9 +211,55 @@ class TestTamperDetection:
 
     def test_tampered_witness_rejected_on_parse(self):
         def mutate(d):
-            d["phi"]["witnesses"][1]["data"][-1] = "999"
+            d["phi"]["generators"][1]["data"][-1] = "999"
 
         with pytest.raises(WitnessInvalid):
+            parse_certificate(self.tampered(mutate))
+
+    def test_repeated_generator_leaves_descent_lower(self):
+        def mutate(d):
+            d["phi"]["generators"].append(d["phi"]["generators"][3])
+
+        cert = parse_certificate(self.tampered(mutate))
+        assert reverify(cert) and cert.descent_lower == 3 and cert.phi.rank == 3
+
+    def test_product_generator_leaves_descent_lower(self):
+        # 2n = n * 2 on the dual: N^2 = 2n M^4 + 2 e^4 at (M, e) = (1, p + q)
+        n, p, q = 635318657, 158, 59
+        witness = ["1270637314", "2", "1", str(p + q), str(2 * (p * p + p * q + q * q))]
+
+        def mutate(d):
+            d["psi"]["generators"].append({"square_class": "1270637314", "kind": "torsor", "data": witness})
+
+        cert = parse_certificate(self.tampered(mutate))
+        assert 2 * n == 1270637314 and len(cert.psi.generators) == 3
+        assert reverify(cert) and cert.descent_lower == 3 and cert.psi.rank == 2
+
+    def test_class_with_a_prime_outside_primes_caught(self):
+        # -9n is in the class of -n, so the witness holds, but 3 does not divide 2n
+        def mutate(d):
+            d["phi"]["generators"][0]["square_class"] = str(-9 * 635318657)
+
+        with pytest.raises(CertificateInvalid, match="not a squarefree class"):
+            parse_certificate(self.tampered(mutate))
+
+    @pytest.mark.parametrize(
+        "primes",
+        [["2", "113", "241", "569"], ["2", "41", "113", "241", "569", "4633"], ["2", "4633", "241", "569"]],
+        ids=["prime-dropped", "composite-inserted", "composite-for-two-primes"],
+    )
+    def test_wrong_primes_caught(self, primes):
+        def mutate(d):
+            d["phi"]["primes"] = primes
+
+        with pytest.raises(CertificateInvalid):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_other_tool_version_caught_on_parse(self):
+        def mutate(d):
+            d["tool_version"] = "0.1.0"
+
+        with pytest.raises(CertificateInvalid, match="tool_version"):
             parse_certificate(self.tampered(mutate))
 
     def test_inflated_descent_bound_caught(self):
@@ -381,3 +435,5 @@ class TestRendering:
         assert "rank >= 4 unconditionally" in text
         assert "omega = +1" in text
         assert "heuristic upper bound: 9" in text
+        assert "phi image of order 8, generators [-635318657, -1, 635318657, 137129]" in text
+        assert "psi image of order 4, generators [635318657, 2]" in text

@@ -6,12 +6,13 @@ surface as SystemExit(64) and handler-level errors as return codes.
 
 import copy
 import json
+import math
 import sys
 
 import pytest
 
 from biquadrank import heights
-from biquadrank.arith import EffortExceeded, factor
+from biquadrank.arith import EffortExceeded, factor, is_probable_prime
 from biquadrank.biquadrate import MAX_SEARCH_BASE
 from biquadrank.certificate import parse_certificate, reverify
 from biquadrank.cli import (
@@ -226,6 +227,18 @@ class TestAnalyze:
         assert partial["value"] == str(2 * 17695434600206896737638013662285390857656040411601)
         assert int(partial["residual"]) > 1
         assert "budget" in err
+
+    def test_budget_exhaustion_reports_the_proven_primes(self, capsys):
+        # pieces still waiting for rho that are prime go to known_factors;
+        # the residual is the one composite piece
+        _, out, _ = run(capsys, "analyze", "--ab", "43", "50", "--skip-heights", "--factor-effort", "0")
+        partial = json.loads(out.strip())
+        known = {int(p) for p, _ in partial["known_factors"]}
+        assert {37403801, 2205613393, 632683531657} <= known
+        assert partial["residual"] == "29383194027601"
+        assert not is_probable_prime(29383194027601)
+        value = math.prod(int(p) ** e for p, e in partial["known_factors"]) * int(partial["residual"])
+        assert value == int(partial["value"])
 
     def test_quartic_factors_split_2n_without_rho(self, capsys):
         # 2n at (2, 9) factors by trial division and gcds against A, B, C, D

@@ -1,35 +1,54 @@
 """Descent image bookkeeping: witnessed square classes and rank bounds.
 
 Expected class sets below were computed by hand from the closed-form
-witnesses; every test re-verifies the stored witnesses by exact integer
-arithmetic through DescentImage's own audit path.
+witnesses and are compared with the span of an image's generators, which
+span() enumerates independently of the F2 rank; every test re-verifies
+the stored witnesses by exact integer arithmetic through DescentImage's
+own audit path.
 """
 
 import dataclasses
+import functools
+import itertools
 import math
-from types import MappingProxyType, SimpleNamespace
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biquadrank.arith import factor, is_square
-from biquadrank.biquadrate import euler_quadruple, quartic_factors, validate_double_representation
+from biquadrank.arith import factor
+from biquadrank.biquadrate import euler_quadruple, factor_2n, quartic_factors, validate_double_representation
 from biquadrank.curve import curve_from_n, dual_curve
 from biquadrank.descent import (
     DescentImage,
     Witness,
     WitnessInvalid,
-    class_mul,
+    _same_class,
     phi_image,
     psi_image,
     rank_lower_bound,
-    same_class,
     square_class,
     yoshida_upper_bound,
 )
 
 
-PRIMES_BELOW_300 = tuple(p for p in range(2, 300) if all(p % d for d in range(2, p)))
+_factor = functools.cache(factor)
+
+
+def span(img):
+    """Every class in the span of img's generators: each product of a subset
+    of generator classes, reduced to its squarefree part from the
+    factorizations of the generators."""
+    fs = [_factor(w.square_class) for w in img.generators]
+    classes = set()
+    for chosen in itertools.product((False, True), repeat=len(fs)):
+        sign, exponents = 1, Counter()
+        for f in itertools.compress(fs, chosen):
+            sign *= f.sign
+            exponents.update(dict(f.primes))
+        classes.add(math.prod((p for p, e in exponents.items() if e % 2), start=sign))
+    return classes
 
 
 class TestSquareClasses:
@@ -49,21 +68,6 @@ class TestSquareClasses:
         with pytest.raises(ValueError):
             square_class(6, (3,))
 
-    def test_class_mul_on_squarefree_reps(self):
-        assert class_mul(3, 3) == 1
-        assert class_mul(6, 10) == 15
-        assert class_mul(-2, 3) == -6
-        assert class_mul(-5, -5) == 1
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(min_value=-300, max_value=300).filter(bool),
-        st.integers(min_value=-300, max_value=300).filter(bool),
-    )
-    def test_class_mul_matches_square_class_of_product(self, a, b):
-        ca, cb = square_class(a, PRIMES_BELOW_300), square_class(b, PRIMES_BELOW_300)
-        assert class_mul(ca, cb) == square_class(a * b, PRIMES_BELOW_300)
-
     def test_family_classes_from_the_primes_of_2n(self):
         # covers the reduced (3, 1) and the non-coprime (2, 4)
         def oracle(m):
@@ -79,11 +83,11 @@ class TestSquareClasses:
                     assert square_class(m, primes) == oracle(m), (a, b, m)
 
     def test_same_class(self):
-        assert same_class(2, 8)
-        assert same_class(-3, -27)
-        assert not same_class(2, -2)
-        assert not same_class(2, 3)
-        assert same_class(635318657, 635318657 * 4)
+        assert _same_class(2, 8)
+        assert _same_class(-3, -27)
+        assert not _same_class(2, -2)
+        assert not _same_class(2, 3)
+        assert _same_class(635318657, 635318657 * 4)
 
 
 QUAD21 = euler_quadruple(2, 1)
@@ -95,16 +99,14 @@ class TestPhiImage:
     def test_minimal_image_for_smallest_n(self):
         quad = euler_quadruple(1, 1)
         img = phi_image(curve_from_n(17), quad)
-        assert img.classes == frozenset({1, -1, 17, -17})
+        assert span(img) == {1, -1, 17, -17}
         assert img.order == 4
         img.reverify()
 
     def test_eight_classes_with_generating_parameters(self):
         img = phi_image(E21, QUAD21)
         n = N21
-        assert img.classes == frozenset(
-            {1, -1, n, -n, 137129, -137129, 4633, -4633}
-        )
+        assert span(img) == {1, -1, n, -n, 137129, -137129, 4633, -4633}
         assert img.order == 8
         img.reverify()
 
@@ -112,13 +114,13 @@ class TestPhiImage:
         quad = validate_double_representation(59, 158, 133, 134)
         img = phi_image(curve_from_n(N21), quad)
         assert img.order == 4
-        assert img.classes == frozenset({1, -1, N21, -N21})
+        assert span(img) == {1, -1, N21, -N21}
 
     def test_reduced_quadruple_uses_point_witness(self):
         quad = euler_quadruple(3, 1)
         img = phi_image(curve_from_n(quad.n), quad)
         assert img.order == 8
-        kinds = {w.kind for w in img.witnesses.values()}
+        kinds = {w.kind for w in img.generators}
         assert "point" in kinds  # reduction > 1 transports BD via a point
         img.reverify()
 
@@ -133,28 +135,27 @@ class TestPhiImage:
 
     def test_given_factorization_is_used_and_checked(self):
         f = factor(2 * N21)
-        assert phi_image(E21, QUAD21, f).classes == phi_image(E21, QUAD21).classes
-        assert psi_image(dual_curve(E21), QUAD21, f).classes == frozenset({1, 2, N21, 2 * N21})
+        assert phi_image(E21, QUAD21, f) == phi_image(E21, QUAD21)
+        assert span(psi_image(dual_curve(E21), QUAD21, f)) == {1, 2, N21, 2 * N21}
         for wrong in (factor(N21), factor(2 * 17)):
             with pytest.raises(ValueError):
                 phi_image(E21, QUAD21, wrong)
             with pytest.raises(ValueError):
                 psi_image(dual_curve(E21), QUAD21, wrong)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=1, max_value=12),
-    )
-    def test_family_images_verify_and_are_subgroups(self, a, b):
-        quad = euler_quadruple(a, b)
-        img = phi_image(curve_from_n(quad.n), quad)
-        assert img.order in (4, 8)
-        assert 1 in img.classes
-        for c1 in img.classes:
-            for c2 in img.classes:
-                assert class_mul(c1, c2) in img.classes
-        img.reverify()
+    def test_family_rank_matches_the_span(self):
+        # 2^rank is the size of the enumerated span, on both sides of all
+        # 144 pairs; the order of each side is as the docstrings claim
+        for a in range(1, 13):
+            for b in range(1, 13):
+                quad = euler_quadruple(a, b)
+                E = curve_from_n(quad.n)
+                f = factor_2n(quad)
+                phi, psi = phi_image(E, quad, f), psi_image(dual_curve(E), quad, f)
+                for img in (phi, psi):
+                    assert img.primes == f.distinct_primes()
+                    assert len(span(img)) == 2**img.rank == img.order, (a, b, img.side)
+                assert phi.order in (4, 8) and psi.order == 4, (a, b)
 
     def test_nondegenerate_family_members_reach_eight(self):
         for a, b in ((2, 1), (3, 1), (3, 2), (4, 1), (5, 2)):
@@ -167,12 +168,12 @@ class TestPsiImage:
     def test_classes_for_smallest_n(self):
         quad = euler_quadruple(1, 1)
         img = psi_image(dual_curve(curve_from_n(17)), quad)
-        assert img.classes == frozenset({1, 2, 17, 34})
+        assert span(img) == {1, 2, 17, 34}
         img.reverify()
 
     def test_classes_for_reference_n(self):
         img = psi_image(dual_curve(E21), QUAD21)
-        assert img.classes == frozenset({1, 2, N21, 2 * N21})
+        assert span(img) == {1, 2, N21, 2 * N21}
         assert img.order == 4
 
     def test_wrong_curve_rejected(self):
@@ -201,49 +202,41 @@ class TestWitnessAudit:
     def test_tampered_torsor_detected(self):
         w = Witness("torsor", -1, (-1, 17, 1, 1, 5))  # 5^2 != -1 + 17
         with pytest.raises(WitnessInvalid):
-            w.verify(-17, frozenset({1, -1}))
+            w.verify(-17)
 
     def test_tampered_point_detected(self):
         w = Witness("point", -1, (-4, 1, 3, 1))  # (-4, 3) not on the curve
         with pytest.raises(WitnessInvalid):
-            w.verify(-17, frozenset({1, -1}))
-
-    def test_product_needs_both_factors_present(self):
-        w = Witness("product", -17, (-1, 17))
-        w.verify(-17, frozenset({1, -1, 17, -17}))
-        with pytest.raises(WitnessInvalid):
-            w.verify(-17, frozenset({1, -17}))
+            w.verify(-17)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WitnessInvalid):
-            Witness("oracle", 1).verify(-17, frozenset({1}))
+        # a class past the generators lies in their span and needs no
+        # witness of its own
+        for kind in ("oracle", "identity", "product"):
+            with pytest.raises(WitnessInvalid):
+                Witness(kind, 1).verify(-17)
 
     def test_image_constructor_runs_the_audit(self):
-        bad = {
-            1: Witness("identity", 1),
-            -1: Witness("torsor", -1, (-1, 17, 1, 1, 5)),
-        }
+        bad = Witness("torsor", -1, (-1, 17, 1, 1, 5))
         with pytest.raises(WitnessInvalid):
-            DescentImage("phi", -17, frozenset({1, -1}), MappingProxyType(bad))
+            DescentImage("phi", -17, (2, 17), (bad,))
 
-    def test_non_power_of_two_size_rejected(self):
-        table = {
-            1: Witness("identity", 1),
-            -1: Witness("torsor", -1, (-1, 17, 1, 1, 4)),
-            17: Witness("product", 17, (-1, -17)),
-        }
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), ()])
+    def test_class_with_a_prime_outside_primes_rejected(self, primes):
         with pytest.raises(ValueError):
-            DescentImage("phi", -17, frozenset({1, -1, 17}), MappingProxyType(table))
+            DescentImage("phi", -17, primes, (Witness("coefficient", -17),))
 
-    def test_missing_trivial_class_rejected(self):
+    def test_class_that_is_not_squarefree_rejected(self):
+        # -68 is in the class of -17 but is not its squarefree representative
         with pytest.raises(ValueError):
-            DescentImage("phi", -17, frozenset({-1, 17}), MappingProxyType({}))
+            DescentImage("phi", -17, (2, 17), (Witness("coefficient", -68),))
 
 
 class TestRankBounds:
     def test_reference_bound(self):
         phi = phi_image(E21, QUAD21)
         psi = psi_image(dual_curve(E21), QUAD21)
+        assert (phi.rank, psi.rank) == (3, 2)
         assert (phi.order, psi.order) == (8, 4)
         assert rank_lower_bound(phi, psi) == 3
 
@@ -254,15 +247,19 @@ class TestRankBounds:
         assert rank_lower_bound(phi, psi) == 2
 
     def test_trivial_images_bound_zero(self):
-        one = SimpleNamespace(order=1)
-        four = SimpleNamespace(order=4)
-        assert rank_lower_bound(four, one) == 0
-        assert rank_lower_bound(one, four) == 0
+        zero = SimpleNamespace(rank=0)
+        two = SimpleNamespace(rank=2)
+        assert rank_lower_bound(two, zero) == 0
+        assert rank_lower_bound(zero, two) == 0
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            rank_lower_bound(SimpleNamespace(order=3), SimpleNamespace(order=4))
-
+    def test_dependent_generators_leave_the_rank(self):
+        phi = phi_image(E21, QUAD21)
+        gens = phi.generators
+        assert [w.square_class for w in gens[:3]] == [-N21, -1, N21]
+        # -n = -1 * n: three generators, rank two
+        assert dataclasses.replace(phi, generators=gens[:3]).rank == 2
+        for extra in (gens + gens[:1], gens + (gens[1],) * 3):
+            assert dataclasses.replace(phi, generators=extra).rank == 3
 
 class TestYoshidaBound:
     def test_reference_values(self):
