@@ -238,10 +238,16 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def _split(c: int, part: int) -> tuple[int, ...]:
-    """c as g * (c // g) for g = gcd(c, part) when that is a proper split."""
+def _split(c: int, part: int) -> list[int]:
+    """c as a product of proper gcds with part, divided out until the rest is
+    coprime to part or divides it."""
+    pieces = []
     g = math.gcd(c, part)
-    return (g, c // g) if 1 < g < c else (c,)
+    while 1 < g < c:
+        pieces.append(g)
+        c //= g
+        g = math.gcd(c, part)
+    return pieces + [c]
 
 
 def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...] = ()) -> Factorization:
@@ -249,7 +255,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
 
     `parts` are integers that may share factors with n, such as known
     factors of a multiple of n: after trial division each piece of n is
-    split by its gcd with each part before rho runs.  A gcd can only split,
+    split by its gcds with each part before rho runs.  A gcd can only split,
     so parts change the work and never the result; a part that is 0,
     negative, a multiple of n or coprime to it splits nothing.
 

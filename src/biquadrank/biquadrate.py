@@ -132,10 +132,11 @@ def representations(n: int, max_base: int | None = None) -> list[tuple[int, int]
     if n < 2:
         return []
     bound = math.isqrt(math.isqrt(n))
+    top = math.isqrt(math.isqrt(n // 2))  # 2 p^4 <= n, so p <= q
     if max_base is not None:
-        bound = min(bound, max_base)
+        bound, top = min(bound, max_base), min(top, max_base)  # p <= q <= max_base
     out = []
-    for p in range(1, math.isqrt(math.isqrt(n // 2)) + 1):  # 2 p^4 <= n, so p <= q
+    for p in range(1, top + 1):
         q = math.isqrt(math.isqrt(n - p**4))
         if p**4 + q**4 == n and q <= bound:
             out.append((p, q))

@@ -16,8 +16,7 @@ import sys
 
 from ._version import VERSION
 from .arith import DEFAULT_EFFORT, DEFAULT_SEED, EffortExceeded, FactorEffort
-from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation
-from .cache import cached_search, open_cache
+from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, search_double_representations
 from .certificate import (
     CSV_HEADER,
     CertificateInvalid,
@@ -77,12 +76,18 @@ def _positive(kind):
     return parse
 
 
+def _search_base(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_SEARCH_BASE:
+        raise argparse.ArgumentTypeError(
+            f"must be between 2 and {MAX_SEARCH_BASE} (larger bases overflow the int64 search)"
+        )
+    return value
+
+
+_search_base.__name__ = "int"  # argparse names the type in "invalid int value"
+
 FORMATS = ["table", "json-lines", "csv"]
-
-
-def _add_cache(sub: argparse.ArgumentParser):
-    sub.add_argument("--cache", metavar="PATH", default=None,
-                     help="append-only cache of search sweeps (default: $BIQUADRANK_CACHE)")
 
 
 def _add_effort(sub: argparse.ArgumentParser):
@@ -97,11 +102,10 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_search = subs.add_parser("search", parents=[], help="find n = p^4+q^4 = r^4+s^4")
-    p_search.add_argument("--max-base", type=int, required=True)
+    p_search.add_argument("--max-base", type=_search_base, required=True)
     p_search.add_argument("--shards", type=_positive(int), default=1)
     p_search.add_argument("--output", metavar="PATH", default=None)
     p_search.add_argument("--format", choices=FORMATS, default="table")
-    _add_cache(p_search)
 
     p_an = subs.add_parser("analyze", help="rank certificate for one n")
     group = p_an.add_mutually_exclusive_group(required=True)
@@ -126,7 +130,7 @@ def build_parser() -> _Parser:
 
     p_rep = subs.add_parser("report", help="search and summarize one row per hit")
     src = p_rep.add_mutually_exclusive_group(required=True)
-    src.add_argument("--max-base", type=int)
+    src.add_argument("--max-base", type=_search_base)
     src.add_argument("--input", metavar="PATH", help="json-lines search output to re-analyze")
     p_rep.add_argument("--shards", type=_positive(int), default=1)
     p_rep.add_argument("--precision", type=_positive(float), default=1e-8)
@@ -134,7 +138,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--skip-heights", action="store_true")
     p_rep.add_argument("--output", metavar="PATH", default=None)
     p_rep.add_argument("--format", choices=FORMATS, default="table")
-    _add_cache(p_rep)
     _add_effort(p_rep)
 
     return parser
@@ -170,19 +173,8 @@ def _quad_line(q) -> str:
     )
 
 
-def _reject_max_base(cmd: str, max_base: int) -> bool:
-    if 2 <= max_base <= MAX_SEARCH_BASE:
-        return False
-    print(f"biquadrank {cmd}: error: --max-base must be between 2 and {MAX_SEARCH_BASE} "
-          "(larger bases overflow the int64 search)", file=sys.stderr)
-    return True
-
-
 def cmd_search(args) -> int:
-    if _reject_max_base("search", args.max_base):
-        return EXIT_USAGE
-    cache = open_cache(args.cache)
-    quads = cached_search(args.max_base, args.shards, cache)
+    quads = search_double_representations(args.max_base, args.shards)
     if args.format == "json-lines":
         text = "\n".join(_quad_line(q) for q in quads)
     elif args.format == "csv":
@@ -277,9 +269,7 @@ def cmd_report(args) -> int:
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise Unreadable(f"input: {exc}") from exc
     else:
-        if _reject_max_base("report", args.max_base):
-            return EXIT_USAGE
-        quads = cached_search(args.max_base, args.shards, open_cache(args.cache))
+        quads = search_double_representations(args.max_base, args.shards)
         inputs = [(q.p, q.q, q.r, q.s) for q in quads]
 
     certs = [_run_analysis(args, pqrs=pqrs) for pqrs in inputs]

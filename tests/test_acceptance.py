@@ -24,7 +24,6 @@ from biquadrank.biquadrate import (
     search_double_representations,
     witness_root_polynomial,
 )
-from biquadrank.cache import Cache, cached_search
 from biquadrank.certificate import analyze
 from biquadrank.curve import (
     INFINITY,
@@ -55,9 +54,8 @@ def reference():
 
 
 @pytest.fixture(scope="module")
-def hits_to_1000(tmp_path_factory):
-    cache = Cache(str(tmp_path_factory.mktemp("acc") / "cache.jsonl"))
-    return cached_search(1000, cache=cache)
+def hits_to_1000():
+    return search_double_representations(1000)
 
 
 def test_criterion_01_parametrized_identity(criteria):

@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biquadrank import arith
 from biquadrank.arith import (
     EffortExceeded,
     FactorEffort,
@@ -251,6 +252,18 @@ class TestFactor:
         parts = tuple(data.draw(st.lists(part, max_size=5)))
         assert factor(m, parts=parts) == factor(m)
         assert factor(-m, parts=parts) == factor(-m)
+
+    def test_parts_split_repeated_primes_without_rho(self, monkeypatch):
+        # each piece is divided by a part until they are coprime, so a square
+        # of a prime never stays glued to another part's prime
+        p, q = 10**9 + 7, 10**9 + 9
+        expected = factor(p * p * q * q)
+        calls = []
+        real_rho = arith._brent_rho
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: calls.append(a) or real_rho(*a))
+        assert factor(p * p * q * q, parts=(p, q)) == expected
+        assert expected.primes == ((p, 2), (q, 2))
+        assert calls == []
 
     def test_exponent_of(self):
         f = factor(720)

@@ -285,6 +285,11 @@ class TestRepresentations:
         assert representations(635318657, max_base=100) == []
         assert representations(635318657, max_base=140) == [(133, 134)]
         assert representations(17, max_base=1) == []
+        # p <= q <= max_base, so the p loop stops at max_base: without the
+        # cap, a 29-digit n scans about 8.4 million p
+        start = time.perf_counter()
+        assert representations(10**28 + 7, max_base=1000) == []
+        assert time.perf_counter() - start < 0.5
 
 
 class TestRecoverEulerParams:

@@ -83,6 +83,8 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["search", "--max-base", "200", "--seed", "1"],
         ["search", "--max-base", "200", "--factor-effort", "5"],
+        ["search", "--max-base", "200", "--cache", "c.jsonl"],
+        ["report", "--max-base", "200", "--cache", "c.jsonl"],
         ["analyze", "--ab", "2", "1", "--cache", "c.jsonl"],
         ["verify-paper", "--seed", "1"],
         ["verify-paper", "--factor-effort", "5"],
@@ -149,14 +151,16 @@ class TestSearch:
         assert "no double representations with base <= 100" in out
 
     def test_max_base_too_small(self, capsys):
-        rc, _, err = run(capsys, "search", "--max-base", "1")
-        assert rc == EXIT_USAGE
-        assert "--max-base" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--max-base", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--max-base" in capsys.readouterr().err
 
     def test_max_base_beyond_int64_cap(self, capsys):
-        rc, _, err = run(capsys, "search", "--max-base", str(MAX_SEARCH_BASE + 1))
-        assert rc == EXIT_USAGE
-        assert "int64" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--max-base", str(MAX_SEARCH_BASE + 1)])
+        assert exc.value.code == EXIT_USAGE
+        assert "int64" in capsys.readouterr().err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "hits.txt"
@@ -352,6 +356,29 @@ class TestReport:
         )
         assert rc == EXIT_OK
         assert out.splitlines()[1] == "59,158,635318657,3,4,+1"
+        # a saved sweep replaces a rerun of the search, byte for byte
+        for fmt in ("table", "json-lines"):
+            rc, replayed, _ = run(
+                capsys, "report", "--input", str(src), "--skip-heights", "--format", fmt
+            )
+            assert rc == EXIT_OK
+            rc, searched, _ = run(
+                capsys, "report", "--max-base", "200", "--skip-heights", "--format", fmt
+            )
+            assert rc == EXIT_OK
+            assert replayed == searched
+
+    @pytest.mark.parametrize("value, message", [
+        ("1", "int64"),
+        (str(MAX_SEARCH_BASE + 1), "int64"),
+        ("x", "invalid int value"),
+    ])
+    def test_max_base_checked_at_parse_time(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--max-base", value, "--skip-heights"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--max-base" in err and message in err
 
     def test_garbage_input_is_io_error(self, capsys, tmp_path):
         src = tmp_path / "bad.jsonl"
