@@ -14,20 +14,23 @@ Every bound, with torsion, independence and the root number, is derived
 in one function that analyze records and reverify compares against.  It
 enforces the chain unconditional <= conditional <= upper; a violation
 means a descent or factoring bug and aborts loudly.
-Serialization is line-delimited JSON with decimal strings for all exact
-integers; floats appear only for measured heights.  parse() rebuilds the
-full object, re-running every witness check on the way in.
+Serialization is line-delimited JSON written and read by one codec
+driven by the dataclasses: each dataclass is an object keyed by its field
+names, every exact integer and fraction is a decimal string, and JSON
+floats appear only for heights, Gram entries and determinant, precision
+and tol.  parse_certificate rebuilds the full object through the
+constructors, re-running every witness check on the way in.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from types import MappingProxyType
-from typing import Mapping
+from types import MappingProxyType, UnionType
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .biquadrate import (
     validate_double_representation,
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
-from .descent import DescentImage, Witness, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
+from .descent import DescentImage, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
 from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
@@ -259,98 +262,56 @@ def analyze(
 # serialization
 
 
-def _quad_record(q: BiquadQuadruple) -> dict:
-    return {
-        "p": str(q.p),
-        "q": str(q.q),
-        "r": str(q.r),
-        "s": str(q.s),
-        "n": str(q.n),
-        "primitive": q.primitive,
-        "degenerate": q.degenerate,
-        "reduction": str(q.reduction),
-        "euler_params": [str(v) for v in q.euler_params] if q.euler_params else None,
-    }
+def _encode(value):
+    """The JSON form of a certificate value: ints and Fractions as decimal
+    strings, tuples as lists, a dataclass as an object keyed by its field
+    names (fields with compare=False stay off the wire)."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value) if f.compare}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if type(value) in (int, Fraction):
+        return str(value)
+    return value
 
 
-def _image_record(img: DescentImage) -> dict:
-    return {
-        "side": img.side,
-        "curve_b": str(img.curve_b),
-        "primes": [str(p) for p in img.primes],
-        "generators": [
-            {"square_class": str(w.square_class), "kind": w.kind, "data": [str(v) for v in w.data]}
-            for w in img.generators
-        ],
-    }
+# declared type -> JSON types it may arrive as; tp(value) then rebuilds it
+_WIRE = {int: (str,), Fraction: (str,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _decode(tp, value):
+    """Inverse of _encode for the declared type tp.  Dataclasses are
+    rebuilt through their constructors, so their checks run again; a value
+    of the wrong wire type, a tuple of the wrong length or a missing or
+    unknown field raises TypeError, ValueError or KeyError."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _decode(inner, value)
+    if origin is tuple:
+        if type(value) is not list:
+            raise TypeError(f"expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+    if is_dataclass(tp):  # value.keys() raises AttributeError unless an object
+        hints = get_type_hints(tp)
+        names = [f.name for f in fields(tp) if f.compare]
+        if value.keys() - names:
+            raise ValueError(f"unknown {tp.__name__} fields {sorted(value.keys() - names)}")
+        return tp(**{name: _decode(hints[name], value[name]) for name in names})
+    if type(value) not in _WIRE[tp]:
+        raise TypeError(f"{value!r} is not the wire form of {tp.__name__}")
+    return tp(value)
 
 
 def certificate_record(cert: RankCertificate) -> dict:
-    """JSON-ready dict; exact integers as decimal strings, no timings."""
-    return {
-        "record": "rank-certificate",
-        "tool_version": cert.tool_version,
-        "seed": cert.seed,
-        "precision": cert.precision,
-        "tol": cert.tol,
-        "n": str(cert.n),
-        "torsion": cert.torsion,
-        "quadruples": [_quad_record(q) for q in cert.quadruples],
-        "points": [{"x": str(P.x), "y": str(P.y)} for P in cert.points],
-        "heights": [{"value": h.value, "error_bound": h.error_bound} for h in cert.heights],
-        "gram": (
-            {"entries": [list(row) for row in cert.gram.entries], "determinant": cert.gram.determinant}
-            if cert.gram is not None
-            else None
-        ),
-        "independence": cert.independence,
-        "phi": _image_record(cert.phi),
-        "psi": _image_record(cert.psi),
-        "descent_lower": cert.descent_lower,
-        "unconditional_lower": cert.unconditional_lower,
-        "conditional_lower": cert.conditional_lower,
-        "heuristic_upper": cert.heuristic_upper,
-        "root_number": {
-            "omega": cert.root.omega,
-            "epsilon": cert.root.epsilon,
-            "square_part_product": cert.root.square_part_product,
-            "residue": cert.root.residue,
-            "conditional": cert.root.conditional,
-            "justification": cert.root.justification,
-        },
-        "notes": list(cert.notes),
-    }
+    """JSON-ready dict, tagged as a rank-certificate record."""
+    return {"record": "rank-certificate", **_encode(cert)}
 
 
 def to_json_line(cert: RankCertificate) -> str:
     return json.dumps(certificate_record(cert), sort_keys=True, separators=(",", ":"))
-
-
-def _parse_quad(d: dict) -> BiquadQuadruple:
-    params = d.get("euler_params")
-    return BiquadQuadruple(
-        p=int(d["p"]),
-        q=int(d["q"]),
-        r=int(d["r"]),
-        s=int(d["s"]),
-        n=int(d["n"]),
-        primitive=d["primitive"],
-        degenerate=d["degenerate"],
-        reduction=int(d["reduction"]),
-        euler_params=tuple(int(v) for v in params) if params else None,
-    )
-
-
-def _parse_image(d: dict) -> DescentImage:
-    return DescentImage(
-        side=d["side"],
-        curve_b=int(d["curve_b"]),
-        primes=tuple(int(p) for p in d["primes"]),
-        generators=tuple(
-            Witness(w["kind"], int(w["square_class"]), tuple(int(v) for v in w["data"]))
-            for w in d["generators"]
-        ),
-    )
 
 
 def parse_certificate(line: str) -> RankCertificate:
@@ -358,54 +319,17 @@ def parse_certificate(line: str) -> RankCertificate:
 
     Descent images re-run their witness checks during construction, so a
     tampered line fails here rather than at reverify time.  A line that is
-    not JSON, lacks a field or has one of the wrong type, or was written by
-    another tool_version, raises CertificateInvalid.
+    not JSON, lacks a field, has an unknown one or one of the wrong wire
+    type, or was written by another tool_version, raises CertificateInvalid.
     """
     try:
         d = json.loads(line)
-        if d.get("record") != "rank-certificate":
+        if d.pop("record", None) != "rank-certificate":
             raise CertificateInvalid("not a rank-certificate record")
         if d["tool_version"] != TOOL_VERSION:
             raise CertificateInvalid(f"tool_version {d['tool_version']!r} is not {TOOL_VERSION}")
-        rn = d["root_number"]
-        return RankCertificate(
-            n=int(d["n"]),
-            quadruples=tuple(_parse_quad(q) for q in d["quadruples"]),
-            torsion=d["torsion"],
-            points=tuple(
-                Point(Fraction(p["x"]), Fraction(p["y"])) for p in d["points"]
-            ),
-            heights=tuple(HeightValue(h["value"], h["error_bound"]) for h in d["heights"]),
-            gram=(
-                GramMatrix(
-                    tuple(tuple(row) for row in d["gram"]["entries"]),
-                    d["gram"]["determinant"],
-                )
-                if d["gram"] is not None
-                else None
-            ),
-            independence=d["independence"],
-            phi=_parse_image(d["phi"]),
-            psi=_parse_image(d["psi"]),
-            descent_lower=d["descent_lower"],
-            unconditional_lower=d["unconditional_lower"],
-            conditional_lower=d["conditional_lower"],
-            heuristic_upper=d["heuristic_upper"],
-            root=RootNumber(
-                omega=rn["omega"],
-                epsilon=rn["epsilon"],
-                square_part_product=rn["square_part_product"],
-                residue=rn["residue"],
-                conditional=rn["conditional"],
-                justification=rn["justification"],
-            ),
-            tool_version=d["tool_version"],
-            seed=d["seed"],
-            precision=d["precision"],
-            tol=d["tol"],
-            notes=tuple(d.get("notes", ())),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _decode(RankCertificate, d)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CertificateInvalid(f"malformed certificate record: {type(exc).__name__}: {exc}") from exc
 
 

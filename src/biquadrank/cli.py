@@ -65,11 +65,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive(kind):
+def _positive(kind, zero_ok=False):
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value > 0 or zero_ok and value == 0):
+            raise argparse.ArgumentTypeError(f"must be positive{' or zero' if zero_ok else ''}, got {text}")
         return value
 
     parse.__name__ = kind.__name__
@@ -92,8 +92,9 @@ FORMATS = ["table", "json-lines", "csv"]
 
 def _add_effort(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--factor-effort", type=int, default=DEFAULT_EFFORT.rho_iterations,
-                     metavar="N", help="rho iteration budget per factorization")
+    sub.add_argument("--factor-effort", type=_positive(int, zero_ok=True),
+                     default=DEFAULT_EFFORT.rho_iterations, metavar="N",
+                     help="rho iteration budget per factorization")
 
 
 def build_parser() -> _Parser:
@@ -114,7 +115,7 @@ def build_parser() -> _Parser:
     group.add_argument("--ab", type=int, nargs=2, metavar=("A", "B"))
     p_an.add_argument("--precision", type=_positive(float), default=1e-8)
     p_an.add_argument("--tol", type=_positive(float), default=1e-3)
-    p_an.add_argument("--max-base", type=int, default=None,
+    p_an.add_argument("--max-base", type=_positive(int), default=None,
                       help="cap the representation scan for --n")
     p_an.add_argument("--allow-single", action="store_true",
                       help="analyze n with a single representation instead of exiting 3")
@@ -262,12 +263,16 @@ def cmd_report(args) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh if line.strip()]
             inputs = [
-                tuple(int(rec[k]) for k in ("p", "q", "r", "s"))
+                (tuple(int(rec[k]) for k in "pqrs"), int(rec["n"]) if "n" in rec else None)
                 for rec in records
                 if rec.get("record") == "quadruple"
             ]
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise Unreadable(f"input: {exc}") from exc
+        for (p, q, _, _), n in inputs:
+            if n is not None and n != p**4 + q**4:
+                raise NotEqual(f"n = {n} is not {p}^4 + {q}^4")
+        inputs = [pqrs for pqrs, _ in inputs]
     else:
         quads = search_double_representations(args.max_base, args.shards)
         inputs = [(q.p, q.q, q.r, q.s) for q in quads]

@@ -257,37 +257,40 @@ class TestTamperDetection:
 
     def test_other_tool_version_caught_on_parse(self):
         def mutate(d):
-            d["tool_version"] = "0.1.0"
+            d["tool_version"] = "0.2.0"
 
         with pytest.raises(CertificateInvalid, match="tool_version"):
             parse_certificate(self.tampered(mutate))
 
     def test_inflated_descent_bound_caught(self):
         def mutate(d):
-            d["descent_lower"] = 5
-            d["unconditional_lower"] = 5
+            d["descent_lower"] = "5"
+            d["unconditional_lower"] = "5"
 
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid, match="descent_lower does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_flipped_omega_caught(self):
         def mutate(d):
-            d["root_number"]["omega"] = -1
-            d["root_number"]["epsilon"] = 1
+            d["root"]["omega"] = "-1"
+            d["root"]["epsilon"] = "1"
 
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid, match="root does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_flipped_square_part_caught(self):
-        # a self-consistent root number that n's factorization contradicts
+        # a self-consistent root number that n's factorization contradicts;
+        # the conditional bound rebuilt from the true root is the first
+        # derived field that disagrees with the forged one
         def mutate(d):
-            rn = d["root_number"]
-            rn["square_part_product"] = -1
-            rn["omega"] = -rn["omega"]
+            rn = d["root"]
+            rn["square_part_product"] = "-1"
+            rn["omega"] = str(-int(rn["omega"]))
             rn["justification"] = "factored"
-            d["conditional_lower"] = parity_adjusted_bound(d["unconditional_lower"], rn["omega"])
+            lower = parity_adjusted_bound(int(d["unconditional_lower"]), int(rn["omega"]))
+            d["conditional_lower"] = str(lower)
 
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid, match="conditional_lower does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_moved_point_caught(self):
@@ -320,19 +323,19 @@ class TestTamperDetection:
 
     def test_inflated_heuristic_upper_caught(self):
         def mutate(d):
-            d["heuristic_upper"] = 99
+            d["heuristic_upper"] = "99"
 
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid, match="heuristic_upper does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_inflated_independence_caught(self):
         # 6 independent points claimed from 4, every bound raised to match
         def mutate(d):
-            d["independence"] = 6
-            d["unconditional_lower"] = 6
-            d["conditional_lower"] = parity_adjusted_bound(6, d["root_number"]["omega"])
+            d["independence"] = "6"
+            d["unconditional_lower"] = "6"
+            d["conditional_lower"] = str(parity_adjusted_bound(6, int(d["root"]["omega"])))
 
-        with pytest.raises(CertificateInvalid, match="independence"):
+        with pytest.raises(CertificateInvalid, match="independence does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_independence_without_gram_caught(self):
@@ -395,6 +398,28 @@ class TestTamperDetection:
             del d["tol"]
 
         with pytest.raises(CertificateInvalid, match="tol"):
+            parse_certificate(self.tampered(mutate))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["points"][0].update(x="1/0"),
+        lambda d: d["phi"]["generators"].append(
+            {"square_class": "-1", "kind": "point", "data": ["1", "0", "1", "1"]}),
+        lambda d: d["quadruples"][0].update(euler_params=["2"]),
+        lambda d: d.update(precision="abc"),
+        lambda d: d["quadruples"][0].update(primitive="yes"),
+        lambda d: d.update(seed=5),
+        lambda d: d.update(n=None),
+    ], ids=["zero-denominator-point", "zero-denominator-witness", "short-euler-params",
+            "string-precision", "string-flag", "numeric-seed", "null-n"])
+    def test_malformed_field_caught_on_parse(self, mutate):
+        with pytest.raises(CertificateInvalid, match="malformed"):
+            parse_certificate(self.tampered(mutate))
+
+    def test_unknown_field_caught_on_parse(self):
+        def mutate(d):
+            d["root_number"] = d["root"]  # the key written before 0.3.0
+
+        with pytest.raises(CertificateInvalid, match=r"unknown RankCertificate fields \['root_number'\]"):
             parse_certificate(self.tampered(mutate))
 
     def test_empty_quadruple_list_caught(self):

@@ -101,6 +101,8 @@ class TestUsage:
         ["analyze", "--ab", "2", "1", "--precision", "-1", "--skip-heights"],
         ["search", "--max-base", "200", "--shards", "0"],
         ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
+        ["analyze", "--n", "635318657", "--max-base", "-3"],
+        ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
     ])
     def test_nonpositive_precision_tol_and_shards(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -387,14 +389,15 @@ class TestReport:
         assert rc == EXIT_IO
         assert "cannot read input" in err
 
-    @pytest.mark.parametrize("pqrs, code, message", [
+    @pytest.mark.parametrize("pqrsn, code, message", [
         (("1", "2", "3", "4"), EXIT_USAGE, "not a double representation"),
         (("2", "4", "4", "2"), EXIT_USAGE, "divisible by 4"),
         (("59", "158", "133", "x"), EXIT_IO, "cannot read input"),
-    ], ids=["unequal-sums", "multiple-of-four", "non-integer-field"])
-    def test_bad_input_record_exits_with_one_line(self, capsys, tmp_path, pqrs, code, message):
+        (("59", "158", "133", "134", "12345"), EXIT_USAGE, "n = 12345 is not 59^4 + 158^4"),
+    ], ids=["unequal-sums", "multiple-of-four", "non-integer-field", "n-not-the-sum"])
+    def test_bad_input_record_exits_with_one_line(self, capsys, tmp_path, pqrsn, code, message):
         src = tmp_path / "hits.jsonl"
-        src.write_text(json.dumps({"record": "quadruple", **dict(zip("pqrs", pqrs))}) + "\n")
+        src.write_text(json.dumps({"record": "quadruple", **dict(zip("pqrsn", pqrsn))}) + "\n")
         rc, out, err = run(capsys, "report", "--input", str(src), "--skip-heights")
         assert rc == code
         assert out == ""
