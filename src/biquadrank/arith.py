@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -108,14 +107,6 @@ def _residues(m: int, primes: np.ndarray) -> np.ndarray:
     for shift in range(32 * ((m.bit_length() - 1) // 32), -1, -32):
         r = ((r << np.uint64(32)) | np.uint64((m >> shift) & 0xFFFFFFFF)) % primes
     return r
-
-
-def gcd_many(values) -> int:
-    """Nonnegative gcd of a nonempty collection; gcd_many([0, 0]) == 0."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd_many needs at least one value")
-    return reduce(math.gcd, values)
 
 
 def jacobi(a: int, m: int) -> int:

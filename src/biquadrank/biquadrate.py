@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, gcd_many, iroot, is_square
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, iroot, is_square
 
 # Largest base whose sums p^4 + q^4 <= 2 * base^4 stay below 2^63: from
 # 46341 on they wrap to negative int64 values and hits are lost.
@@ -45,22 +45,49 @@ class PropertyViolation(RuntimeError):
 class BiquadQuadruple:
     """A double representation n = p^4 + q^4 = r^4 + s^4.
 
-    primitive  <=>  gcd(p, q, r, s) == 1
-    degenerate <=>  {|p|, |q|} == {|r|, |s|} as multisets
-    reduction  is the gcd divided out of a raw parametrized quadruple (1 if
-    none was); euler_params records (a, b) when the quadruple came from the
-    parametrization.
+    Only the evidence is stored, and the constructor checks it: the bases
+    (NotEqual unless the sums agree) and, for a parametrized quadruple,
+    euler_params = (a, b) with the gcd `reduction` divided out of the raw
+    quadruple (ValueError unless the reduced parameters give these pairs
+    and reduction is that gcd; reduction is 1 without parameters).
+    Derived: n = p^4 + q^4; primitive <=> gcd(p, q, r, s) == 1;
+    degenerate <=> {|p|, |q|} == {|r|, |s|} as multisets.
     """
 
     p: int
     q: int
     r: int
     s: int
-    n: int
-    primitive: bool
-    degenerate: bool
     reduction: int = 1
     euler_params: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        left, right = self.p**4 + self.q**4, self.r**4 + self.s**4
+        if left != right:
+            raise NotEqual(f"{left} != {right}")
+        if self.euler_params is None:
+            if self.reduction != 1:
+                raise ValueError(f"reduction {self.reduction} recorded without euler parameters")
+            return
+        raw = euler_raw_quadruple(*self.euler_params)
+        g = math.gcd(*raw)
+        refit = BiquadQuadruple(*(x // g for x in raw)).pairs()
+        if self.pairs() not in (refit, refit[::-1]):
+            raise ValueError(f"euler parameters {self.euler_params} do not regenerate the quadruple")
+        if self.reduction != g:
+            raise ValueError(f"reduction {self.reduction} is not the parametrized gcd {g}")
+
+    @property
+    def n(self) -> int:
+        return self.p**4 + self.q**4
+
+    @property
+    def primitive(self) -> bool:
+        return math.gcd(self.p, self.q, self.r, self.s) == 1
+
+    @property
+    def degenerate(self) -> bool:
+        return len(set(self.pairs())) == 1
 
     def components(self) -> tuple[int, int, int, int]:
         return (self.p, self.q, self.r, self.s)
@@ -83,45 +110,20 @@ def euler_raw_quadruple(a: int, b: int) -> tuple[int, int, int, int]:
     return p, q, r, s
 
 
-def _is_degenerate(p: int, q: int, r: int, s: int) -> bool:
-    return sorted((abs(p), abs(q))) == sorted((abs(r), abs(s)))
-
-
 def euler_quadruple(a: int, b: int) -> BiquadQuadruple:
     """Parametrized double representation, reduced by the common gcd.
 
     The raw quadruple is divided by g = gcd(p, q, r, s) (which divides n by
     g^4), so the result is always primitive; `reduction` records g.
     """
-    p, q, r, s = euler_raw_quadruple(a, b)
-    g = gcd_many([p, q, r, s])
-    if g == 0:
-        raise ValueError(f"parameters ({a}, {b}) give the zero quadruple")
-    p, q, r, s = p // g, q // g, r // g, s // g
-    n = p**4 + q**4
-    if n != r**4 + s**4:
-        raise PropertyViolation(f"parametrization identity failed at ({a}, {b})")
-    return BiquadQuadruple(
-        p=p, q=q, r=r, s=s, n=n,
-        primitive=True,
-        degenerate=_is_degenerate(p, q, r, s),
-        reduction=g,
-        euler_params=(a, b),
-    )
+    raw = euler_raw_quadruple(a, b)
+    g = math.gcd(*raw)
+    return BiquadQuadruple(*(x // g for x in raw), reduction=g, euler_params=(a, b))
 
 
 def validate_double_representation(p: int, q: int, r: int, s: int) -> BiquadQuadruple:
-    """Check p^4+q^4 == r^4+s^4 and classify; raises NotEqual otherwise."""
-    left = p**4 + q**4
-    right = r**4 + s**4
-    if left != right:
-        raise NotEqual(f"{left} != {right}")
-    g = gcd_many([p, q, r, s])
-    return BiquadQuadruple(
-        p=p, q=q, r=r, s=s, n=left,
-        primitive=(g == 1),
-        degenerate=_is_degenerate(p, q, r, s),
-    )
+    """The quadruple (p, q, r, s); raises NotEqual unless p^4+q^4 == r^4+s^4."""
+    return BiquadQuadruple(p, q, r, s)
 
 
 def representations(n: int, max_base: int | None = None) -> list[tuple[int, int]]:
@@ -195,10 +197,10 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
             qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
             found = fourth[ps] + fourth[qs] == n
             pairs = zip(ps[found].tolist(), qs[found].tolist())
-            results.extend(  # distinct normalized pairs, so never degenerate
-                BiquadQuadruple(p=p, q=q, r=r, s=s, n=n, primitive=True, degenerate=False)
+            results.extend(
+                BiquadQuadruple(p, q, r, s)
                 for (p, q), (r, s) in combinations(pairs, 2)
-                if gcd_many([p, q, r, s]) == 1
+                if math.gcd(p, q, r, s) == 1
             )
     return results
 
@@ -326,10 +328,6 @@ def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
             continue
         if num < 0:
             b_cand = -b_cand
-        try:
-            cand = euler_quadruple(a_cand, b_cand)
-        except (ValueError, PropertyViolation):
-            continue
-        if cand.pairs() in (quad.pairs(), tuple(reversed(quad.pairs()))):
+        if euler_quadruple(a_cand, b_cand).pairs() in (quad.pairs(), quad.pairs()[::-1]):
             return a_cand, b_cand
     return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from ._version import VERSION
@@ -68,8 +69,8 @@ class _Parser(argparse.ArgumentParser):
 def _positive(kind, zero_ok=False):
     def parse(text: str):
         value = kind(text)
-        if not (value > 0 or zero_ok and value == 0):
-            raise argparse.ArgumentTypeError(f"must be positive{' or zero' if zero_ok else ''}, got {text}")
+        if not (value > 0 or zero_ok and value == 0) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive{' or zero' if zero_ok else ''} and finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__

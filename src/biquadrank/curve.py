@@ -45,6 +45,10 @@ class Point:
     x: Fraction | None
     y: Fraction | None
 
+    def __post_init__(self):
+        if (self.x is None) != (self.y is None):
+            raise ValueError("a point has both coordinates or neither")
+
     @staticmethod
     def affine(x, y) -> "Point":
         return Point(Fraction(x), Fraction(y))

@@ -201,8 +201,6 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     if quad.euler_params is not None:
         a, b = quad.euler_params
         factors = quartic_factors(a, b)
-        if factors.n_raw != n * quad.reduction**4:
-            raise ValueError("quartic factors do not match the quadruple")
         _, nwit = fourth_power_witness(a, b)
         c_bd = square_class(factors.B * factors.D, primes)
         g = quad.reduction

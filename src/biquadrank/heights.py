@@ -76,6 +76,10 @@ class HeightValue:
     value: float
     error_bound: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v >= 0 for v in (self.value, self.error_bound)):
+            raise ValueError(f"height {self.value} +/- {self.error_bound} is not finite and nonnegative")
+
     def __float__(self):
         return self.value
 
@@ -83,7 +87,16 @@ class HeightValue:
 @dataclass(frozen=True)
 class GramMatrix:
     entries: tuple[tuple[float, ...], ...]
-    determinant: float
+
+    def __post_init__(self):
+        k = len(self.entries)
+        if not all(len(row) == k and all(map(math.isfinite, row)) for row in self.entries):
+            raise ValueError("Gram entries must form a square matrix of finite floats")
+
+    @property
+    def determinant(self) -> float:
+        """1.0 for the empty matrix."""
+        return float(np.linalg.det(np.array(self.entries, dtype=np.float64))) if self.entries else 1.0
 
     def independence(self, tol: float = 1e-3) -> int:
         """Largest k such that some k-subset has Gram determinant > tol.
@@ -255,8 +268,7 @@ class Heights:
         for i in range(k):
             for j in range(i, k):
                 entries[i][j] = entries[j][i] = self.pairing(points[i], points[j])
-        det = float(np.linalg.det(np.array(entries, dtype=np.float64))) if k else 1.0
-        return GramMatrix(tuple(tuple(row) for row in entries), det)
+        return GramMatrix(tuple(tuple(row) for row in entries))
 
 
 def _heights(E: Curve, precision: float, effort: FactorEffort) -> Heights:

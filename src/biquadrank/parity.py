@@ -29,23 +29,32 @@ class OutOfDomain(ValueError):
 class RootNumber:
     """Sign of the functional equation, assembled from its three factors.
 
-    conditional is always True: rank-parity conclusions drawn from omega
+    Only the evidence is stored: square_part_product and residue = n mod
+    16; epsilon (the table on the residue) and omega = -epsilon *
+    square_part_product are derived.  Parity conclusions drawn from omega
     assume the parity conjecture.  justification records how the square
     part's contribution was established: "squarefree" (no square part),
     "factored" (explicit residue symbols), or "coprime-representation"
     (all odd prime divisors are 1 mod 8, so every symbol is +1).
     """
 
-    omega: int
-    epsilon: int
     square_part_product: int
     residue: int
-    conditional: bool = True
-    justification: str = "factored"
+    justification: str
 
     def __post_init__(self):
-        if self.omega != -self.epsilon * self.square_part_product:
-            raise ValueError("omega does not match its factors")
+        if self.square_part_product not in (-1, 1):
+            raise ValueError(f"square part product {self.square_part_product} is not +1 or -1")
+        if self.residue not in _EPS_MINUS | _EPS_PLUS:
+            raise OutOfDomain(f"residue {self.residue} is not n mod 16 for any n with 4 not dividing n")
+
+    @property
+    def epsilon(self) -> int:
+        return epsilon(self.residue)
+
+    @property
+    def omega(self) -> int:
+        return -self.epsilon * self.square_part_product
 
 
 def epsilon(n: int) -> int:
@@ -77,8 +86,7 @@ def root_number(
     symbol to +1 and no factorization is needed.  Factoring failure is
     raised only when neither route is available.
     """
-    eps = epsilon(n)
-    residue = n % 16
+    epsilon(n)  # OutOfDomain unless n > 0 and 4 does not divide n
 
     if quad is not None and quad.n != n:
         raise ValueError("quadruple does not match n")
@@ -100,8 +108,7 @@ def root_number(
             spp *= jacobi(-1, p)
         justification = "factored" if square_primes else "squarefree"
 
-    omega = -eps * spp
-    return RootNumber(omega, eps, spp, residue, True, justification)
+    return RootNumber(spp, n % 16, justification)
 
 
 def prime_divisor_law(

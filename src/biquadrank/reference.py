@@ -43,7 +43,7 @@ def _table_claim(row: dict) -> Claim:
     if p**4 + q**4 != n:
         return Claim(name, False, f"{p}^4 + {q}^4 != n")
     res = n % 16
-    quad = BiquadQuadruple(p=p, q=q, r=p, s=q, n=n, primitive=True, degenerate=True)
+    quad = BiquadQuadruple(p, q, p, q)
     w = root_number(n, quad=quad)
     if n % 2:
         ok = res == 1 and w.omega == 1 and rank % 2 == 0

@@ -114,7 +114,7 @@ def test_criterion_04_published_table(criteria, reference):
         for row in rows:
             p, q, n, rank = int(row["p"]), int(row["q"]), int(row["n"]), int(row["rank"])
             assert p**4 + q**4 == n, n
-            quad = BiquadQuadruple(p=p, q=q, r=p, s=q, n=n, primitive=True, degenerate=True)
+            quad = BiquadQuadruple(p, q, p, q)
             w = root_number(n, quad=quad)
             if n % 2:
                 assert n % 16 == 1, n

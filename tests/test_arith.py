@@ -19,7 +19,6 @@ from biquadrank.arith import (
     _primes_below_bound,
     factor,
     fourth_power_free_part,
-    gcd_many,
     iroot,
     is_fourth_power,
     is_probable_prime,
@@ -302,12 +301,3 @@ class TestFactorization:
     def test_order_enforced(self):
         with pytest.raises(ValueError):
             Factorization(value=6, primes=((3, 1), (2, 1)), certified=True)
-
-
-def test_gcd_many():
-    assert gcd_many([12, 18, 30]) == 6
-    assert gcd_many([5]) == 5
-    assert gcd_many([0, 0, 7]) == 7
-    assert gcd_many([-4, 6]) == 2
-    with pytest.raises(ValueError):
-        gcd_many([])

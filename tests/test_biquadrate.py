@@ -4,6 +4,7 @@ The search oracle is a pure-dict brute force kept independent of the
 vectorized implementation on purpose.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -13,7 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biquadrank.arith import EffortExceeded, FactorEffort, factor, gcd_many, is_square
+from biquadrank.arith import EffortExceeded, FactorEffort, factor, is_square
 from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
     BiquadQuadruple,
@@ -67,7 +68,7 @@ class TestParametrization:
     @given(nonzero_param, nonzero_param)
     def test_reduced_quadruple_is_primitive(self, a, b):
         quad = euler_quadruple(a, b)
-        assert gcd_many(quad.components()) == 1
+        assert math.gcd(*quad.components()) == 1
         assert quad.primitive
         assert quad.n == quad.p**4 + quad.q**4
 
@@ -104,6 +105,29 @@ class TestValidation:
     def test_degenerate_multiset(self):
         quad = validate_double_representation(2, -1, -1, 2)
         assert quad.degenerate
+
+    def test_only_evidence_is_stored(self):
+        quad = euler_quadruple(2, 1)
+        stored = [f.name for f in dataclasses.fields(quad)]
+        assert stored == ["p", "q", "r", "s", "reduction", "euler_params"]
+        assert (quad.n, quad.primitive, quad.degenerate) == (635318657, True, False)
+
+    def test_broken_identity_rejected_by_the_constructor(self):
+        with pytest.raises(NotEqual):
+            BiquadQuadruple(158, -59, 134, 132)
+
+    def test_parameters_must_regenerate_the_pairs(self):
+        # (3, 1) has reduction 2, as recorded, but gives another quadruple
+        with pytest.raises(ValueError, match="do not regenerate"):
+            BiquadQuadruple(158, -59, 134, 133, euler_params=(3, 1))
+        with pytest.raises(ValueError, match="do not regenerate"):
+            BiquadQuadruple(158, -59, 134, 133, reduction=2, euler_params=(3, 1))
+
+    def test_reduction_must_be_the_parametrized_gcd(self):
+        with pytest.raises(ValueError, match="not the parametrized gcd 1"):
+            BiquadQuadruple(158, -59, 134, 133, reduction=7, euler_params=(2, 1))
+        with pytest.raises(ValueError, match="without euler parameters"):
+            BiquadQuadruple(158, -59, 134, 133, reduction=2)
 
 
 class TestQuarticFactors:
@@ -248,7 +272,7 @@ class TestSearch:
 
     def test_results_are_primitive_distinct_pairs(self):
         for quad in search_double_representations(700, shards=2):
-            assert gcd_many(quad.components()) == 1
+            assert math.gcd(*quad.components()) == 1
             a, b = quad.pairs()
             assert a != b
             assert quad.p**4 + quad.q**4 == quad.r**4 + quad.s**4 == quad.n

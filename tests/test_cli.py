@@ -103,6 +103,8 @@ class TestUsage:
         ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
         ["analyze", "--n", "635318657", "--max-base", "-3"],
         ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
+        ["analyze", "--ab", "2", "1", "--precision", "inf"],
+        ["analyze", "--ab", "2", "1", "--tol", "inf", "--skip-heights"],
     ])
     def test_nonpositive_precision_tol_and_shards(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

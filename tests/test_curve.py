@@ -75,6 +75,12 @@ def test_off_curve_rejected():
         scalar_mul(E17, 2, Point.affine(3, 5))
 
 
+@pytest.mark.parametrize("x, y", [(Fraction(1), None), (None, Fraction(1))])
+def test_half_point_rejected(x, y):
+    with pytest.raises(ValueError, match="both coordinates or neither"):
+        Point(x, y)
+
+
 def small_multiples(E, gens, count=6):
     pts = [INFINITY]
     for g in gens:

@@ -129,9 +129,9 @@ class TestPhiImage:
             phi_image(curve_from_n(17), QUAD21)
 
     def test_factors_must_match(self):
-        wrong = dataclasses.replace(QUAD21, euler_params=(3, 1))
-        with pytest.raises(ValueError, match="quartic factors do not match"):
-            phi_image(E21, wrong)
+        # the quadruple refuses parameters whose factors are not its own
+        with pytest.raises(ValueError, match="do not regenerate the quadruple"):
+            dataclasses.replace(QUAD21, euler_params=(3, 1))
 
     def test_given_factorization_is_used_and_checked(self):
         f = factor(2 * N21)

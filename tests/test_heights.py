@@ -312,7 +312,21 @@ class TestGramDeterminants:
 
     def test_empty_matrix(self):
         g = gram_matrix(E17, [])
-        assert g == GramMatrix(entries=(), determinant=1.0)
+        assert g == GramMatrix(entries=())
+        assert g.determinant == 1.0
+
+    @pytest.mark.parametrize("entries", [((math.nan,),), ((1.0, math.inf), (math.inf, 1.0)), ((1.0, 0.0),)],
+                             ids=["nan", "infinite", "not-square"])
+    def test_malformed_entries_rejected(self, entries):
+        with pytest.raises(ValueError):
+            GramMatrix(entries)
+
+
+@pytest.mark.parametrize("value, error_bound", [(math.nan, 1e-8), (1.0, math.nan), (math.inf, 1e-8),
+                                                (1.0, math.inf), (-1.0, 1e-8), (1.0, -1e-8)])
+def test_height_value_must_be_finite_and_nonnegative(value, error_bound):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        HeightValue(value, error_bound)
 
 
 class TestIndependenceRank:

@@ -1,5 +1,7 @@
 """Root-number closed form and the conditional parity bump."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,7 +56,6 @@ class TestRootNumber:
         rn = root_number(17)
         assert (rn.omega, rn.epsilon, rn.square_part_product) == (1, -1, 1)
         assert rn.justification == "squarefree"
-        assert rn.conditional
 
     def test_reference_even_rank_curve(self):
         rn = root_number(635318657)
@@ -100,9 +101,15 @@ class TestRootNumber:
         with pytest.raises(OutOfDomain):
             root_number(4 * 635318657)
 
-    def test_factor_consistency_enforced_in_dataclass(self):
+    def test_only_evidence_is_stored(self):
+        rn = RootNumber(square_part_product=-1, residue=1, justification="factored")
+        assert [f.name for f in dataclasses.fields(rn)] == ["square_part_product", "residue", "justification"]
+        assert (rn.epsilon, rn.omega) == (-1, -1)
+
+    @pytest.mark.parametrize("spp, residue", [(0, 1), (2, 1), (1, 0), (1, 4), (1, 17), (1, -15)])
+    def test_evidence_no_n_gives_rejected(self, spp, residue):
         with pytest.raises(ValueError):
-            RootNumber(omega=1, epsilon=1, square_part_product=1, residue=1)
+            RootNumber(square_part_product=spp, residue=residue, justification="factored")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=10**6).filter(lambda n: n % 4 != 0))

@@ -1,10 +1,11 @@
 """The benchmark's operations run unedited against the package.
 
 `perfbench/workloads.py` calls the layer modules' public functions in the
-forms `analyze` once used.  Running its `algebraic` operations for one seed
-and the 9- and 19-digit `ladder` operations here makes a change to one of
-those call forms, or to a recorded Gram determinant, fail the test suite,
-not only the benchmark.
+forms `analyze` once used.  Running its `algebraic` operations for one seed,
+the 9- and 19-digit `ladder` operations and the smallest `search` operation
+(base about 1,000) here makes a change to one of those call forms, or to a
+recorded Gram determinant or search hit, fail the test suite, not only the
+benchmark.
 """
 
 import importlib.util
@@ -27,8 +28,8 @@ def _load_workloads():
 workloads = _load_workloads()
 LAYERS, PACKAGE_ERROR = workloads.load_layers()
 # bands are built in order of size: the first two ladder operations are the
-# 9- and 19-digit ones
-OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:2]
+# 9- and 19-digit ones; the first search operation has the smallest base
+OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:2] + workloads.build("search", 1)[:1]
 
 
 def test_package_imports():
