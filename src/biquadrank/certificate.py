@@ -41,6 +41,7 @@ from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
     euler_quadruple,
+    euler_raw_quadruple,
     factor_2n,
     recover_euler_params,
     representations,
@@ -97,7 +98,7 @@ def _with_params(quad: BiquadQuadruple, notes: list[str]) -> BiquadQuadruple:
     if params is None:
         return quad
     notes.append(f"matched parametrization (a, b) = {params}")
-    return replace(quad, euler_params=params, reduction=euler_quadruple(*params).reduction)
+    return replace(quad, euler_params=params, reduction=math.gcd(*euler_raw_quadruple(*params)))
 
 
 def _resolve_quadruples(

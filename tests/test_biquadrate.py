@@ -14,9 +14,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biquadrank.arith import EffortExceeded, FactorEffort, factor, is_square
+from biquadrank.arith import EffortExceeded, FactorEffort, factor, is_probable_prime, is_square
 from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
+    SIEVE_PRIMES,
     BiquadQuadruple,
     NotASquare,
     NotEqual,
@@ -259,9 +260,10 @@ class TestSearch:
         # base 10 has 55 sums, so shards is clamped to 55: one sum per window
         assert search_double_representations(10, shards=1000) == search_double_representations(10)
 
-    @pytest.mark.parametrize("shards, limit_mb", [(1, 24), (4, 12)])
+    @pytest.mark.parametrize("shards, limit_mb", [(1, 14), (4, 4)])
     def test_peak_memory_follows_the_window(self, shards, limit_mb):
-        # the 2,001,000 sums up to base 2000 take 16 MB as int64
+        # the 2,001,000 sums up to base 2000 take 16 MB as int64; pairs that
+        # share a prime of SIEVE_PRIMES are skipped, so about 63% are built
         tracemalloc.start()
         try:
             search_double_representations(2000, shards=shards)
@@ -294,6 +296,27 @@ class TestSearch:
         assert 2 * MAX_SEARCH_BASE**4 < 2**63 <= 2 * (MAX_SEARCH_BASE + 1) ** 4
         with pytest.raises(ValueError, match="int64"):
             search_double_representations(MAX_SEARCH_BASE + 1)
+
+
+class TestSievePrimes:
+    """The lemma behind the pairs the search skips: a prime l != 1 (mod 8)
+    that divides p and q divides r and s whenever p^4 + q^4 = r^4 + s^4."""
+
+    def test_primes_are_not_1_mod_8(self):
+        # adding 17 fails here: 2^4 = -1 (mod 17)
+        assert all(is_probable_prime(ell) and ell % 8 != 1 for ell in SIEVE_PRIMES)
+
+    def test_minus_one_is_no_fourth_power_mod_the_odd_primes(self):
+        for ell in SIEVE_PRIMES:
+            if ell > 2:
+                assert all(pow(x, 4, ell) != ell - 1 for x in range(ell)), ell
+
+    def test_sums_divisible_by_16_have_even_bases(self):
+        assert 2 in SIEVE_PRIMES
+        for x in range(16):
+            for y in range(16):
+                if (x**4 + y**4) % 16 == 0:
+                    assert x % 2 == 0 and y % 2 == 0, (x, y)
 
 
 class TestRepresentations:

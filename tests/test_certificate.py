@@ -394,13 +394,14 @@ class TestTamperDetection:
             {"square_class": "-1", "kind": "point", "data": ["1", "0", "1", "1"]}),
         lambda d: d["quadruples"][0].update(euler_params=["2"]),
         lambda d: d.update(precision="abc"),
-        lambda d: d["quadruples"][0].update(primitive="yes"),
+        lambda d: d["heights"][0].update(value="10.47878552440583"),
+        lambda d: d["root"].update(justification=1),
         lambda d: d.update(seed=5),
         lambda d: d.update(n=None),
         lambda d: d.update(precision=math.inf),
         lambda d: d["points"][0].update(y=None),
     ], ids=["zero-denominator-point", "zero-denominator-witness", "short-euler-params",
-            "string-precision", "string-flag", "numeric-seed", "null-n",
+            "string-precision", "string-height", "numeric-justification", "numeric-seed", "null-n",
             "infinite-precision", "point-without-y"])
     def test_malformed_field_caught_on_parse(self, mutate):
         with pytest.raises(CertificateInvalid, match="malformed"):

@@ -2,10 +2,10 @@
 
 `perfbench/workloads.py` calls the layer modules' public functions in the
 forms `analyze` once used.  Running its `algebraic` operations for one seed,
-the 9- and 19-digit `ladder` operations and the smallest `search` operation
-(base about 1,000) here makes a change to one of those call forms, or to a
-recorded Gram determinant or search hit, fail the test suite, not only the
-benchmark.
+the 9- and 19-digit `ladder` operations and the smallest and largest `search`
+operations (base about 1,000, and about 8,000 in four windows) here makes a
+change to one of those call forms, or to a recorded Gram determinant or
+search hit, fail the test suite, not only the benchmark.
 """
 
 import importlib.util
@@ -28,8 +28,10 @@ def _load_workloads():
 workloads = _load_workloads()
 LAYERS, PACKAGE_ERROR = workloads.load_layers()
 # bands are built in order of size: the first two ladder operations are the
-# 9- and 19-digit ones; the first search operation has the smallest base
-OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:2] + workloads.build("search", 1)[:1]
+# 9- and 19-digit ones; the first search operation has the smallest base and
+# the fifth the largest (base about 8,000 in 4 windows, all 24 recorded hits)
+SEARCH = workloads.build("search", 1)
+OPS = workloads.build("algebraic", 1) + workloads.build("ladder", 1)[:2] + [SEARCH[0], SEARCH[4]]
 
 
 def test_package_imports():
