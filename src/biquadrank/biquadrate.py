@@ -16,7 +16,8 @@ factor_2n splits 2n through them before Pollard rho.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,6 +32,16 @@ MAX_SEARCH_BASE = 46_340
 # Primes l != 1 (mod 8): a pair (p, q) that shares one is in no primitive
 # quadruple (see search_double_representations), so the search skips it.
 SIEVE_PRIMES = (2, 3, 5, 7)
+
+# Search settings; none of them changes the output.  Slices of fewer than
+# SHORT_SLICE sums are built in groups, and sorted sums are compared with
+# their successors, about CHUNK at a time, so no temporary grows with the
+# window.  A window gets one segment, and one thread, per SEGMENT_MIN sums,
+# up to one per CPU: in smaller windows the threads' handoffs of the
+# interpreter lock (about 2 ms a window) cost more than sharing the sort saves.
+CHUNK = 1 << 13
+SHORT_SLICE = 256
+SEGMENT_MIN = 1 << 20
 
 
 class NotEqual(ValueError):
@@ -156,7 +167,17 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     Returns one quadruple per unordered pair of representations, sorted by
     (n, pairs); deterministic.  Sums go into `shards` value windows [L, U) of
     about equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
-    slice, so each sum is built once.
+    slice, so each sum is built once.  Each window is split again into value
+    segments, one per CPU the process may use but none under SEGMENT_MIN
+    sums.  Equal sums share a segment, so each segment is built, sorted and
+    scanned for repeats in its own thread, in its own part of the window's
+    one buffer.  Neither the windows nor the CPU count change the output.
+
+    A window edge or segment cut is a value v whose count of built sums
+    below it is within 1% of a window (or segment) of its target.  Below
+    max_base^4 that count grows like sqrt(v), so a cut is found by false
+    position in sqrt(v), with a bisection every third step: about two count
+    evaluations per cut.
 
     Only sums a primitive quadruple can use are built.  Let l be a prime
     with l != 1 (mod 8) dividing p and q.  For odd l, -1 is not a fourth
@@ -164,7 +185,7 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     forces l | r and l | s; for l = 2, n = 0 (mod 16) forces r and s even.
     Either way l | gcd(p, q, r, s), so pairs sharing a prime of SIEVE_PRIMES
     are skipped: that keeps about prod(1 - 1/l^2) = 0.63 of the sums, and
-    peak memory is about 0.63*8*max_base^2/(2*shards) bytes.
+    peak memory is still about 0.63*8*max_base^2/(2*shards) bytes.
     """
     if max_base < 2:
         raise ValueError("max_base must be at least 2")
@@ -179,48 +200,122 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     q4, past = fourth[1:], np.arange(2, max_base + 2)  # for q = 1..max_base
 
     def first_p(v: int) -> np.ndarray:  # per q: least p >= 1 with p^4 + q^4 >= v, or q + 1
-        return np.clip(np.searchsorted(fourth, v - q4), 1, past)
-
-    def below(v: int) -> int:  # how many sums are below v
-        return int(first_p(v).sum()) - max_base
+        # keys in ascending order (q descending) let each search start from the last
+        p = np.searchsorted(fourth[1:], v - q4[::-1])[::-1] + 1
+        return np.minimum(p, past, out=p)
 
     # The class of x has bit i set when SIEVE_PRIMES[i] divides x.  Row g of
     # `usable` marks the p in 1..max_base that share no such prime with class
-    # g; `kept` holds their p^4, class after class, and rank[g, p] is where
-    # the usable p' >= p of class g start in it.
+    # g; `kept` holds their p^4, class after class, and rank at (g, p) is
+    # where the usable p' >= p of class g start in it.
     x = np.arange(max_base + 2)
     cls = sum((x % ell == 0) << i for i, ell in enumerate(SIEVE_PRIMES))
     usable = (np.arange(1 << len(SIEVE_PRIMES))[:, None] & cls) == 0
     usable[:, 0] = usable[:, -1] = False
     kept = fourth[usable.nonzero()[1]]
-    rank = np.cumsum(usable).reshape(usable.shape) - usable
-    q_cls = cls[1:-1]
+    rank = np.cumsum(usable) - usable.ravel()  # flat: rank[g * (max_base + 2) + p]
+    row = cls[1:-1] * (max_base + 2)  # per q: where the row of its class starts
 
-    def first_kept(v: int) -> np.ndarray:  # per q: first_p(v) as an index into kept
-        return rank[q_cls, first_p(v)]
+    def mark(v: int) -> tuple[int, np.ndarray, int]:
+        """v, the index into kept of each q's first sum >= v, and their total:
+        the sums built below v differ from that total by a constant."""
+        start = rank.take(row + first_p(v))
+        return v, start, int(start.sum())
 
-    def repeated(start: np.ndarray, stop: np.ndarray) -> list[int]:
-        """The sums built twice or more from the kept p^4 in [start, stop) of each q."""
-        window = np.empty(int((stop - start).sum()), dtype=np.int64)
-        lo, hi, pos = start.tolist(), stop.tolist(), 0
-        for i in np.flatnonzero(stop > start).tolist():
-            np.add(kept[lo[i] : hi[i]], q4[i], out=window[pos : pos + hi[i] - lo[i]])
-            pos += hi[i] - lo[i]
-        window.sort()
-        return np.unique(window[1:][window[1:] == window[:-1]]).tolist()
+    def cut(target: int, tol: int, lo: tuple, hi: tuple) -> tuple:
+        """A mark from lo to hi whose total is within tol of target."""
+        for end in (lo, hi):
+            if abs(end[2] - target) <= tol:
+                return end
+        step = 0
+        while hi[0] - lo[0] > 1:  # lo[2] < target - tol and hi[2] > target + tol
+            step += 1
+            if step % 3:
+                a, b = math.sqrt(lo[0]), math.sqrt(hi[0])
+                s = a + (b - a) * (target - lo[2]) / (hi[2] - lo[2])
+                v = min(max(int(s * s), lo[0] + 1), hi[0] - 1)
+            else:
+                v = (lo[0] + hi[0]) // 2
+            mid = mark(v)
+            if abs(mid[2] - target) <= tol:
+                return mid
+            lo, hi = (mid, hi) if mid[2] < target else (lo, mid)
+        return hi
 
+    def split(lower: tuple, upper: tuple, parts: int):
+        """The marks after lower that cut [lower, upper) into `parts` pieces
+        of about equal size, each within 1% of a piece; the last is upper."""
+        base, size = lower[2], upper[2] - lower[2]
+        for k in range(1, parts):
+            lower = cut(base + k * size // parts, size // (100 * parts), lower, upper)
+            yield lower
+        yield upper
+
+    def segment(out: np.ndarray, start: np.ndarray, stop: np.ndarray) -> list[int]:
+        """Build into out the sums from the kept p^4 in [start, stop) of each
+        q, sort them, and return those built twice or more, ascending."""
+        size = stop - start
+        long = np.flatnonzero(size >= SHORT_SLICE)
+        pos = 0
+        for i, lo, hi in zip(long.tolist(), start[long].tolist(), stop[long].tolist()):
+            np.add(kept[lo:hi], q4[i], out=out[pos : pos + hi - lo])  # one add per long slice
+            pos += hi - lo
+        # Short slices go in groups of about CHUNK sums, one gather a group:
+        # each sum's index into kept is its slice's start plus its place in it.
+        short = np.flatnonzero((size > 0) & (size < SHORT_SLICE))
+        ends = np.cumsum(size[short])
+        groups = np.searchsorted(ends, np.arange(CHUNK, len(out) - pos, CHUNK)).tolist()
+        for a, b in zip([0, *groups], [*groups, len(short)]):
+            qs = short[a:b]
+            n = size[qs]
+            part = out[pos : pos + int(n.sum())]
+            at = np.repeat(start[qs] - np.cumsum(n) + n, n)
+            at += np.arange(len(part))
+            np.take(kept, at, out=part)
+            del at
+            part += np.repeat(q4[qs], n)
+            pos += len(part)
+        out.sort()
+        repeats = set()
+        for i in range(0, len(out) - 1, CHUNK):
+            left, right = out[i : i + CHUNK], out[i + 1 : i + CHUNK + 1]
+            repeats.update(right[left[: len(right)] == right].tolist())
+        return sorted(repeats)
+
+    def repeated(marks: list[tuple]) -> list[int]:
+        """The sums built twice or more between the first and last mark: one
+        thread per segment between consecutive marks, the caller running the
+        first, each in its part of one buffer."""
+        sizes = [b[2] - a[2] for a, b in zip(marks, marks[1:])]
+        offsets = np.cumsum([0, *sizes]).tolist()
+        window = np.empty(offsets[-1], dtype=np.int64)
+        found: list[list[int]] = [[] for _ in sizes]
+        errors: list[BaseException] = []
+
+        def run(j: int) -> None:
+            try:
+                part = window[offsets[j] : offsets[j + 1]]
+                found[j] = segment(part, marks[j][1], marks[j + 1][1])
+            except BaseException as exc:  # raised again in the caller below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(1, len(sizes))]
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return [n for part in found for n in part]
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     total, top = max_base * (max_base + 1) // 2, 2 * max_base**4 + 1
-    shards = min(shards, total)
-    edges = [0]  # edge k is the least v with k/shards of the sums below it
-    for k in range(1, shards):
-        edges.append(bisect_left(range(top), k * total // shards, lo=edges[-1], key=below))
-    edges.append(top)
-
     results: list[BiquadQuadruple] = []
-    start = first_kept(0)
-    for upper in edges[1:]:
-        stop = first_kept(upper)
-        for n in repeated(start, stop):
+    lower = mark(0)
+    for upper in split(lower, mark(top), min(shards, total)):
+        parts = min(cpus, max(1, (upper[2] - lower[2]) // SEGMENT_MIN))
+        for n in repeated([lower, *split(lower, upper, parts)]):
             # p <= q  <=>  2 p^4 <= n; then q^4 = n - p^4 is looked up exactly
             ps = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1)
             qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
@@ -231,7 +326,7 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
                 for (p, q), (r, s) in combinations(pairs, 2)
                 if math.gcd(p, q, r, s) == 1
             )
-        start = stop
+        lower = upper
     return results
 
 

@@ -1,19 +1,25 @@
 """Parametrized double representations, quartic factors, and the search.
 
-The search oracle is a pure-dict brute force kept independent of the
-vectorized implementation on purpose.
+The search oracle is a pure-Python brute force kept independent of the
+vectorized implementation on purpose.  The search's CPU count is set by
+monkeypatching `os.sched_getaffinity` and `os.cpu_count`.
 """
 
 import dataclasses
 import functools
 import math
+import os
+import sys
+import threading
 import time
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biquadrank import biquadrate
 from biquadrank.arith import EffortExceeded, FactorEffort, factor, is_probable_prime, is_square
 from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
@@ -218,11 +224,23 @@ class TestFourthPowerWitness:
 
 @functools.cache
 def brute_force_search(max_base: int) -> list[tuple[int, int, int, int, int]]:
-    """Dict-of-lists oracle, no numpy, no dedup tricks."""
-    by_sum: dict[int, list[tuple[int, int]]] = {}
+    """Two pure-Python passes, no numpy: first the sums seen once and the
+    sums seen twice, then the pairs of each sum seen twice."""
+    once: set[int] = set()
+    twice: set[int] = set()
     for q in range(1, max_base + 1):
         for p in range(1, q + 1):
-            by_sum.setdefault(p**4 + q**4, []).append((p, q))
+            n = p**4 + q**4
+            if n in once:
+                twice.add(n)
+            else:
+                once.add(n)
+    by_sum: dict[int, list[tuple[int, int]]] = {n: [] for n in twice}
+    for q in range(1, max_base + 1):
+        for p in range(1, q + 1):
+            n = p**4 + q**4
+            if n in by_sum:
+                by_sum[n].append((p, q))
     out = []
     for n in sorted(by_sum):
         reps = sorted(by_sum[n])
@@ -230,6 +248,14 @@ def brute_force_search(max_base: int) -> list[tuple[int, int, int, int, int]]:
             if math.gcd(math.gcd(p, q), math.gcd(r, s)) == 1:
                 out.append((p, q, r, s, n))
     return out
+
+
+def use_cpus(monkeypatch, cpus: int, segment_min: int = 1) -> None:
+    """Make the search see `cpus` CPUs, and split windows down to segments
+    of `segment_min` sums, so that small bases use every thread too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(biquadrate, "SEGMENT_MIN", segment_min)
 
 
 class TestSearch:
@@ -260,10 +286,13 @@ class TestSearch:
         # base 10 has 55 sums, so shards is clamped to 55: one sum per window
         assert search_double_representations(10, shards=1000) == search_double_representations(10)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("shards, limit_mb", [(1, 14), (4, 4)])
-    def test_peak_memory_follows_the_window(self, shards, limit_mb):
+    def test_peak_memory_follows_the_window(self, monkeypatch, shards, limit_mb, cpus):
         # the 2,001,000 sums up to base 2000 take 16 MB as int64; pairs that
-        # share a prime of SIEVE_PRIMES are skipped, so about 63% are built
+        # share a prime of SIEVE_PRIMES are skipped, so about 63% are built;
+        # segments share their window's buffer, whatever the CPU count
+        use_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:
             search_double_representations(2000, shards=shards)
@@ -271,6 +300,100 @@ class TestSearch:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 2**20
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_cpu_count_is_transparent(self, monkeypatch, shards, cpus):
+        use_cpus(monkeypatch, cpus)
+        got = [
+            (t.p, t.q, t.r, t.s, t.n)
+            for t in search_double_representations(2000, shards=shards)
+        ]
+        assert got == sorted(brute_force_search(2000), key=lambda t: (t[4], t[:4]))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_more_shards_than_sums_on_several_cpus(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        assert search_double_representations(10, shards=1000) == search_double_representations(10)
+
+    @pytest.mark.parametrize("cpus, segment_min, threads", [(3, 1, 2), (5, 1, 4), (3, None, 0)])
+    def test_one_thread_per_segment_besides_the_caller(
+        self, monkeypatch, cpus, segment_min, threads
+    ):
+        # base 2000 in one window holds about 1.25 million sums: one segment
+        # of at least SEGMENT_MIN = 2^20, or one per CPU at a minimum of 1
+        use_cpus(monkeypatch, cpus, segment_min or biquadrate.SEGMENT_MIN)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(biquadrate.threading, "Thread", Counted)
+        assert len(search_double_representations(2000)) == len(brute_force_search(2000))
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_repeats_across_chunk_edges(self, monkeypatch, chunk):
+        # with chunks this small, equal sums meet at a chunk edge, and short
+        # slices are gathered in groups of one or two q
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(biquadrate, "CHUNK", chunk)
+        got = [(t.p, t.q, t.r, t.s, t.n) for t in search_double_representations(300, shards=2)]
+        assert got == sorted(brute_force_search(300), key=lambda t: (t[4], t[:4]))
+
+    def test_segments_under_frequent_thread_switches(self, monkeypatch):
+        # eight segment threads per window, switching every 10 microseconds: a
+        # segment written into another's part of the buffer, or a lost
+        # result, would change the output
+        use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = search_double_representations(2000, shards=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(t.p, t.q, t.r, t.s, t.n) for t in got] == sorted(
+            brute_force_search(2000), key=lambda t: (t[4], t[:4])
+        )
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        three = search_double_representations(2000, shards=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        assert search_double_representations(2000, shards=2) == three
+        assert [t.n for t in three] == [t[4] for t in brute_force_search(2000)]
+
+    def test_real_segment_size_splits_a_large_window(self, monkeypatch):
+        # base 3500 in one window holds about 3.8 million sums: 3 segments
+        # of at least SEGMENT_MIN at 3 or more CPUs, each in its own thread
+        use_cpus(monkeypatch, 1, biquadrate.SEGMENT_MIN)
+        one = search_double_representations(3500)
+        use_cpus(monkeypatch, 5, biquadrate.SEGMENT_MIN)
+        assert search_double_representations(3500) == one
+        assert 155974778565937 in {t.n for t in one}
+
+    def test_a_failing_segment_thread_raises_in_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+
+        class FailsOffTheMainThread:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def flatnonzero(a):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("segment lost")
+                return np.flatnonzero(a)
+
+        monkeypatch.setattr(biquadrate, "np", FailsOffTheMainThread())
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="segment lost"):
+            search_double_representations(2000)
+        assert threading.active_count() == before
 
     def test_results_are_primitive_distinct_pairs(self):
         for quad in search_double_representations(700, shards=2):

@@ -1,5 +1,8 @@
-"""The public API list and the package version."""
+"""The public API list, the package version and what importing loads."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +20,18 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["version"] == biquadrank.__version__ == TOOL_VERSION
+
+
+def test_import_leaves_executor_and_logging_unloaded():
+    # every CLI call pays for the import: the search takes its threads from
+    # `threading` (about 1 ms), while `concurrent.futures` would pull in
+    # `logging` as well (about 12 ms)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, biquadrank; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
