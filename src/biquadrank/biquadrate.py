@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,9 +35,9 @@ SIEVE_PRIMES = (2, 3, 5, 7)
 # Search settings; none of them changes the output.  Slices of fewer than
 # SHORT_SLICE sums are built in groups, and sorted sums are compared with
 # their successors, about CHUNK at a time, so no temporary grows with the
-# window.  A window gets one segment, and one thread, per SEGMENT_MIN sums,
-# up to one per CPU: in smaller windows the threads' handoffs of the
-# interpreter lock (about 2 ms a window) cost more than sharing the sort saves.
+# window.  A search uses one thread per SEGMENT_MIN sums of a window, up to
+# one per CPU: in smaller windows the threads' handoffs of the interpreter
+# lock (about 2 ms a window) cost more than sharing the sort saves.
 CHUNK = 1 << 13
 SHORT_SLICE = 256
 SEGMENT_MIN = 1 << 20
@@ -46,6 +45,10 @@ SEGMENT_MIN = 1 << 20
 
 class NotEqual(ValueError):
     """The two alleged representations sum to different values."""
+
+
+class ZeroBase(ValueError):
+    """A base of the alleged double representation is zero."""
 
 
 class NotASquare(ArithmeticError):
@@ -61,10 +64,11 @@ class BiquadQuadruple:
     """A double representation n = p^4 + q^4 = r^4 + s^4.
 
     Only the evidence is stored, and the constructor checks it: the bases
-    (NotEqual unless the sums agree) and, for a parametrized quadruple,
-    euler_params = (a, b) with the gcd `reduction` divided out of the raw
-    quadruple (ValueError unless the reduced parameters give these pairs
-    and reduction is that gcd; reduction is 1 without parameters).
+    (ZeroBase if one is zero, NotEqual unless the sums agree) and, for a
+    parametrized quadruple, euler_params = (a, b) with the gcd `reduction`
+    divided out of the raw quadruple (ValueError unless the reduced
+    parameters give these pairs and reduction is that gcd; reduction is 1
+    without parameters).
     Derived: n = p^4 + q^4; primitive <=> gcd(p, q, r, s) == 1;
     degenerate <=> {|p|, |q|} == {|r|, |s|} as multisets.
     """
@@ -77,6 +81,8 @@ class BiquadQuadruple:
     euler_params: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if 0 in self.components():
+            raise ZeroBase(f"a base of {self.components()} is zero")
         left, right = self.p**4 + self.q**4, self.r**4 + self.s**4
         if left != right:
             raise NotEqual(f"{left} != {right}")
@@ -170,8 +176,9 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     slice, so each sum is built once.  Each window is split again into value
     segments, one per CPU the process may use but none under SEGMENT_MIN
     sums.  Equal sums share a segment, so each segment is built, sorted and
-    scanned for repeats in its own thread, in its own part of the window's
-    one buffer.  Neither the windows nor the CPU count change the output.
+    scanned for repeats alone, in its part of the window's one buffer, on a
+    thread pool made once per search (or in the caller if one suffices).
+    Neither the windows nor the CPU count change the output.
 
     A window edge or segment cut is a value v whose count of built sums
     below it is within 1% of a window (or segment) of its target.  Below
@@ -195,6 +202,8 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
         )
     if shards < 1:
         raise ValueError("shards must be positive")
+    # imported here, not with the package: it loads logging too (about 12 ms)
+    from concurrent.futures import ThreadPoolExecutor
 
     fourth = np.arange(max_base + 1, dtype=np.int64) ** 4
     q4, past = fourth[1:], np.arange(2, max_base + 2)  # for q = 1..max_base
@@ -282,51 +291,35 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
             repeats.update(right[left[: len(right)] == right].tolist())
         return sorted(repeats)
 
-    def repeated(marks: list[tuple]) -> list[int]:
-        """The sums built twice or more between the first and last mark: one
-        thread per segment between consecutive marks, the caller running the
-        first, each in its part of one buffer."""
-        sizes = [b[2] - a[2] for a, b in zip(marks, marks[1:])]
-        offsets = np.cumsum([0, *sizes]).tolist()
-        window = np.empty(offsets[-1], dtype=np.int64)
-        found: list[list[int]] = [[] for _ in sizes]
-        errors: list[BaseException] = []
-
-        def run(j: int) -> None:
-            try:
-                part = window[offsets[j] : offsets[j + 1]]
-                found[j] = segment(part, marks[j][1], marks[j + 1][1])
-            except BaseException as exc:  # raised again in the caller below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(j,)) for j in range(1, len(sizes))]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return [n for part in found for n in part]
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    total, top = max_base * (max_base + 1) // 2, 2 * max_base**4 + 1
+    lower, last = mark(0), mark(2 * max_base**4 + 1)
+    windows = min(shards, max_base * (max_base + 1) // 2)
+    workers = min(cpus, max(1, (last[2] - lower[2]) // windows // SEGMENT_MIN))
     results: list[BiquadQuadruple] = []
-    lower = mark(0)
-    for upper in split(lower, mark(top), min(shards, total)):
-        parts = min(cpus, max(1, (upper[2] - lower[2]) // SEGMENT_MIN))
-        for n in repeated([lower, *split(lower, upper, parts)]):
-            # p <= q  <=>  2 p^4 <= n; then q^4 = n - p^4 is looked up exactly
-            ps = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1)
-            qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
-            found = fourth[ps] + fourth[qs] == n
-            pairs = zip(ps[found].tolist(), qs[found].tolist())
-            results.extend(
-                BiquadQuadruple(p, q, r, s)
-                for (p, q), (r, s) in combinations(pairs, 2)
-                if math.gcd(p, q, r, s) == 1
-            )
-        lower = upper
+    with ThreadPoolExecutor(workers) as pool:  # starts no thread until used
+        run = pool.map if workers > 1 else map
+        for upper in split(lower, last, windows):
+            marks = [lower, *split(lower, upper, workers)]
+            window = np.empty(upper[2] - lower[2], dtype=np.int64)
+
+            # marks, not views, which a finished pool task would keep alive a while
+            def part(a: tuple, b: tuple) -> list[int]:
+                return segment(window[a[2] - lower[2] : b[2] - lower[2]], a[1], b[1])
+
+            repeated = [n for repeats in run(part, marks, marks[1:]) for n in repeats]
+            del window  # freed before the next window is allocated
+            for n in repeated:
+                # p <= q  <=>  2 p^4 <= n; then q^4 = n - p^4 is looked up exactly
+                ps = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1)
+                qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
+                found = fourth[ps] + fourth[qs] == n
+                pairs = zip(ps[found].tolist(), qs[found].tolist())
+                results.extend(
+                    BiquadQuadruple(p, q, r, s)
+                    for (p, q), (r, s) in combinations(pairs, 2)
+                    if math.gcd(p, q, r, s) == 1
+                )
+            lower = upper
     return results
 
 
@@ -354,8 +347,6 @@ def quartic_factors(a: int, b: int) -> QuarticFactors:
     A and D nonsquare) and the product identity; any failure raises
     PropertyViolation since these hold for all valid parameters.
     """
-    if a == 0 or b == 0:
-        raise ValueError("parameters must be nonzero")
     A = b**4 + 6 * b**2 * a**2 + a**4
     B = b**8 + 2 * b**6 * a**2 + 11 * b**4 * a**4 + 2 * b**2 * a**6 + a**8
     C = b**8 - 4 * b**6 * a**2 + 8 * b**4 * a**4 - 4 * b**2 * a**6 + a**8

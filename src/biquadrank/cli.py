@@ -17,7 +17,7 @@ import sys
 
 from ._version import VERSION
 from .arith import DEFAULT_EFFORT, DEFAULT_SEED, EffortExceeded, FactorEffort
-from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, search_double_representations
+from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, ZeroBase, search_double_representations
 from .certificate import (
     CSV_HEADER,
     CertificateInvalid,
@@ -52,6 +52,7 @@ FAILURES = {
     CertificateInvalid: (EXIT_VERIFY, "verification failure: {}"),
     NoRepresentation: (EXIT_NO_REPRESENTATION, "{}"),
     NotEqual: (EXIT_USAGE, "not a double representation: {}"),
+    ZeroBase: (EXIT_USAGE, "not a double representation: {}"),
     OutOfDomain: (EXIT_USAGE, "{}"),
     Unreadable: (EXIT_IO, "cannot read {}"),
     OSError: (EXIT_IO, "I/O error: {}"),
@@ -86,7 +87,14 @@ def _search_base(text: str) -> int:
     return value
 
 
-_search_base.__name__ = "int"  # argparse names the type in "invalid int value"
+def _nonzero(text: str) -> int:
+    value = int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be positive or negative, got {text}")
+    return value
+
+
+_search_base.__name__ = _nonzero.__name__ = "int"  # argparse names the type in "invalid int value"
 
 FORMATS = ["table", "json-lines", "csv"]
 
@@ -112,8 +120,8 @@ def build_parser() -> _Parser:
     p_an = subs.add_parser("analyze", help="rank certificate for one n")
     group = p_an.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
-    group.add_argument("--pqrs", type=int, nargs=4, metavar=("P", "Q", "R", "S"))
-    group.add_argument("--ab", type=int, nargs=2, metavar=("A", "B"))
+    group.add_argument("--pqrs", type=_nonzero, nargs=4, metavar=("P", "Q", "R", "S"))
+    group.add_argument("--ab", type=_nonzero, nargs=2, metavar=("A", "B"))
     p_an.add_argument("--precision", type=_positive(float), default=1e-8)
     p_an.add_argument("--tol", type=_positive(float), default=1e-3)
     p_an.add_argument("--max-base", type=_positive(int), default=None,

@@ -104,6 +104,12 @@ class TestValidation:
         with pytest.raises(NotEqual):
             validate_double_representation(1, 2, 3, 4)
 
+    @pytest.mark.parametrize("pqrs", [(0, 1, 1, 0), (3, 0, 0, 3), (1, 0, 0, 1), (0, 0, 0, 0)])
+    def test_rejects_a_zero_base(self, pqrs):
+        # p^4 + 0^4 = 0^4 + p^4 is no sum of two biquadrates
+        with pytest.raises(biquadrate.ZeroBase, match="is zero"):
+            validate_double_representation(*pqrs)
+
     def test_flags_common_factor(self):
         quad = validate_double_representation(118, 316, 266, 268)
         assert quad.n == 16 * 635318657
@@ -316,12 +322,15 @@ class TestSearch:
         use_cpus(monkeypatch, cpus)
         assert search_double_representations(10, shards=1000) == search_double_representations(10)
 
-    @pytest.mark.parametrize("cpus, segment_min, threads", [(3, 1, 2), (5, 1, 4), (3, None, 0)])
-    def test_one_thread_per_segment_besides_the_caller(
-        self, monkeypatch, cpus, segment_min, threads
+    @pytest.mark.parametrize("shards, cpus, segment_min, threads", [
+        (1, 3, 1, 3), (1, 5, 1, 5), (1, 3, None, 0), (1000, 3, 1, 3),
+    ])
+    def test_one_worker_thread_per_segment(
+        self, monkeypatch, shards, cpus, segment_min, threads
     ):
-        # base 2000 in one window holds about 1.25 million sums: one segment
-        # of at least SEGMENT_MIN = 2^20, or one per CPU at a minimum of 1
+        # base 2000 holds about 1.25 million sums: one segment per window of
+        # at least SEGMENT_MIN = 2^20 (no pool), or one per CPU at a minimum
+        # of 1; the pool is made once per search, not once per window
         use_cpus(monkeypatch, cpus, segment_min or biquadrate.SEGMENT_MIN)
         started = []
 
@@ -330,8 +339,9 @@ class TestSearch:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(biquadrate.threading, "Thread", Counted)
-        assert len(search_double_representations(2000)) == len(brute_force_search(2000))
+        monkeypatch.setattr(threading, "Thread", Counted)
+        got = search_double_representations(2000, shards=shards)
+        assert len(got) == len(brute_force_search(2000))
         assert len(started) == threads
         assert not any(thread.is_alive() for thread in started)
 

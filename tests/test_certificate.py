@@ -302,6 +302,13 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match="do not regenerate the quadruple"):
             parse_certificate(self.tampered(mutate))
 
+    def test_zero_base_caught(self):
+        def mutate(d):
+            d["quadruples"][0].update(p="0", q="1", r="1", s="0", euler_params=None)
+
+        with pytest.raises(CertificateInvalid, match="is zero"):
+            parse_certificate(self.tampered(mutate))
+
     def test_wrong_torsion_caught(self):
         def mutate(d):
             d["torsion"] = "Z/4Z"

@@ -105,6 +105,10 @@ class TestUsage:
         ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
         ["analyze", "--ab", "2", "1", "--precision", "inf"],
         ["analyze", "--ab", "2", "1", "--tol", "inf", "--skip-heights"],
+        ["analyze", "--ab", "0", "1"],
+        ["analyze", "--ab", "2", "0"],
+        ["analyze", "--pqrs", "0", "1", "1", "0", "--skip-heights"],
+        ["analyze", "--pqrs", "3", "0", "0", "3"],
     ])
     def test_nonpositive_precision_tol_and_shards(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -396,7 +400,8 @@ class TestReport:
         (("2", "4", "4", "2"), EXIT_USAGE, "divisible by 4"),
         (("59", "158", "133", "x"), EXIT_IO, "cannot read input"),
         (("59", "158", "133", "134", "12345"), EXIT_USAGE, "n = 12345 is not 59^4 + 158^4"),
-    ], ids=["unequal-sums", "multiple-of-four", "non-integer-field", "n-not-the-sum"])
+        (("0", "1", "1", "0"), EXIT_USAGE, "a base of (0, 1, 1, 0) is zero"),
+    ], ids=["unequal-sums", "multiple-of-four", "non-integer-field", "n-not-the-sum", "zero-base"])
     def test_bad_input_record_exits_with_one_line(self, capsys, tmp_path, pqrsn, code, message):
         src = tmp_path / "hits.jsonl"
         src.write_text(json.dumps({"record": "quadruple", **dict(zip("pqrsn", pqrsn))}) + "\n")
