@@ -63,7 +63,6 @@ class Factorization:
 
     value: int
     primes: tuple[tuple[int, int], ...]
-    certified: bool
 
     def __post_init__(self):
         prod = 1
@@ -303,7 +302,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         stack.extend([g, c // g])
 
     primes = tuple(sorted(found.items()))
-    return Factorization(value=n, primes=primes, certified=True)
+    return Factorization(value=n, primes=primes)
 
 
 def fourth_power_free_part(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> tuple[int, int]:

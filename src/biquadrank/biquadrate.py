@@ -10,7 +10,9 @@ The classical two-parameter family
 satisfies p^4 + q^4 = r^4 + s^4 identically, and the common value factors as
 A*B*C*D for the quartic forms below.  Both facts are load-bearing: the search
 uses the identity as a cross-check, the descent step uses the factors, and
-factor_2n splits 2n through them before Pollard rho.
+factor_2n splits 2n through them before Pollard rho.  The representations
+of one given n are read from the factorization of 2n, as Gaussian integers
+of norm n, without a search.
 """
 
 from __future__ import annotations
@@ -147,23 +149,46 @@ def validate_double_representation(p: int, q: int, r: int, s: int) -> BiquadQuad
     return BiquadQuadruple(p, q, r, s)
 
 
-def representations(n: int, max_base: int | None = None) -> list[tuple[int, int]]:
-    """All pairs 0 < p <= q with p^4 + q^4 == n, ascending in p.
+def representations(n: int, f: Factorization) -> list[tuple[int, int]]:
+    """All pairs 0 < p <= q with p^4 + q^4 == n, ascending in p, read from f,
+    the factorization of 2n (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.5).
 
-    Exhaustive up to the natural bound n^(1/4); max_base caps the scan.
+    n = X^2 + Y^2 with X = p^2, Y = q^2 is the norm of X + iY.  Up to units,
+    which swap X and Y or flip signs, the Gaussian integers of norm n are
+    the products over the primes l^e of n of (1+i)^e for l = 2, l^(e/2) for
+    l = 3 (mod 4) (none if e is odd), and pi^k conj(pi)^(e-k), 0 <= k <= e,
+    for l = pi conj(pi) = 1 (mod 4).
     """
-    if n < 2:
-        return []
-    bound = math.isqrt(math.isqrt(n))
-    top = math.isqrt(math.isqrt(n // 2))  # 2 p^4 <= n, so p <= q
-    if max_base is not None:
-        bound, top = min(bound, max_base), min(top, max_base)  # p <= q <= max_base
-    out = []
-    for p in range(1, top + 1):
-        q = math.isqrt(math.isqrt(n - p**4))
-        if p**4 + q**4 == n and q <= bound:
-            out.append((p, q))
-    return out
+    if f.value != 2 * n:
+        raise ValueError(f"factorization is not of 2n = {2 * n}")
+
+    def mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+        return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+    norm_n = [(1, 0)]
+    for ell, e in f.primes:
+        if ell == 2:  # (1+i)^2 = 2i, and 2n has one factor 2 more than n
+            h, odd = divmod(e - 1, 2)
+            choices = [(2**h, 2**h * odd)]
+        elif ell % 4 == 3:
+            if e % 2:
+                return []
+            choices = [(ell ** (e // 2), 0)]
+        else:  # Hermite-Serret: Euclid on ell and a root of -1 mod ell stops at x < sqrt(ell)
+            c = 2
+            while pow(c, (ell - 1) // 2, ell) != ell - 1:  # c^((ell-1)/4) squares to -1
+                c += 1
+            a, x = ell, pow(c, (ell - 1) // 4, ell)
+            while x * x > ell:
+                a, x = x, a % x
+            powers = [(1, 0)]
+            for _ in range(e):
+                powers.append(mul(powers[-1], (x, math.isqrt(ell - x * x))))
+            choices = [mul(powers[k], (powers[e - k][0], -powers[e - k][1])) for k in range(e + 1)]
+        norm_n = [mul(z, w) for z in norm_n for w in choices]
+    pairs = {tuple(sorted((math.isqrt(abs(X)), math.isqrt(abs(Y))))) for X, Y in norm_n}
+    return sorted((p, q) for p, q in pairs if p > 0 and p**4 + q**4 == n)
 
 
 def search_double_representations(max_base: int, shards: int = 1) -> list[BiquadQuadruple]:

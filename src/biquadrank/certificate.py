@@ -36,7 +36,7 @@ from types import MappingProxyType, UnionType
 from typing import Mapping, get_args, get_origin, get_type_hints
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor
 from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
@@ -56,7 +56,7 @@ TOOL_VERSION = VERSION
 
 
 class NoRepresentation(ValueError):
-    """n has no (or no usable) double representation within bounds."""
+    """n has no (or no usable) double representation."""
 
 
 class CertificateInvalid(RuntimeError):
@@ -105,30 +105,33 @@ def _resolve_quadruples(
     n: int | None,
     pqrs: tuple[int, int, int, int] | None,
     ab: tuple[int, int] | None,
-    max_base: int | None,
     allow_single: bool,
+    effort: FactorEffort,
     notes: list[str],
-) -> tuple[tuple[BiquadQuadruple, ...], BiquadQuadruple]:
+) -> tuple[tuple[BiquadQuadruple, ...], BiquadQuadruple, Factorization]:
+    """The input's quadruples, the one analyzed, and the factorization of 2n."""
     given = sum(x is not None for x in (n, pqrs, ab))
     if given != 1:
         raise ValueError("exactly one of n, pqrs, ab must be given")
 
-    if ab is not None:
-        quad = euler_quadruple(*ab)
-        if quad.reduction > 1:
-            notes.append(f"parametrized quadruple reduced by common factor {quad.reduction}")
-        return (quad,), quad
+    if n is None:
+        if ab is not None:
+            quad = euler_quadruple(*ab)
+            if quad.reduction > 1:
+                notes.append(f"parametrized quadruple reduced by common factor {quad.reduction}")
+        else:
+            quad = _with_params(validate_double_representation(*pqrs), notes)
+        _check_domain(quad.n)
+        return (quad,), quad, factor_2n(quad, effort)
 
-    if pqrs is not None:
-        quad = _with_params(validate_double_representation(*pqrs), notes)
-        return (quad,), quad
-
-    pairs = representations(n, max_base)
+    _check_domain(n)
+    f2n = factor(2 * n, effort)
+    pairs = representations(n, f2n)
     combos = [validate_double_representation(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2)]
     combos = [quad for quad in combos if quad.primitive]
     if combos:
         combos[0] = _with_params(combos[0], notes)
-        return tuple(combos), combos[0]
+        return tuple(combos), combos[0], f2n
     if len(pairs) >= 2:
         raise NoRepresentation(
             f"all double representations of {n} share a common factor; "
@@ -137,13 +140,20 @@ def _resolve_quadruples(
     if len(pairs) == 1:
         if not allow_single:
             raise NoRepresentation(
-                f"{n} has a single representation {pairs[0]} within bounds; "
+                f"{n} has a single representation {pairs[0]}; "
                 "pass allow_single to analyze it anyway"
             )
         quad = validate_double_representation(*pairs[0], *pairs[0])
         notes.append("single representation: two-point certificate only")
-        return (quad,), quad
-    raise NoRepresentation(f"no representation of {n} as p^4 + q^4 within bounds")
+        return (quad,), quad, f2n
+    raise NoRepresentation(f"no representation of {n} as p^4 + q^4")
+
+
+def _check_domain(n: int) -> None:
+    if n <= 0:
+        raise NoRepresentation(f"n = {n} is not a sum of two positive fourth powers")
+    if n % 4 == 0:
+        raise OutOfDomain(f"n = {n} is divisible by 4; analyze the quartic twist n/16 instead")
 
 
 def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
@@ -191,37 +201,25 @@ def analyze(
     precision: float = 1e-8,
     tol: float = 1e-3,
     effort: FactorEffort = DEFAULT_EFFORT,
-    max_base: int | None = None,
     allow_single: bool = False,
     skip_heights: bool = False,
 ) -> RankCertificate:
     """Build and internally verify a rank certificate.
 
     Raises NoRepresentation when the input does not resolve to a double
-    representation, OutOfDomain for n divisible by 4 (twist-normalize
-    first), and PropertyViolation if the assembled bounds are inconsistent.
+    representation (n <= 0 among them), OutOfDomain for n divisible by 4
+    (twist-normalize first), EffortExceeded when 2n does not factor within
+    effort, and PropertyViolation if the assembled bounds are inconsistent.
     """
     notes: list[str] = []
     timings: dict[str, float] = {}
 
-    if n is not None and n % 4 == 0:
-        raise OutOfDomain(
-            f"n = {n} is divisible by 4; analyze the quartic twist n/16 instead"
-        )
     t0 = time.perf_counter()
-    quadruples, quad = _resolve_quadruples(n, pqrs, ab, max_base, allow_single, notes)
+    quadruples, quad, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort, notes)
     n = quad.n
-    if n % 4 == 0:
-        raise OutOfDomain(
-            f"n = {n} is divisible by 4; analyze the quartic twist n/16 instead"
-        )
     E = curve_from_n(n)
     points = tuple(dict.fromkeys(constructed_points(quad)))  # distinct, in order
     timings["resolve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    f2n = factor_2n(quad, effort)
-    timings["factor"] = time.perf_counter() - t0
 
     heights: tuple[HeightValue, ...] = ()
     gram: GramMatrix | None = None

@@ -124,8 +124,6 @@ def build_parser() -> _Parser:
     group.add_argument("--ab", type=_nonzero, nargs=2, metavar=("A", "B"))
     p_an.add_argument("--precision", type=_positive(float), default=1e-8)
     p_an.add_argument("--tol", type=_positive(float), default=1e-3)
-    p_an.add_argument("--max-base", type=_positive(int), default=None,
-                      help="cap the representation scan for --n")
     p_an.add_argument("--allow-single", action="store_true",
                       help="analyze n with a single representation instead of exiting 3")
     p_an.add_argument("--skip-heights", action="store_true")
@@ -208,7 +206,6 @@ def _run_analysis(args, *, n=None, pqrs=None, ab=None):
         precision=args.precision,
         tol=args.tol,
         effort=_effort(args),
-        max_base=getattr(args, "max_base", None),
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
     )

@@ -14,7 +14,7 @@ N^2 = b1 M^4 + b2 e^4 with b1 b2 = b.  No torseur solving is attempted:
 only witnesses that exist in closed form for n = p^4 + q^4 are used.
 
 Square classes are canonicalized to signed squarefree integers once, at
-construction, from the primes of the one certified factorization of 2n.
+construction, from the primes of the one complete factorization of 2n.
 The classes read there, of n and of the quartic factor B*D (which
 divides the raw n*g^4, g the reduction), have all their primes of odd
 exponent among them, so reading a class is division by known primes plus
@@ -69,13 +69,11 @@ def square_class(m: int, primes: tuple[int, ...]) -> int:
 
 
 def _primes_of_2n(n: int, f: Factorization | None) -> tuple[int, ...]:
-    """The primes of 2n from its certified factorization f (factored when None)."""
+    """The primes of 2n from its factorization f (factored when None)."""
     if f is None:
         f = factor(2 * n)
     if f.value != 2 * n:
         raise ValueError("factorization is not of 2n")
-    if not f.certified:
-        raise ValueError("factorization must be certified complete")
     return f.distinct_primes()
 
 
@@ -184,7 +182,7 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     When the quadruple carries generating parameters, the quartic factor
     class B*D joins via the fourth-power identity BD - b^4 AC = N^2, and
     the span has order eight.  Every class is read from the primes of the
-    certified factorization f of 2n (when None, factor_2n(quad) computes it).
+    factorization f of 2n (when None, factor_2n(quad) computes it).
     """
     n = quad.n
     if E.n != n:

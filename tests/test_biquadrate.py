@@ -452,24 +452,67 @@ class TestSievePrimes:
                     assert x % 2 == 0 and y % 2 == 0, (x, y)
 
 
+def scan_representations(n: int, sieve: int = 1) -> list[tuple[int, int]]:
+    """Oracle: every p <= (n/2)^(1/4), ascending, with q = isqrt(isqrt(n - p^4))
+    checked exactly.  With a sieve modulus M only the p with n - p^4 a
+    fourth power mod M are tried; no pair is lost, since n - p^4 = q^4."""
+    top = math.isqrt(math.isqrt(n // 2))
+    fourth = (np.arange(sieve) ** 2 % sieve) ** 2 % sieve
+    residues = np.flatnonzero(np.isin((n % sieve - fourth) % sieve, fourth)).tolist()
+    out = []
+    for base in range(0, top + 1, sieve):
+        for p in residues:
+            p += base
+            if p > top:
+                break
+            q = math.isqrt(math.isqrt(n - p**4))
+            if p > 0 and p**4 + q**4 == n:
+                out.append((p, q))
+    return out
+
+
+# fourth powers are 5, 11 and 19 of the residues mod 17, 41 and 73
+FAMILY_SIEVE = 17 * 41 * 73
+
+
 class TestRepresentations:
     def test_known_values(self):
-        assert representations(17) == [(1, 2)]
-        assert representations(635318657) == [(59, 158), (133, 134)]
-        assert representations(2) == [(1, 1)]
-        assert representations(1) == []
-        assert representations(3) == []
+        for n, pairs in [(17, [(1, 2)]), (635318657, [(59, 158), (133, 134)]), (2, [(1, 1)]),
+                         (1, []), (3, [])]:
+            assert representations(n, factor(2 * n)) == pairs
+        with pytest.raises(ValueError):
+            representations(17, factor(17))
 
-    def test_max_base_cap(self):
-        # the cap bounds the larger element, mirroring the search semantics
-        assert representations(635318657, max_base=100) == []
-        assert representations(635318657, max_base=140) == [(133, 134)]
-        assert representations(17, max_base=1) == []
-        # p <= q <= max_base, so the p loop stops at max_base: without the
-        # cap, a 29-digit n scans about 8.4 million p
+    def test_matches_the_scan_to_20000(self):
+        for n in range(1, 20_001):  # multiples of 4 and of 16 included
+            assert representations(n, factor(2 * n)) == scan_representations(n), n
+
+    def test_matches_the_scan_on_search_hits(self):
+        hits = {quad.n for quad in search_double_representations(2000)}
+        assert len(hits) == 8
+        for n in hits:
+            expected = scan_representations(n)
+            assert scan_representations(n, FAMILY_SIEVE) == expected
+            assert representations(n, factor(2 * n)) == expected
+
+    def test_matches_the_scan_on_the_family(self):
+        scan = functools.cache(lambda n: scan_representations(n, FAMILY_SIEVE))  # (b, a) gives n again
+        for a in range(1, 9):
+            for b in range(1, 9):
+                if a != b and math.gcd(a, b) == 1:
+                    quad = euler_quadruple(a, b)
+                    pairs = representations(quad.n, factor_2n(quad))
+                    assert pairs == scan(quad.n), (a, b)
+                    assert set(quad.pairs()) <= set(pairs)
+
+    def test_42_digit_family_n_is_fast(self):
+        # the scan would try about 3 * 10^10 values of p here
+        quad = euler_quadruple(31, 17)
         start = time.perf_counter()
-        assert representations(10**28 + 7, max_base=1000) == []
-        assert time.perf_counter() - start < 0.5
+        pairs = representations(quad.n, factor(2 * quad.n))
+        assert time.perf_counter() - start < 1
+        assert len(str(quad.n)) == 42
+        assert pairs == sorted(quad.pairs())
 
 
 class TestRecoverEulerParams:

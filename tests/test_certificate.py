@@ -73,8 +73,9 @@ class TestAnalyzeEntryPoints:
         assert any("single representation" in note for note in cert.notes)
 
     def test_no_representation_at_all(self):
-        with pytest.raises(NoRepresentation):
-            analyze(n=12345)
+        for n in (12345, 0, -4, -5):  # n <= 0 is refused before it is factored
+            with pytest.raises(NoRepresentation):
+                analyze(n=n)
 
     def test_scaled_n_rejected_as_out_of_domain(self):
         with pytest.raises(OutOfDomain):
@@ -85,10 +86,6 @@ class TestAnalyzeEntryPoints:
             analyze(n=17, ab=(2, 1))
         with pytest.raises(ValueError):
             analyze()
-
-    def test_max_base_limits_the_scan(self):
-        with pytest.raises(NoRepresentation):
-            analyze(n=635318657, max_base=100)
 
     def test_seed_recorded_is_the_factoring_seed(self):
         assert analyze(ab=(2, 1), skip_heights=True, effort=FactorEffort(seed=7)).seed == 7
@@ -109,7 +106,8 @@ class TestAnalyzeEntryPoints:
 
 
 class TestOnePass:
-    def test_each_fact_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("given", [{"ab": (2, 1)}, {"n": 635318657}], ids=["ab", "n"])
+    def test_each_fact_computed_once(self, monkeypatch, given):
         def counting(real, log):
             def wrapper(*args, **kwargs):
                 log.append(args[0] if real is factor else (args[1].x, args[1].y))
@@ -126,13 +124,13 @@ class TestOnePass:
             if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
                 monkeypatch.setattr(mod, "factor", counting(factor, factored))
 
-        cert = analyze(ab=(2, 1))
+        cert = analyze(**given)
         # 4 points and 6 pairwise sums, each evaluated once; the Gram
         # diagonal is the points' heights, so no doubles are evaluated
         assert len(series) == len(set(series)) == 10
-        # 2n once: heights, both descent images (n and the quartic class
-        # B*D) and the upper bound read its primes; torsion and the coprime
-        # root number need no factoring
+        # 2n once: the representations of an n, heights, both descent
+        # images (n and the quartic class B*D) and the upper bound read its
+        # primes; torsion and the coprime root number need no factoring
         assert factored == [2 * cert.n]
 
 

@@ -90,6 +90,7 @@ class TestUsage:
         ["verify-paper", "--factor-effort", "5"],
         ["verify-paper", "--cache", "c.jsonl"],
         ["verify-paper", "--format", "csv"],
+        ["analyze", "--n", "635318657", "--max-base", "100"],
     ])
     def test_flags_a_subcommand_does_not_read(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -101,7 +102,6 @@ class TestUsage:
         ["analyze", "--ab", "2", "1", "--precision", "-1", "--skip-heights"],
         ["search", "--max-base", "200", "--shards", "0"],
         ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
-        ["analyze", "--n", "635318657", "--max-base", "-3"],
         ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
         ["analyze", "--ab", "2", "1", "--precision", "inf"],
         ["analyze", "--ab", "2", "1", "--tol", "inf", "--skip-heights"],
@@ -189,6 +189,10 @@ class TestAnalyze:
         rc, _, err = run(capsys, "analyze", "--n", "17")
         assert rc == EXIT_NO_REPRESENTATION
         assert "single representation" in err
+        for n in ("0", "-4", "-5"):  # no representation at all, and no traceback
+            rc, _, err = run(capsys, "analyze", "--n", n)
+            assert rc == EXIT_NO_REPRESENTATION
+            assert err == f"biquadrank analyze: n = {n} is not a sum of two positive fourth powers\n"
 
     def test_allow_single_emits_certificate(self, capsys):
         rc, out, _ = run(
