@@ -122,6 +122,8 @@ def _resolve_quadruples(
         else:
             quad = _with_params(validate_double_representation(*pqrs), notes)
         _check_domain(quad.n)
+        if quad.degenerate and not allow_single:
+            raise _single(quad.n, quad.pairs()[0])
         return (quad,), quad, factor_2n(quad, effort)
 
     _check_domain(n)
@@ -139,14 +141,15 @@ def _resolve_quadruples(
         )
     if len(pairs) == 1:
         if not allow_single:
-            raise NoRepresentation(
-                f"{n} has a single representation {pairs[0]}; "
-                "pass allow_single to analyze it anyway"
-            )
+            raise _single(n, pairs[0])
         quad = validate_double_representation(*pairs[0], *pairs[0])
         notes.append("single representation: two-point certificate only")
         return (quad,), quad, f2n
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4")
+
+
+def _single(n: int, pair: tuple[int, int]) -> NoRepresentation:
+    return NoRepresentation(f"{n} has a single representation {pair}; pass allow_single to analyze it anyway")
 
 
 def _check_domain(n: int) -> None:

@@ -26,12 +26,16 @@ Each part runs at the precision it needs (C the tail constant, h_0 the
 first term log max(|u_0|, |w_0|)):
 
 * Logs and the sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
-  precision * 10^-17.  A term rounds s_k (moving log s_k by at most
-  10^(1-d)), the logs, gamma_k and the partial sum, all below 2C + h_0 in
-  size, each by a relative 10^(1-d); K terms add at most that.
-* The orbit: each step is budgeted a loss of L = 2*digits(b) + 4 digits, so
-  it starts at 30 + K*L digits and after step k continues at
-  30 + (K-k-1)*L; an error made then only has to survive the steps left.
+  precision * 10^-17.  A term rounds s_k / m_k^4 (moving its log by at
+  most 10^(1-d)), the logs, gamma_k and the partial sum, all below
+  2C + h_0 in size, each by a relative 10^(1-d); K terms add at most that.
+* The orbit: integers (U, W) on one shared power-of-two scale, from the
+  exact (u_0, w_0).  A step records s_k = max(|F|, |G|) and
+  m_k = max(|U|, |W|) (F, G are homogeneous of degree 4, so D_k is
+  log(s_k / m_k^4)), then shifts F and G right together to keep 10D/3 + 2
+  bits of s_k, D = 30 + (K-k-1)*L with a loss budget of L = 2*digits(b) + 4
+  digits per step: its one rounding moves U, W by under 10^-D max(|U|, |W|)
+  and only has to survive the steps left.
 * The trackers: a cancellation c_k <= r is read exactly while the modulus
   exceeds p^r, and each step loses c_k digits, so after a step the residues
   are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
@@ -191,8 +195,7 @@ def _cancellations(A: int, u0: int, w0: int, bad: tuple[int, ...], steps: int) -
 
 def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
     A = E.b
-    x = P.x
-    u0, w0 = x.numerator, x.denominator
+    u0, w0 = P.x.numerator, P.x.denominator
     scale = max(abs(u0), abs(w0))
     c_tail = _tail_constant(A)
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
@@ -201,30 +204,27 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     cancellations = _cancellations(A, u0, w0, bad, K)
     loss = 2 * len(str(abs(A))) + 4
     sizes = []
-    with mp.workdps(30 + K * loss):
-        U = mpf(u0) / scale
-        W = mpf(w0) / scale
-        Amp = mpf(A)
-        for left in range(K - 1, -1, -1):
-            t = U * U - Amp * W * W
-            fu = t * t
-            gw = 4 * U * W * (U * U + Amp * W * W)
-            s = max(abs(fu), abs(gw))
-            sizes.append(s)
-            mp.dps = 30 + left * loss
-            U, W = fu / s, gw / s
+    U, W = u0, w0
+    for left in range(K - 1, -1, -1):
+        UU, AWW = U * U, A * W * W
+        F = (UU - AWW) ** 2
+        G = 4 * U * W * (UU + AWW)
+        s = max(abs(F), abs(G))
+        sizes.append((s, max(abs(U), abs(W))))
+        shift = max(0, s.bit_length() - (30 + left * loss) * 10 // 3 - 2)
+        U, W = F >> shift, G >> shift
     # digits for the logs and the sum, see the module docstring
     d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(scale) + 1) / precision))
     with mp.workdps(d):
         logs = {p: mp.log(p) for p in set().union(*cancellations)}
         total = mp.log(scale)
         weight = mpf(1)
-        for s, cs in zip(sizes, cancellations):
+        for (s, m), cs in zip(sizes, cancellations):
             weight /= 4
             gamma = mpf(0)
             for p, c in cs.items():
                 gamma += c * logs[p]
-            total += weight * (mp.log(s) - gamma)
+            total += weight * (mp.log(mpf(s) / mpf(m) ** 4) - gamma)
         return HeightValue(float(total), precision)
 
 

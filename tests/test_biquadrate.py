@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -328,22 +329,29 @@ class TestSearch:
     def test_one_worker_thread_per_segment(
         self, monkeypatch, shards, cpus, segment_min, threads
     ):
-        # base 2000 holds about 1.25 million sums: one segment per window of
-        # at least SEGMENT_MIN = 2^20 (no pool), or one per CPU at a minimum
-        # of 1; the pool is made once per search, not once per window
+        # base 2000 builds about 790,000 sums: one segment per window under
+        # SEGMENT_MIN = 2^20 (no pool), or one per CPU at a minimum of 1.  The
+        # pool is made once per search, so at most one thread per CPU runs
+        # segments; the executor may reuse an idle thread, so fewer may
         use_cpus(monkeypatch, cpus, segment_min or biquadrate.SEGMENT_MIN)
-        started = []
+        ran = []  # the thread that ran each segment
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def recording(fn):
+            def run(*args):
+                ran.append(threading.current_thread())
+                return fn(*args)
 
-        monkeypatch.setattr(threading, "Thread", Counted)
+            return run
+
+        pool_map = ThreadPoolExecutor.map
+        monkeypatch.setattr(ThreadPoolExecutor, "map", lambda pool, fn, *its: pool_map(pool, recording(fn), *its))
+        monkeypatch.setattr(biquadrate, "map", lambda fn, *its: map(recording(fn), *its), raising=False)
         got = search_double_representations(2000, shards=shards)
         assert len(got) == len(brute_force_search(2000))
-        assert len(started) == threads
-        assert not any(thread.is_alive() for thread in started)
+        assert len(ran) == shards * max(threads, 1)
+        pool_threads = {thread for thread in ran if thread is not threading.main_thread()}
+        assert 1 <= len(pool_threads) <= cpus if threads else not pool_threads
+        assert not any(thread.is_alive() for thread in pool_threads)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_repeats_across_chunk_edges(self, monkeypatch, chunk):

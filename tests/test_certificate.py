@@ -72,6 +72,16 @@ class TestAnalyzeEntryPoints:
         assert cert.heuristic_upper == 3
         assert any("single representation" in note for note in cert.notes)
 
+    @pytest.mark.parametrize("given", [{"pqrs": (1, 2, 2, 1)}, {"pqrs": (1, 2, 1, 2)}, {"ab": (1, 1)}],
+                             ids=["pqrs-1-2-2-1", "pqrs-1-2-1-2", "ab-1-1"])
+    def test_degenerate_quadruple_needs_opt_in(self, given):
+        # {1, 2} twice is 17's single representation, however it is given
+        with pytest.raises(NoRepresentation, match=r"17 has a single representation \(1, 2\)"):
+            analyze(**given)
+        cert = analyze(**given, allow_single=True, skip_heights=True)
+        assert cert.n == 17 and cert.quadruples[0].degenerate
+        assert cert.unconditional_lower == 2
+
     def test_no_representation_at_all(self):
         for n in (12345, 0, -4, -5):  # n <= 0 is refused before it is factored
             with pytest.raises(NoRepresentation):

@@ -194,6 +194,16 @@ class TestAnalyze:
             assert rc == EXIT_NO_REPRESENTATION
             assert err == f"biquadrank analyze: n = {n} is not a sum of two positive fourth powers\n"
 
+    @pytest.mark.parametrize("given", [["--pqrs", "1", "2", "2", "1"], ["--pqrs", "1", "2", "1", "2"],
+                                       ["--ab", "1", "1"]], ids="-".join)
+    def test_degenerate_quadruple_exits_3(self, capsys, given):
+        rc, out, err = run(capsys, "analyze", *given)
+        assert (rc, out) == (EXIT_NO_REPRESENTATION, "")
+        assert err == ("biquadrank analyze: 17 has a single representation (1, 2); "
+                       "pass allow_single to analyze it anyway\n")
+        rc, out, _ = run(capsys, "analyze", *given, "--allow-single", "--skip-heights")
+        assert rc == EXIT_OK and "(single)" in out
+
     def test_allow_single_emits_certificate(self, capsys):
         rc, out, _ = run(
             capsys,

@@ -9,7 +9,7 @@ import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
 from biquadrank import heights
 from biquadrank.arith import EffortExceeded, FactorEffort, factor
@@ -58,6 +58,49 @@ PTS21 = constructed_points(QUAD21)
 
 def heights_on(E, precision):
     return Heights(E, precision, factor(2 * abs(E.b)).distinct_primes())
+
+
+def series_budget(E: Curve, precision: float) -> tuple[int, int]:
+    """The series' term count K and its orbit loss per step L in digits."""
+    c_tail = heights._tail_constant(E.b)
+    K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
+    return K, 2 * len(str(abs(E.b))) + 4
+
+
+def mpf_series_height(E: Curve, P: Point, precision: float) -> float:
+    """The series with its real orbit in mpf: normalised to max(|U|, |W|) = 1
+    at 30 + K*L digits, dividing by s_k after each step and dropping L
+    digits, then one log of s_k per term."""
+    A = E.b
+    u0, w0 = P.x.numerator, P.x.denominator
+    scale = max(abs(u0), abs(w0))
+    K, loss = series_budget(E, precision)
+    cancellations = heights._cancellations(A, u0, w0, factor(2 * abs(A)).distinct_primes(), K)
+    sizes = []
+    with mp.workdps(30 + K * loss):
+        U, W = mpf(u0) / scale, mpf(w0) / scale
+        for left in range(K - 1, -1, -1):
+            t = U * U - A * W * W
+            fu = t * t
+            gw = 4 * U * W * (U * U + A * W * W)
+            s = max(abs(fu), abs(gw))
+            sizes.append(s)
+            mp.dps = 30 + left * loss
+            U, W = fu / s, gw / s
+    c_tail = heights._tail_constant(A)
+    with mp.workdps(18 + math.ceil(math.log10(K * (2 * c_tail + math.log(scale) + 1) / precision))):
+        total = mp.log(scale)
+        for k, (s, cs) in enumerate(zip(sizes, cancellations)):
+            gamma = sum(c * mp.log(p) for p, c in cs.items())
+            total += (mp.log(s) - gamma) / mpf(4) ** (k + 1)
+        return float(total)
+
+
+# non-torsion points on family curves (b = -n) and on curves with b > 0
+ORACLE_POINTS = [(E17, P17), (E17, Q17), (Curve(3), Point.affine(1, 2)), (Curve(14), Point.affine(2, 6)),
+                 (Curve(66), Point.affine(3, 15))]
+ORACLE_POINTS += [(curve_from_n(euler_quadruple(*ab).n), P) for ab in ((2, 1), (5, 3), (1, 11))
+                  for P in constructed_points(euler_quadruple(*ab))[:2]]
 
 
 class TestCanonicalHeight:
@@ -156,6 +199,51 @@ class TestWorkingPrecision:
         quad = euler_quadruple(1, 11)
         canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
         assert seen and max(seen) <= 40
+
+    def test_orbit_runs_on_integers(self, monkeypatch):
+        # the real orbit needs no mpf: mpmath's precision is never set above
+        # the term precision, and no mpf division runs above it either, so a
+        # 1,000-digit mpf orbit (two divisions per step) fails here
+        digits, divisions = [], []
+        ctx = type(mp)
+        for name in ("prec", "dps"):
+            prop = getattr(ctx, name)
+
+            def recording(self, value, fset=prop.fset):
+                fset(self, value)
+                digits.append(self.dps)
+
+            monkeypatch.setattr(ctx, name, property(prop.fget, recording))
+        truediv = mp.mpf.__truediv__
+
+        def dividing(self, other):
+            divisions.append(mp.dps)
+            return truediv(self, other)
+
+        monkeypatch.setattr(mp.mpf, "__truediv__", dividing)
+        quad = euler_quadruple(1, 11)
+        canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
+        assert digits and max(digits) <= 40
+        assert divisions and max(divisions) <= 40
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=st.sampled_from(ORACLE_POINTS), k=st.integers(min_value=1, max_value=20),
+           precision=st.sampled_from([1e-4, 1e-8, 1e-20]))
+    def test_integer_orbit_matches_the_mpf_orbit(self, point, k, precision):
+        E, P = point
+        Q = scalar_mul(E, k, P)
+        got = canonical_height(E, Q, precision).value
+        assert abs(got - mpf_series_height(E, Q, precision)) <= precision
+
+    def test_start_above_the_orbit_budget(self):
+        # x(13 P) has more digits than the orbit keeps at 1e-4, so the first
+        # shift of the integer orbit truncates the exact start
+        Q = scalar_mul(E17, 13, P17)
+        K, loss = series_budget(E17, 1e-4)
+        assert len(str(Q.x.numerator)) > 30 + K * loss
+        got = canonical_height(E17, Q, 1e-4).value
+        assert abs(got - mpf_series_height(E17, Q, 1e-4)) <= 1e-4
+        assert abs(got - 169 * canonical_height(E17, P17, 1e-10).value) <= 1e-4
 
 
 def exact_gcds(b: int, u: int, w: int, steps: int) -> list[int]:
