@@ -25,17 +25,27 @@ bound |D_k| on the unit box), so the series is truncated rigorously.
 Each part runs at the precision it needs (C the tail constant, h_0 the
 first term log max(|u_0|, |w_0|)):
 
-* Logs and the sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
-  precision * 10^-17.  A term rounds s_k / m_k^4 (moving its log by at
-  most 10^(1-d)), the logs, gamma_k and the partial sum, all below
-  2C + h_0 in size, each by a relative 10^(1-d); K terms add at most that.
+* The sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
+  precision * 10^-17.  With m_k = max(|U_k|, |W_k|) on the orbit below and
+  sh_k the right shift of step k, s_k = m_{k+1} 2^sh_k (1 + eps_k), so the
+  sum telescopes (m_0 = max(|u_0|, |w_0|)) to
+
+      h^(P) = 4^-K (log m_K + S log 2 - sum_p C_p log p)
+              + sum_k 4^-(k+1) log(1 + eps_k) + tail,
+
+  S = sum_k sh_k 4^(K-1-k) and C_p = sum_k c_{k,p} 4^(K-1-k) exact
+  integers.  A shift keeps 10D/3 + 2 bits of s_k, so |eps_k| < 2 * 10^-D
+  (0 without a shift) and the eps terms, under 4^-K 10^-29, are dropped.
+  The logs of m_K, 2 and each p, the products and the sums are 6 + 4w
+  roundings (w primes with a cancellation), each a relative 10^(1-d) of a
+  value at most 4^K (2C + h_0); after the exact scaling by 4^-K they add
+  at most (1 + w/2) * precision * 10^-17.
 * The orbit: integers (U, W) on one shared power-of-two scale, from the
-  exact (u_0, w_0).  A step records s_k = max(|F|, |G|) and
-  m_k = max(|U|, |W|) (F, G are homogeneous of degree 4, so D_k is
-  log(s_k / m_k^4)), then shifts F and G right together to keep 10D/3 + 2
-  bits of s_k, D = 30 + (K-k-1)*L with a loss budget of L = 2*digits(b) + 4
-  digits per step: its one rounding moves U, W by under 10^-D max(|U|, |W|)
-  and only has to survive the steps left.
+  exact (u_0, w_0), where D_k = log(s_k / m_k^4) as F, G are homogeneous.
+  A step shifts F and G right together to keep 10D/3 + 2 bits of s_k,
+  D = 30 + (K-k-1)*L with a loss budget of L = 2*digits(b) + 4 digits per
+  step: its one rounding moves U, W by under 10^-D max(|U|, |W|) and only
+  has to survive the steps left.
 * The trackers: a cancellation c_k <= r is read exactly while the modulus
   exceeds p^r, and each step loses c_k digits, so after a step the residues
   are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
@@ -58,7 +68,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .arith import DEFAULT_EFFORT, FactorEffort, factor
 from .biquadrate import PropertyViolation
@@ -125,10 +135,9 @@ class GramMatrix:
 
 
 def _is_torsion(E: Curve, P: Point) -> bool:
-    """Rational torsion here has order dividing 4, so check 4P == O."""
+    """Rational torsion here has order dividing 4, so check 4P == O: 2P is O or has y = 0."""
     Q = _add_unchecked(E, P, P)
-    Q = _add_unchecked(E, Q, Q)
-    return Q.is_infinity
+    return Q.is_infinity or Q.y == 0
 
 
 def _tail_constant(A: int) -> float:
@@ -196,36 +205,26 @@ def _cancellations(A: int, u0: int, w0: int, bad: tuple[int, ...], steps: int) -
 def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
     A = E.b
     u0, w0 = P.x.numerator, P.x.denominator
-    scale = max(abs(u0), abs(w0))
     c_tail = _tail_constant(A)
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
-    cancellations = _cancellations(A, u0, w0, bad, K)
     loss = 2 * len(str(abs(A))) + 4
-    sizes = []
-    U, W = u0, w0
-    for left in range(K - 1, -1, -1):
+    U, W, shifts, gammas = u0, w0, 0, {}  # shifts and gammas: S and C_p of the module docstring
+    for left, cs in zip(range(K - 1, -1, -1), _cancellations(A, u0, w0, bad, K)):
         UU, AWW = U * U, A * W * W
         F = (UU - AWW) ** 2
         G = 4 * U * W * (UU + AWW)
-        s = max(abs(F), abs(G))
-        sizes.append((s, max(abs(U), abs(W))))
-        shift = max(0, s.bit_length() - (30 + left * loss) * 10 // 3 - 2)
+        shift = max(0, max(abs(F), abs(G)).bit_length() - (30 + left * loss) * 10 // 3 - 2)
+        shifts = 4 * shifts + shift
+        for p, c in cs.items():
+            gammas[p] = gammas.get(p, 0) + (c << 2 * left)
         U, W = F >> shift, G >> shift
     # digits for the logs and the sum, see the module docstring
-    d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(scale) + 1) / precision))
+    d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(max(abs(u0), abs(w0))) + 1) / precision))
     with mp.workdps(d):
-        logs = {p: mp.log(p) for p in set().union(*cancellations)}
-        total = mp.log(scale)
-        weight = mpf(1)
-        for (s, m), cs in zip(sizes, cancellations):
-            weight /= 4
-            gamma = mpf(0)
-            for p, c in cs.items():
-                gamma += c * logs[p]
-            total += weight * (mp.log(mpf(s) / mpf(m) ** 4) - gamma)
-        return HeightValue(float(total), precision)
+        total = mp.log(max(abs(U), abs(W))) + mp.ln2 * shifts - sum(mp.log(p) * c for p, c in gammas.items())
+        return HeightValue(float(mp.ldexp(total, -2 * K)), precision)
 
 
 class Heights:

@@ -8,7 +8,7 @@ import math
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from biquadrank import heights
@@ -101,6 +101,10 @@ ORACLE_POINTS = [(E17, P17), (E17, Q17), (Curve(3), Point.affine(1, 2)), (Curve(
                  (Curve(66), Point.affine(3, 15))]
 ORACLE_POINTS += [(curve_from_n(euler_quadruple(*ab).n), P) for ab in ((2, 1), (5, 3), (1, 11))
                   for P in constructed_points(euler_quadruple(*ab))[:2]]
+# and the pinned cancelling points, whose cancellations at 2 and at odd
+# primes check the series' weighted per-prime sums against a sum per term
+CANCELLING_POINTS = [(curve_from_n(n), Point.affine(x, y)) for n, x, y in PINNED_CANCELLING]
+ORACLE_POINTS += CANCELLING_POINTS
 
 
 class TestCanonicalHeight:
@@ -118,6 +122,14 @@ class TestCanonicalHeight:
     def test_torsion_is_exactly_zero(self):
         assert canonical_height(E17, INFINITY) == HeightValue(0.0, 0.0)
         assert canonical_height(E17, Point.affine(0, 0)) == HeightValue(0.0, 0.0)
+
+    @pytest.mark.parametrize("b, x, y, torsion", [
+        (4, 2, 4, True), (4, 2, -4, True),  # order 4
+        (-17, 0, 0, True), (-9, 3, 0, True), (-9, -3, 0, True),  # order 2
+        (-17, -4, 2, False), (E21.b, PTS21[0].x, PTS21[0].y, False),
+    ], ids=str)
+    def test_torsion_from_one_doubling(self, b, x, y, torsion):
+        assert heights._is_torsion(Curve(b), Point.affine(x, y)) is torsion
 
     def test_quadratic_under_doubling(self):
         hP = canonical_height(E17, P17, precision=1e-10).value
@@ -202,9 +214,13 @@ class TestWorkingPrecision:
 
     def test_orbit_runs_on_integers(self, monkeypatch):
         # the real orbit needs no mpf: mpmath's precision is never set above
-        # the term precision, and no mpf division runs above it either, so a
-        # 1,000-digit mpf orbit (two divisions per step) fails here
-        digits, divisions = [], []
+        # the sum's d digits, so a 1,000-digit mpf orbit fails here; and the
+        # series telescopes to one log of the last orbit value plus one per
+        # prime of 2b, so a log per term (K = 19 of them) fails too
+        quad = euler_quadruple(1, 11)
+        E = curve_from_n(quad.n)
+        primes = factor(2 * abs(E.b)).distinct_primes()
+        digits, logs = [], 0
         ctx = type(mp)
         for name in ("prec", "dps"):
             prop = getattr(ctx, name)
@@ -214,21 +230,23 @@ class TestWorkingPrecision:
                 digits.append(self.dps)
 
             monkeypatch.setattr(ctx, name, property(prop.fget, recording))
-        truediv = mp.mpf.__truediv__
+        log = mp.log
 
-        def dividing(self, other):
-            divisions.append(mp.dps)
-            return truediv(self, other)
+        def counting(x):
+            nonlocal logs
+            logs += 1
+            return log(x)
 
-        monkeypatch.setattr(mp.mpf, "__truediv__", dividing)
-        quad = euler_quadruple(1, 11)
-        canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
+        monkeypatch.setattr(mp, "log", counting)
+        canonical_height(E, constructed_points(quad)[0], precision=1e-8)
         assert digits and max(digits) <= 40
-        assert divisions and max(divisions) <= 40
+        assert 0 < logs <= 1 + len(primes)
 
     @settings(max_examples=40, deadline=None)
     @given(point=st.sampled_from(ORACLE_POINTS), k=st.integers(min_value=1, max_value=20),
            precision=st.sampled_from([1e-4, 1e-8, 1e-20]))
+    @example(point=CANCELLING_POINTS[0], k=1, precision=1e-20)
+    @example(point=CANCELLING_POINTS[1], k=1, precision=1e-20)
     def test_integer_orbit_matches_the_mpf_orbit(self, point, k, precision):
         E, P = point
         Q = scalar_mul(E, k, P)
