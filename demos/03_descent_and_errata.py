@@ -6,7 +6,8 @@ Descent witnesses, the quartic factors, and two corrected misprints
 
 # the raw parametrized n factors as a product of four quartic forms;
 # b1 = B*D and b2 = -A*C are the coefficients that drive the descent
-from biquadrank import euler_quadruple, quartic_factors
+from biquadrank import euler_quadruple
+from biquadrank.biquadrate import quartic_factors
 
 f = quartic_factors(2, 1)
 print(f"(a, b) = (2, 1): A = {f.A}, B = {f.B}, C = {f.C}, D = {f.D}")
@@ -14,7 +15,7 @@ print(f"  b1 = B*D = {f.b1}, b2 = -A*C = {f.b2}, product -n = {f.b1 * f.b2}")
 
 # B*D - b^4 * A*C is a perfect square: the square of a^2 times a sextic
 # witness polynomial in a, b
-from biquadrank import fourth_power_witness, witness_root_polynomial
+from biquadrank.biquadrate import fourth_power_witness, witness_root_polynomial
 
 a, b = 2, 1
 K, N = fourth_power_witness(a, b)
@@ -32,7 +33,8 @@ assert a**4 * printed_inner**2 != K
 # image the F2 span of a few generator classes; every generator carries a
 # witness the verifier can re-check (a point or a torsor solution), and the
 # order of the span is 2^rank
-from biquadrank import curve_from_n, dual_curve, phi_image, psi_image
+from biquadrank.curve import curve_from_n, dual_curve
+from biquadrank.descent import phi_image, psi_image
 
 quad = euler_quadruple(2, 1)
 E = curve_from_n(quad.n)
@@ -45,7 +47,8 @@ for img in (phi, psi):
     for w in img.generators:
         print(f"  class {w.square_class:>12d}  via {w.kind}")
 
-from biquadrank import parity_adjusted_bound, rank_lower_bound, root_number
+from biquadrank.descent import rank_lower_bound
+from biquadrank.parity import parity_adjusted_bound, root_number
 
 lower = rank_lower_bound(phi, psi)
 omega = root_number(quad.n, quad=quad)
@@ -56,7 +59,8 @@ print(f"rank lower bound {lower}, parity-adjusted {parity_adjusted_bound(lower, 
 # rational square, the printed 19-digit value does not
 from fractions import Fraction
 
-from biquadrank import is_square, load_reference
+from biquadrank.arith import is_square
+from biquadrank.reference import load_reference
 
 spec = load_reference()["exact_square"]
 c, u = int(spec["coefficient"]), int(spec["u"])

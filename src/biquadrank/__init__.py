@@ -6,79 +6,17 @@ the four rational points they induce, measures their independence through
 canonical heights, runs the explicit square-class descent with re-checkable
 witnesses, and assembles everything into a serializable certificate with
 unconditional and parity-conditional rank bounds.
+
+The root exports the certificate pipeline and the exceptions it raises;
+the layer functions are imported from their modules (biquadrank.arith,
+.biquadrate, .curve, .heights, .descent, .parity, .certificate, .reference).
 """
 
 from ._version import VERSION as __version__
-from .arith import (
-    DEFAULT_EFFORT,
-    EffortExceeded,
-    FactorEffort,
-    Factorization,
-    factor,
-    fourth_power_free_part,
-    is_probable_prime,
-    is_square,
-    jacobi,
-)
-from .biquadrate import (
-    BiquadQuadruple,
-    NotASquare,
-    NotEqual,
-    PropertyViolation,
-    QuarticFactors,
-    euler_quadruple,
-    euler_raw_quadruple,
-    fourth_power_witness,
-    quartic_factors,
-    recover_euler_params,
-    representations,
-    search_double_representations,
-    validate_double_representation,
-    witness_root_polynomial,
-)
-from .curve import (
-    INFINITY,
-    Curve,
-    OffCurve,
-    Point,
-    TorsionShape,
-    add,
-    constructed_points,
-    curve_from_n,
-    dual_curve,
-    is_on_curve,
-    negate,
-    pair_points,
-    scalar_mul,
-    torsion_shape,
-)
-from .heights import (
-    GramMatrix,
-    HeightValue,
-    Inconclusive,
-    PrecisionUnreachable,
-    canonical_height,
-    gram_matrix,
-    independence_rank,
-)
-from .descent import (
-    DescentImage,
-    Witness,
-    WitnessInvalid,
-    phi_image,
-    psi_image,
-    rank_lower_bound,
-    square_class,
-    yoshida_upper_bound,
-)
-from .parity import (
-    OutOfDomain,
-    RootNumber,
-    epsilon,
-    parity_adjusted_bound,
-    prime_divisor_law,
-    root_number,
-)
+from .arith import EffortExceeded, FactorEffort
+from .biquadrate import NotEqual, PropertyViolation, ZeroBase, euler_quadruple, search_double_representations
+from .heights import PrecisionUnreachable
+from .parity import OutOfDomain
 from .certificate import (
     CertificateInvalid,
     NoRepresentation,
@@ -88,76 +26,12 @@ from .certificate import (
     reverify,
     to_json_line,
 )
-from .reference import Claim, load_reference, run_claims
+from .reference import run_claims
 
 __all__ = [
     "__version__",
-    "DEFAULT_EFFORT",
-    "EffortExceeded",
-    "FactorEffort",
-    "Factorization",
-    "factor",
-    "fourth_power_free_part",
-    "is_probable_prime",
-    "is_square",
-    "jacobi",
-    "BiquadQuadruple",
-    "NotASquare",
-    "NotEqual",
-    "PropertyViolation",
-    "QuarticFactors",
-    "euler_quadruple",
-    "euler_raw_quadruple",
-    "fourth_power_witness",
-    "quartic_factors",
-    "recover_euler_params",
-    "representations",
-    "search_double_representations",
-    "validate_double_representation",
-    "witness_root_polynomial",
-    "INFINITY",
-    "Curve",
-    "OffCurve",
-    "Point",
-    "TorsionShape",
-    "add",
-    "constructed_points",
-    "curve_from_n",
-    "dual_curve",
-    "is_on_curve",
-    "negate",
-    "pair_points",
-    "scalar_mul",
-    "torsion_shape",
-    "GramMatrix",
-    "HeightValue",
-    "Inconclusive",
-    "PrecisionUnreachable",
-    "canonical_height",
-    "gram_matrix",
-    "independence_rank",
-    "DescentImage",
-    "Witness",
-    "WitnessInvalid",
-    "phi_image",
-    "psi_image",
-    "rank_lower_bound",
-    "square_class",
-    "yoshida_upper_bound",
-    "OutOfDomain",
-    "RootNumber",
-    "epsilon",
-    "parity_adjusted_bound",
-    "prime_divisor_law",
-    "root_number",
-    "CertificateInvalid",
-    "NoRepresentation",
-    "RankCertificate",
-    "analyze",
-    "parse_certificate",
-    "reverify",
-    "to_json_line",
-    "Claim",
-    "load_reference",
-    "run_claims",
+    "analyze", "reverify", "parse_certificate", "to_json_line", "RankCertificate",
+    "search_double_representations", "euler_quadruple", "run_claims", "FactorEffort",
+    "CertificateInvalid", "NoRepresentation", "EffortExceeded", "OutOfDomain",
+    "PrecisionUnreachable", "PropertyViolation", "NotEqual", "ZeroBase",
 ]

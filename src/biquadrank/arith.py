@@ -1,12 +1,13 @@
 """Exact integer arithmetic: gcds, Jacobi symbols, factoring, power-free parts.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic for a fixed seed.  Factoring is trial division up to a bound,
-then gcd splits against any known parts of the number (for a family
-quadruple, the quartic factors A, B, C, D of its raw n), then Brent's variant
-of Pollard rho with a seeded RNG on the composite pieces left; primality is
-Miller-Rabin, deterministic below the published 3.3e24 threshold and with
-enough random rounds above it that the error probability is below 2**-128.
+deterministic for a fixed seed.  Factoring is trial division by the primes
+below 10^6, then gcd splits against any known parts of the number (for a
+family quadruple, the quartic factors A, B, C, D of its raw n), then Brent's
+variant of Pollard rho with a seeded RNG on the composite pieces left;
+primality is Miller-Rabin, deterministic below the published 3.3e24
+threshold and with enough random rounds above it that the error
+probability is below 2**-128.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class EffortExceeded(RuntimeError):
 class FactorEffort:
     """Budget knobs for factor().  rho_iterations counts squarings mod n."""
 
-    trial_bound: int = _SIEVE_BOUND
     rho_iterations: int = 8_000_000
     seed: int = DEFAULT_SEED
 
@@ -256,16 +256,15 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         raise ValueError("0 has no factorization")
     m = abs(n)
     found: dict[int, int] = {}
-    # trial division tests every prime up to bound, and no larger one
-    bound = max(0, min(effort.trial_bound, _SIEVE_BOUND))
+    # trial division tests every sieve prime up to min(10^6, isqrt(m))
     primes = _primes_below_bound()
-    primes = primes[: np.searchsorted(primes, np.uint64(min(bound, math.isqrt(m))), side="right")]
+    primes = primes[: np.searchsorted(primes, np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right")]
     for p in primes[_residues(m, primes) == 0].tolist():
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if m > 1 and (m < bound * bound or is_probable_prime(m, effort.seed)):
-        # below bound**2 any survivor of trial division is prime
+    if m > 1 and (m < _SIEVE_BOUND**2 or is_probable_prime(m, effort.seed)):
+        # below 10^12 any survivor of trial division is prime
         found[m] = found.get(m, 0) + 1
         m = 1
 

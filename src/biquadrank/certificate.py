@@ -160,7 +160,7 @@ def _check_domain(n: int) -> None:
 
 
 def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
-            f2n: Factorization, tol: float, effort: FactorEffort) -> dict:
+            f2n: Factorization, tol: float) -> dict:
     """Every certificate field that follows from the evidence, keyed by
     RankCertificate field name: analyze records these, and reverify
     compares a certificate with them.
@@ -176,7 +176,7 @@ def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: Descent
             pass
     descent = rank_lower_bound(phi, psi)
     unconditional = max(descent, independence or 0)
-    root = root_number(n, quad=quad, effort=effort)
+    root = root_number(n, f2n, quad)
     conditional = parity_adjusted_bound(unconditional, root)
     upper = yoshida_upper_bound(n, f=f2n)
     if not (unconditional <= conditional <= upper):
@@ -241,7 +241,7 @@ def analyze(
     timings["descent"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bounds = _bounds(n, quad, gram, phi, psi, f2n, tol, effort)
+    bounds = _bounds(n, quad, gram, phi, psi, f2n, tol)
     if gram is not None and bounds["independence"] is None:
         notes.append("independence inconclusive: determinants inside (0, tol]")
     timings["bounds"] = time.perf_counter() - t0
@@ -382,7 +382,7 @@ def reverify(cert: RankCertificate) -> bool:
         _reverify_heights(cert, E, f2n.distinct_primes())
 
     try:
-        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.tol, DEFAULT_EFFORT)
+        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.tol)
     except PropertyViolation as exc:
         raise CertificateInvalid(str(exc)) from exc
     for name, value in derived.items():

@@ -135,9 +135,11 @@ class GramMatrix:
 
 
 def _is_torsion(E: Curve, P: Point) -> bool:
-    """Rational torsion here has order dividing 4, so check 4P == O: 2P is O or has y = 0."""
-    Q = _add_unchecked(E, P, P)
-    return Q.is_infinity or Q.y == 0
+    """Rational torsion here has order dividing 4.  An affine P has 2P = O
+    when y = 0; otherwise x(2P) = (x^2 - b)^2 / 4y^2 is a root of x^3 + bx
+    exactly when it is 0, i.e. x^2 = b, or +-m with b = -m^2, which needs
+    (x^2 -+ 2mx - m^2)^2 = 0 and so an irrational x."""
+    return P.y == 0 or P.x * P.x == E.b
 
 
 def _tail_constant(A: int) -> float:

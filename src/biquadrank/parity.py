@@ -3,10 +3,12 @@ omega = sgn(-n) * epsilon(n) * prod_{p^2 || n} (-1/p), n not divisible by 4,
 and the conditional parity adjustment of rank lower bounds.
 
 No L-functions here: epsilon(n) is a table on n mod 16 and the product runs
-over primes whose square exactly divides n.  For n with a representation
-n = p^4 + q^4, gcd(p, q) = 1, every odd prime divisor of n is 1 mod 8, so
-the product is +1 without factoring anything; root_number records which
-justification was used so certificates can be audited.
+over primes whose square exactly divides n.  Every f here is the
+factorization of 2n, as in descent, so one factorization serves both.
+For n with a representation n = p^4 + q^4, gcd(p, q) = 1, every odd prime
+divisor of n is 1 mod 8, so the product is +1 without factoring anything;
+root_number records which justification was used so certificates can be
+audited.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, jacobi
+from .arith import Factorization, factor, jacobi
 from .biquadrate import BiquadQuadruple, PropertyViolation
 
 _EPS_MINUS = frozenset({1, 3, 11, 13})
@@ -73,51 +75,53 @@ def _has_coprime_pair(quad: BiquadQuadruple) -> bool:
     return gcd(quad.p, quad.q) == 1 or gcd(quad.r, quad.s) == 1
 
 
+def _of_2n(n: int, f: Factorization | None) -> Factorization:
+    """f, checked to be the factorization of 2n, or factor(2n) when f is None."""
+    if f is None:
+        return factor(2 * n)
+    if f.value != 2 * n:
+        raise ValueError("factorization is not of 2n")
+    return f
+
+
 def root_number(
     n: int,
     f: Factorization | None = None,
     quad: BiquadQuadruple | None = None,
-    effort: FactorEffort = DEFAULT_EFFORT,
 ) -> RootNumber:
     """omega(E_n) from the closed form, for positive fourth-power-free n.
 
-    The square-part product is read from f when supplied (or computable);
-    failing that, a coprime representation n = p^4 + q^4 forces every
-    symbol to +1 and no factorization is needed.  Factoring failure is
-    raised only when neither route is available.
+    f is the factorization of 2n, factored when None and needed.  A
+    coprime representation n = p^4 + q^4 in quad takes precedence: it
+    forces every symbol to +1, and f, if given, is only checked.
+    Otherwise the square part is read from the primes of exponent exactly
+    2 in f, other than 2 (4 does not divide n, so 2's exponent in n is at
+    most 1).
     """
     epsilon(n)  # OutOfDomain unless n > 0 and 4 does not divide n
 
     if quad is not None and quad.n != n:
         raise ValueError("quadruple does not match n")
+    coprime = quad is not None and _has_coprime_pair(quad)
+    if f is not None or not coprime:
+        f = _of_2n(n, f)
+    if coprime:
+        return RootNumber(1, n % 16, "coprime-representation")
 
-    justification = None
-    if f is None and quad is not None and _has_coprime_pair(quad):
-        spp = 1
-        justification = "coprime-representation"
-    else:
-        if f is None:
-            f = factor(n, effort)
-        if f.value != n:
-            raise ValueError("factorization is not of n")
-        spp = 1
-        square_primes = [p for p in f.distinct_primes() if f.exponent_of(p) == 2]
-        for p in square_primes:
-            if p == 2:
-                raise OutOfDomain("4 | n; twist-normalize first")
-            spp *= jacobi(-1, p)
-        justification = "factored" if square_primes else "squarefree"
-
-    return RootNumber(spp, n % 16, justification)
+    square_primes = [p for p, e in f.primes if e == 2 and p != 2]
+    spp = 1
+    for p in square_primes:
+        spp *= jacobi(-1, p)
+    return RootNumber(spp, n % 16, "factored" if square_primes else "squarefree")
 
 
 def prime_divisor_law(
     n: int,
     f: Factorization | None = None,
     quad: BiquadQuadruple | None = None,
-    effort: FactorEffort = DEFAULT_EFFORT,
 ) -> bool:
-    """Check that every odd prime divisor of n = p^4 + q^4 is 1 (mod 8).
+    """Check that every odd prime divisor of n = p^4 + q^4 is 1 (mod 8),
+    reading the primes from f, the factorization of 2n (factored when None).
 
     This is a theorem for n with a primitive representation, so a violation
     is not a "false": it means the factorization or the quadruple is wrong,
@@ -128,11 +132,7 @@ def prime_divisor_law(
             raise ValueError("quadruple does not match n")
         if not quad.primitive:
             raise ValueError("law applies to primitive quadruples")
-    if f is None:
-        f = factor(n, effort)
-    if f.value != n:
-        raise ValueError("factorization is not of n")
-    for p in f.distinct_primes():
+    for p in _of_2n(n, f).distinct_primes():
         if p != 2 and p % 8 != 1:
             raise PropertyViolation(
                 f"odd prime {p} | {n} with {p} = {p % 8} (mod 8); "

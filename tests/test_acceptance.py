@@ -175,7 +175,7 @@ def test_criterion_07_prime_divisor_law(criteria, hits_to_1000):
     def run():
         assert hits_to_1000, "search to 1000 found nothing"
         for quad in hits_to_1000:
-            f = factor(quad.n)
+            f = factor(2 * quad.n)
             for prime, _ in f.primes:
                 if prime % 2:
                     assert prime % 8 == 1, (quad.n, prime)

@@ -170,7 +170,7 @@ class TestFactor:
         # product of two ~2^110 primes is far beyond a tiny rho budget
         p = 2**107 - 1
         q = 2**127 - 1
-        tiny = FactorEffort(trial_bound=1000, rho_iterations=500, seed=7)
+        tiny = FactorEffort(rho_iterations=500, seed=7)
         with pytest.raises(EffortExceeded) as exc:
             factor(4 * p * q, tiny)
         assert exc.value.residual > 1
@@ -179,7 +179,7 @@ class TestFactor:
     def test_budget_exhaustion_moves_waiting_primes_into_partial(self):
         # the parts split off the two primes before rho runs out on p * q
         p, q, r, s = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
-        tiny = FactorEffort(trial_bound=1000, rho_iterations=0, seed=7)
+        tiny = FactorEffort(rho_iterations=0, seed=7)
         with pytest.raises(EffortExceeded) as exc:
             factor(p * q * r * s, tiny, parts=(p, q))
         assert exc.value.partial == ((p, 1), (q, 1))
@@ -192,23 +192,27 @@ class TestFactor:
         assert primes[-1] == 999983 and all(trial_factor(p) == [(p, 1)] for p in primes[-50:])
 
     def test_composite_above_the_sieve_is_not_certified_prime(self):
-        # trial division stops at the sieve (primes below 10^6) whatever the
-        # bound asks for, so only squares of the sieve bound are safe
+        # trial division stops at the sieve (primes below 10^6), so only a
+        # survivor below 10^12 is taken as prime without a test
         n = 1000003 * 1000033
-        f = factor(n, FactorEffort(trial_bound=10**7))
+        f = factor(n)
         assert f.primes == ((1000003, 1), (1000033, 1))
 
+    # the parameter is a rho budget: trial division by the sieve alone
+    # settles every value below 10^12, so no budget, not even 0, changes it
     @pytest.mark.parametrize("bound", [0, 1, 2, 3, 10, 100, 10**6, 10**7])
     def test_small_values_match_trial_division_at_any_bound(self, bound):
-        effort = FactorEffort(trial_bound=bound)
+        effort = FactorEffort(rho_iterations=bound)
         for n in [*range(-300, 0), *range(1, 300), 2**20, -(3**12), 7**9, 999983**2]:
             f = factor(n, effort)
             assert f.value == n
             assert list(f.primes) == trial_factor(n), (n, bound)
 
+    # the parameter is a rho budget: a product of two primes above the sieve
+    # is left to rho, and every budget here suffices for it
     @pytest.mark.parametrize("bound", [999_983, 10**6, 10**6 + 1, 10**7])
     def test_products_of_two_primes_near_the_sieve_bound(self, bound):
-        effort = FactorEffort(trial_bound=bound)
+        effort = FactorEffort(rho_iterations=bound)
         for p, q in combinations_with_replacement(NEAR_MILLION, 2):
             expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
             assert factor(p * q, effort).primes == expected, (p, q, bound)
@@ -218,16 +222,15 @@ class TestFactor:
         st.lists(st.sampled_from(NEAR_MILLION + PRIME_POOL[:6]), min_size=0, max_size=4),
         st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4),
         st.sampled_from([-1, 1]),
-        st.sampled_from([0, 2, 50, 999_983, 999_999, 10**6, 10**6 + 1, 10**7]),
     )
-    def test_prime_powers_near_the_sieve_bound(self, picks, exps, sign, bound):
+    def test_prime_powers_near_the_sieve_bound(self, picks, exps, sign):
         # the oracle is the construction: n = sign * prod(p^e) over primes
         # that trial division certifies below
         expected = {}
         for p, e in zip(picks, exps):
             expected[p] = expected.get(p, 0) + e
         n = sign * math.prod(p**e for p, e in expected.items())
-        f = factor(n, FactorEffort(trial_bound=bound))
+        f = factor(n)
         assert f.primes == tuple(sorted(expected.items()))
         assert f.sign == sign
 

@@ -115,24 +115,32 @@ class TestAnalyzeEntryPoints:
         assert any("reduced by common factor 2" in note for note in cert.notes)
 
 
+def counting(real, log):
+    def wrapper(*args, **kwargs):
+        log.append(args[0] if real is factor else (args[1].x, args[1].y))
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+def log_factor_calls(monkeypatch) -> list:
+    """The argument of every factor call from now on."""
+    factored = []
+    # modules import factor by name, so patch every binding of it
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
+            monkeypatch.setattr(mod, "factor", counting(factor, factored))
+    return factored
+
+
 class TestOnePass:
     @pytest.mark.parametrize("given", [{"ab": (2, 1)}, {"n": 635318657}], ids=["ab", "n"])
     def test_each_fact_computed_once(self, monkeypatch, given):
-        def counting(real, log):
-            def wrapper(*args, **kwargs):
-                log.append(args[0] if real is factor else (args[1].x, args[1].y))
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        series, factored = [], []
+        series = []
         monkeypatch.setattr(
             heights_module, "_series_height", counting(heights_module._series_height, series)
         )
-        # modules import factor by name, so patch every binding of it
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
-                monkeypatch.setattr(mod, "factor", counting(factor, factored))
+        factored = log_factor_calls(monkeypatch)
 
         cert = analyze(**given)
         # 4 points and 6 pairwise sums, each evaluated once; the Gram
@@ -141,6 +149,19 @@ class TestOnePass:
         # 2n once: the representations of an n, heights, both descent
         # images (n and the quartic class B*D) and the upper bound read its
         # primes; torsion and the coprime root number need no factoring
+        assert factored == [2 * cert.n]
+
+    def test_one_factorization_without_a_coprime_pair(self, monkeypatch):
+        # 3 * (59, 158, 133, 134): no coprime pair vouches for the root
+        # number, so its square part is read from the factorization of 2n
+        factored = log_factor_calls(monkeypatch)
+        cert = analyze(pqrs=(177, 474, 399, 402), skip_heights=True)
+        assert factored == [2 * cert.n] == [2 * 81 * 635318657]
+        assert (cert.root.square_part_product, cert.root.justification) == (1, "squarefree")
+        bounds = (cert.descent_lower, cert.unconditional_lower, cert.conditional_lower, cert.heuristic_upper)
+        assert bounds == (2, 2, 2, 11)
+        factored.clear()
+        assert reverify(cert)
         assert factored == [2 * cert.n]
 
 

@@ -131,6 +131,28 @@ class TestCanonicalHeight:
     def test_torsion_from_one_doubling(self, b, x, y, torsion):
         assert heights._is_torsion(Curve(b), Point.affine(x, y)) is torsion
 
+    @settings(max_examples=60, deadline=None)
+    @given(ab=st.sampled_from([(2, 1), (3, 1), (5, 3), (1, 11)]), i=st.integers(0, 3),
+           k=st.integers(0, 3), shift=st.booleans())
+    def test_torsion_test_matches_four_p_on_family_curves(self, ab, i, k, shift):
+        # k * P (+ (0, 0)) for a constructed point P: torsion only at k = 0
+        quad = euler_quadruple(*ab)
+        E = curve_from_n(quad.n)
+        P = scalar_mul(E, k, constructed_points(quad)[i])
+        if shift:
+            P = add(E, P, Point.affine(0, 0))
+        assume(not P.is_infinity)
+        assert heights._is_torsion(E, P) is scalar_mul(E, 4, P).is_infinity
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 50), sign=st.sampled_from([-1, 1]), k=st.integers(1, 3))
+    def test_torsion_test_matches_four_p_on_order_four_points(self, d, sign, k):
+        # (2d^2, +-4d^3) has order 4 on b = 4d^4; its multiples are torsion too
+        E = Curve(4 * d**4)
+        P = scalar_mul(E, k, Point.affine(2 * d**2, sign * 4 * d**3))
+        assert scalar_mul(E, 4, P).is_infinity
+        assert heights._is_torsion(E, P)
+
     def test_quadratic_under_doubling(self):
         hP = canonical_height(E17, P17, precision=1e-10).value
         h2P = canonical_height(E17, scalar_mul(E17, 2, P17), precision=1e-10).value

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,17 @@ from biquadrank.certificate import TOOL_VERSION
 def test_every_name_in_all_resolves():
     missing = [name for name in biquadrank.__all__ if not hasattr(biquadrank, name)]
     assert missing == []
+
+
+def test_root_binds_exactly_all():
+    # layer functions are imported from their modules: every other public
+    # name the root binds is a submodule
+    public = {
+        name for name, value in vars(biquadrank).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(biquadrank.__all__) - {"__version__"}
+    assert len(biquadrank.__all__) == len(set(biquadrank.__all__))
 
 
 def test_version_matches_pyproject():

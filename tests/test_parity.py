@@ -89,7 +89,17 @@ class TestRootNumber:
 
     def test_precomputed_factorization_must_match(self):
         with pytest.raises(ValueError):
-            root_number(17, f=factor(34))
+            root_number(17, f=factor(17))  # f is the factorization of 2n
+
+    def test_two_is_left_out_of_the_square_part(self):
+        # 2n = 2^2 * 17 and 2^2 * 3^2: 2's exponent in n itself is 1
+        assert root_number(34, f=factor(68)).justification == "squarefree"
+        rn = root_number(18, f=factor(36))
+        assert (rn.square_part_product, rn.justification) == (-1, "factored")
+
+    def test_coprime_representation_wins_over_a_given_factorization(self):
+        rn = root_number(N_SQUARE_PART, f=factor(2 * N_SQUARE_PART), quad=QUAD_SQUARE_PART)
+        assert rn.justification == "coprime-representation"
 
     def test_quadruple_must_match(self):
         with pytest.raises(ValueError):
@@ -138,7 +148,7 @@ class TestPrimeDivisorLaw:
 
     def test_binding_errors(self):
         with pytest.raises(ValueError):
-            prime_divisor_law(17, f=factor(34))
+            prime_divisor_law(17, f=factor(17))  # f is the factorization of 2n
         with pytest.raises(ValueError):
             prime_divisor_law(17, quad=QUAD_SQUARE_PART)
         scaled = validate_double_representation(118, 316, 266, 268)
