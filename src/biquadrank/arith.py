@@ -8,12 +8,18 @@ variant of Pollard rho with a seeded RNG on the composite pieces left;
 primality is Miller-Rabin, deterministic below the published 3.3e24
 threshold and with enough random rounds above it that the error
 probability is below 2**-128.
+
+Trial division reads m mod p as the sum of l_i * (2^(40 i) mod p) over the
+40-bit limbs l_i of m, with one modulo per 15 limbs (the chunk above carries
+in times 2^600 mod p; with p < 2^20 a sum stays below 15 * 2^60 + 2^40 < 2^64),
+from a uint32 table built row by row on first need, one block of primes at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 64
 
 _SIEVE_BOUND = 1_000_000
+_LIMB_BITS = 40
+_CHUNK = 15  # limbs per modulo
+_BLOCK = 1 << 14  # primes per block of trial division
 _sieve_primes: np.ndarray | None = None
+_weights: list[np.ndarray] = []
 
 
 class EffortExceeded(RuntimeError):
@@ -90,22 +100,38 @@ class Factorization:
 def _primes_below_bound() -> np.ndarray:
     global _sieve_primes
     if _sieve_primes is None:
-        flags = np.ones(_SIEVE_BOUND, dtype=bool)
-        flags[:2] = False
-        for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
-            if flags[i]:
-                flags[i * i :: i] = False
-        _sieve_primes = np.flatnonzero(flags).astype(np.uint64)
+        odd = np.ones(_SIEVE_BOUND // 2, dtype=bool)  # odd[i] flags 2i + 1
+        for i in range(3, math.isqrt(_SIEVE_BOUND) + 1, 2):
+            if odd[i // 2]:
+                odd[i * i // 2 :: i] = False
+        primes = np.flatnonzero(odd).view(np.uint64)  # in place from here on
+        primes <<= np.uint64(1)
+        primes |= np.uint64(1)
+        primes[0] = 2  # in the slot of 1
+        _sieve_primes = primes
     return _sieve_primes
 
 
-def _residues(m: int, primes: np.ndarray) -> np.ndarray:
-    """m mod each prime, by Horner over the 32-bit limbs of m: with every
-    prime below 2^20 each partial value stays below 2^52, so uint64 is exact."""
-    r = np.zeros(len(primes), dtype=np.uint64)
-    for shift in range(32 * ((m.bit_length() - 1) // 32), -1, -32):
-        r = ((r << np.uint64(32)) | np.uint64((m >> shift) & 0xFFFFFFFF)) % primes
-    return r
+def _trial_divisors(m: int, count: int) -> Iterator[int]:
+    """The primes among the first `count` sieve primes that divide m > 0."""
+    global _weights
+    limbs = [np.uint64(m >> s & (1 << _LIMB_BITS) - 1) for s in range(0, m.bit_length(), _LIMB_BITS)]
+    chunks = [limbs[i : i + _CHUNK] for i in range(0, len(limbs), _CHUNK)][::-1]
+    primes, rows = _primes_below_bound(), _weights
+    while len(rows) < (_CHUNK if len(chunks) > 1 else len(limbs) - 1):  # row 0 is all ones
+        row = np.left_shift(rows[-1] if rows else np.ones(len(primes), np.uint32), _LIMB_BITS, dtype=np.uint64)
+        rows = _weights = rows + [np.remainder(row, primes, out=row).astype(np.uint32)]
+    acc, term = np.empty(_BLOCK, np.uint64), np.empty(_BLOCK, np.uint64)
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        r, t = acc[: hi - lo], term[: hi - lo]
+        for k, chunk in enumerate(chunks):
+            r *= rows[_CHUNK - 1][lo:hi] if k else 0  # clear, or carry in the chunk above
+            r += chunk[0]
+            for limb, row in zip(chunk[1:], rows):
+                r += np.multiply(row[lo:hi], limb, out=t, dtype=np.uint64)  # numpy 1 would pick uint32
+            np.remainder(r, primes[lo:hi], out=r)
+        yield from primes[lo:hi][r == 0].tolist()
 
 
 def jacobi(a: int, m: int) -> int:
@@ -257,9 +283,8 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     m = abs(n)
     found: dict[int, int] = {}
     # trial division tests every sieve prime up to min(10^6, isqrt(m))
-    primes = _primes_below_bound()
-    primes = primes[: np.searchsorted(primes, np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right")]
-    for p in primes[_residues(m, primes) == 0].tolist():
+    count = np.searchsorted(_primes_below_bound(), min(_SIEVE_BOUND, math.isqrt(m)), side="right")
+    for p in _trial_divisors(m, int(count)):
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p

@@ -8,8 +8,9 @@ fast code must agree with them everywhere they can reach.
 import math
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biquadrank import arith
 from biquadrank.arith import (
@@ -17,6 +18,7 @@ from biquadrank.arith import (
     FactorEffort,
     Factorization,
     _primes_below_bound,
+    _trial_divisors,
     factor,
     fourth_power_free_part,
     iroot,
@@ -25,6 +27,7 @@ from biquadrank.arith import (
     is_square,
     jacobi,
 )
+from biquadrank.biquadrate import euler_quadruple, factor_2n, quartic_factors
 
 
 def trial_factor(n: int) -> list[tuple[int, int]]:
@@ -271,6 +274,112 @@ class TestFactor:
         assert f.exponent_of(2) == 4
         assert f.exponent_of(3) == 2
         assert f.exponent_of(7) == 0
+
+
+def horner_residues(m: int, primes: np.ndarray) -> np.ndarray:
+    """Oracle: m mod each prime by Horner over the 32-bit limbs of m, the
+    kernel trial division ran before the table of 2^(40 i) mod p."""
+    r = np.zeros(len(primes), dtype=np.uint64)
+    for shift in range(32 * ((m.bit_length() - 1) // 32), -1, -32):
+        r = ((r << np.uint64(32)) | np.uint64((m >> shift) & 0xFFFFFFFF)) % primes
+    return r
+
+
+def factor_by_horner(n: int, parts: tuple[int, ...] = ()) -> Factorization:
+    """factor(n) with its sieve primes found by horner_residues; the cofactor
+    left, which no sieve prime up to isqrt(|n|) divides, goes to factor."""
+    m, found = abs(n), {}
+    primes = _primes_below_bound()
+    primes = primes[: np.searchsorted(primes, np.uint64(min(10**6, math.isqrt(m))), side="right")]
+    for p in primes[horner_residues(m, primes) == 0].tolist():
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    rest = dict(factor(m, parts=parts).primes)
+    assert not rest.keys() & found.keys()
+    return Factorization(value=n, primes=tuple(sorted({**found, **rest}.items())))
+
+
+SIEVE = _primes_below_bound().tolist()
+BLOCK = arith._BLOCK
+# prime slices: empty, one prime, a partial block, one block, a block and one
+# prime, and the whole sieve
+COUNTS = [0, 1, BLOCK // 2 + 7, BLOCK, BLOCK + 1, len(SIEVE)]
+CHUNK_BITS = arith._CHUNK * arith._LIMB_BITS  # 600: one modulo reads this many bits
+# sieve primes at the start, on both sides of the first block edge, and at the end
+EDGE_PRIMES = math.prod(SIEVE[:3] + SIEVE[BLOCK - 1 : BLOCK + 1] + SIEVE[-1:])
+
+
+def with_bits(bits: int, divisor: int) -> int:
+    """The least multiple of divisor with the given bit length (divisor < 2^(bits - 1))."""
+    return (2 ** (bits - 1) // divisor + 1) * divisor
+
+
+class TestTrialDivision:
+    def test_a_chunk_sum_fits_uint64(self):
+        # every sieve prime, so every residue, is below 2^20; the carry, a
+        # residue times 2^600 mod p, is below 2^40
+        residue = 2 ** (arith._SIEVE_BOUND - 1).bit_length() - 1
+        assert residue == 2**20 - 1
+        worst = arith._CHUNK * (2**arith._LIMB_BITS - 1) * residue + (residue + 1) ** 2
+        assert worst < 2**64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=2000).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
+        st.lists(st.sampled_from(SIEVE[:100] + SIEVE[BLOCK - 3 : BLOCK + 3] + SIEVE[-3:]), max_size=6),
+        st.sampled_from(COUNTS),
+    )
+    @example(1, [], len(SIEVE))
+    @example(1, [], 0)
+    @example(2**40, [], 1)
+    # bit lengths on both sides of the 15-limb chunk edge, and one limb past it
+    @example(2 ** (CHUNK_BITS - 1) - 1, [], BLOCK)
+    @example(with_bits(CHUNK_BITS - 1, EDGE_PRIMES), [], len(SIEVE))
+    @example(2**CHUNK_BITS - 1, [], len(SIEVE))
+    @example(with_bits(CHUNK_BITS, EDGE_PRIMES), [], BLOCK + 1)
+    @example(with_bits(CHUNK_BITS, 999983), [], len(SIEVE))
+    @example(with_bits(CHUNK_BITS + 1, EDGE_PRIMES), [], len(SIEVE))
+    @example(with_bits(CHUNK_BITS + 1, 999983), [], BLOCK // 2 + 7)
+    @example(2 ** (CHUNK_BITS + 40) - 1, [], len(SIEVE))
+    @example(with_bits(CHUNK_BITS + 40, EDGE_PRIMES), [], len(SIEVE))
+    @example(with_bits(2 * CHUNK_BITS + 1, EDGE_PRIMES), [], len(SIEVE))
+    def test_divisors_match_division_by_each_prime(self, m, picks, count):
+        m *= math.prod(picks)
+        primes = SIEVE[:count]
+        assert list(_trial_divisors(m, count)) == [p for p in primes if m % p == 0]
+
+    def test_table_rows_are_built_on_first_need(self, monkeypatch):
+        monkeypatch.setattr(arith, "_weights", [])
+        list(_trial_divisors(2**100 + 1, 1))  # three 40-bit limbs: rows 1 and 2
+        assert len(arith._weights) == 2
+        list(_trial_divisors(2**600 + 1, 1))  # two chunks: the within-chunk rows and 2^600
+        rows = arith._weights
+        assert len(rows) == arith._CHUNK
+        for i, row in enumerate(rows, start=1):
+            assert row.dtype == np.uint32
+            assert [int(w) for w in row[[0, 1, BLOCK, -1]]] == [
+                pow(2, 40 * i, p) for p in (SIEVE[0], SIEVE[1], SIEVE[BLOCK], SIEVE[-1])
+            ]
+
+    @pytest.mark.parametrize("ab", [(a, b) for a in range(1, 13) for b in range(1, 13) if a != b])
+    def test_family_factorizations_match_the_horner_kernel(self, ab):
+        quad = euler_quadruple(*ab)
+        q = quartic_factors(*ab)
+        assert factor_2n(quad) == factor_by_horner(2 * quad.n, (q.A, q.B, q.C, q.D))
+
+    # the cofactors left by trial division are 1 or prime: 2^521 - 1 and
+    # 2^607 - 1 are Mersenne primes, the second one past a 15-limb chunk
+    @pytest.mark.parametrize("n", [
+        2**40 * 3**20 * 999983**2 * 17,
+        math.prod(SIEVE[:120]) * 999983**3,
+        3**400 * 999979,
+        (2**521 - 1) * 7**30 * 999983,
+        (2**607 - 1) * 17 * 999983**2,
+    ], ids=["powers", "120-primes", "3^400", "M521", "M607"])
+    def test_many_sieve_primes_and_high_powers_match_the_horner_kernel(self, n):
+        assert factor(n) == factor_by_horner(n)
+        assert factor(-n) == factor_by_horner(-n)
 
 
 class TestSquarefreeParts:

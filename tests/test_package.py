@@ -47,3 +47,18 @@ def test_import_leaves_executor_and_logging_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_builds_no_trial_division_table():
+    # the sieve and the table of 2^(40 i) mod p are built by the first
+    # factor call that needs them, so every CLI call that never factors
+    # skips them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import biquadrank.cli, biquadrank.arith as a; print(a._sieve_primes is None, a._weights)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
