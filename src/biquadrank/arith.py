@@ -283,7 +283,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     m = abs(n)
     found: dict[int, int] = {}
     # trial division tests every sieve prime up to min(10^6, isqrt(m))
-    count = np.searchsorted(_primes_below_bound(), min(_SIEVE_BOUND, math.isqrt(m)), side="right")
+    count = np.searchsorted(_primes_below_bound(), np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right")
     for p in _trial_divisors(m, int(count)):
         while m % p == 0:
             found[p] = found.get(p, 0) + 1

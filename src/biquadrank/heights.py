@@ -26,26 +26,47 @@ Each part runs at the precision it needs (C the tail constant, h_0 the
 first term log max(|u_0|, |w_0|)):
 
 * The sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
-  precision * 10^-17.  With m_k = max(|U_k|, |W_k|) on the orbit below and
-  sh_k the right shift of step k, s_k = m_{k+1} 2^sh_k (1 + eps_k), so the
-  sum telescopes (m_0 = max(|u_0|, |w_0|)) to
+  precision * 10^-17.  With v*_K = (F, G)^K (u_0, w_0) the exact orbit,
+  no gcd removed, and m(u, w) = max(|u|, |w|), the recurrence gives
 
-      h^(P) = 4^-K (log m_K + S log 2 - sum_p C_p log p)
-              + sum_k 4^-(k+1) log(1 + eps_k) + tail,
+      h^(P) = 4^-K (log m(v*_K) - sum_p C_p log p) + tail,
 
-  S = sum_k sh_k 4^(K-1-k) and C_p = sum_k c_{k,p} 4^(K-1-k) exact
-  integers.  A shift keeps 10D/3 + 2 bits of s_k, so |eps_k| < 2 * 10^-D
-  (0 without a shift) and the eps terms, under 4^-K 10^-29, are dropped.
+  C_p = sum_k c_{k,p} 4^(K-1-k) exact integers.  The orbit below ends at
+  (U_K, W_K), close to 2^-S v*_K with S = sum_k sh_k 4^(K-1-k) and sh_k
+  the right shift of step k, and the series is evaluated as
+  4^-K (log m_K + S log 2 - sum_p C_p log p), m_K = m(U_K, W_K).
   The logs of m_K, 2 and each p, the products and the sums are 6 + 4w
   roundings (w primes with a cancellation), each a relative 10^(1-d) of a
   value at most 4^K (2C + h_0); after the exact scaling by 4^-K they add
   at most (1 + w/2) * precision * 10^-17.
-* The orbit: integers (U, W) on one shared power-of-two scale, from the
-  exact (u_0, w_0), where D_k = log(s_k / m_k^4) as F, G are homogeneous.
-  A step shifts F and G right together to keep 10D/3 + 2 bits of s_k,
-  D = 30 + (K-k-1)*L with a loss budget of L = 2*digits(b) + 4 digits per
-  step: its one rounding moves U, W by under 10^-D max(|U|, |W|) and only
-  has to survive the steps left.
+* The orbit: integers (U, W) on one shared power-of-two scale from the
+  exact (u_0, w_0), with each rounding measured in the weighted norm
+  N(u, w) = max(|u|, a |w|), a = sqrt|b| >= 1.  Put u = N alpha,
+  w = N beta / a with max(|alpha|, |beta|) = 1 (x = a t turns the doubling
+  into that of y^2 = t^3 +- t), so that for sigma = sign b
+
+      N(F, G) = N^4 n(alpha, beta),
+      n = max((alpha^2 - sigma beta^2)^2, 4 |alpha beta (alpha^2 + sigma beta^2)|),
+
+  where n >= (alpha^2 + beta^2)^2 >= 1 for sigma = -1, and n >= 0.83 for
+  sigma = +1 (split the smaller of |alpha|, |beta| at 0.2).  On the box
+  max(|alpha|, |beta|) <= 1 + e the absolute partial derivatives of the
+  two components sum to at most 16 (1+e)^3 and 32 (1+e)^3, so one step
+  turns a perturbation of relative N-size e <= 0.01 into one under
+  32 (1+e)^3 e / 0.83 < 40 e, whatever b is.  Step k shifts F and G right
+  together by bitlen(max(|F|, a+ |G|)) - bitlen(a+) - bits(D_k), with
+  a+ = ceil(a), bits(D) = floor(10D/3) + 2 and
+
+      D_k = 30 + digits(a+) + 2 (K-k-1):
+
+  the floors move U and W by under 1 each, a relative N-size under
+  10^-D_k.  Carried exactly through the K-k-1 steps left, that is under
+  40^(K-k-1) 10^-D_k <= 0.4^(K-k-1) 10^-30 / a+ of N at step K, and at
+  most a times as much of m there (|du| <= N(du, dw), |dw| <= N(du, dw)/a
+  and N <= a m): this boundary term, log m_K in place of log N_K, is why
+  D_k holds digits(a+) once.  Over all steps log m_K + S log 2 is within
+  2 * 10^-30 / 0.6 < 10^-29 of log m(v*_K), so the orbit adds under
+  4^-K 10^-29 to the error.
 * The trackers: a cancellation c_k <= r is read exactly while the modulus
   exceeds p^r, and each step loses c_k digits, so after a step the residues
   are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
@@ -75,6 +96,7 @@ from .biquadrate import PropertyViolation
 from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
 _MAX_SERIES_TERMS = 60
+_ORBIT_STEP_DIGITS = 2  # the 2 in D_k, above log10(40): module docstring
 
 
 class PrecisionUnreachable(RuntimeError):
@@ -204,6 +226,16 @@ def _cancellations(A: int, u0: int, w0: int, bad: tuple[int, ...], steps: int) -
     return out
 
 
+def _double(A: int, root: int, U: int, W: int, keep: int) -> tuple[int, int, int]:
+    """(F, G) of (U, W) and the right shift after which max(|F|, root |G|)
+    has bitlen(root) + keep bits, applied to both."""
+    UU, AWW = U * U, A * W * W
+    F = (UU - AWW) ** 2
+    G = 4 * U * W * (UU + AWW)
+    shift = max(0, max(F, root * abs(G)).bit_length() - root.bit_length() - keep)
+    return F >> shift, G >> shift, shift
+
+
 def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
     A = E.b
     u0, w0 = P.x.numerator, P.x.denominator
@@ -211,17 +243,14 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
-    loss = 2 * len(str(abs(A))) + 4
+    root = math.isqrt(abs(A) - 1) + 1  # a+ of the module docstring
+    base = 30 + len(str(root))
     U, W, shifts, gammas = u0, w0, 0, {}  # shifts and gammas: S and C_p of the module docstring
     for left, cs in zip(range(K - 1, -1, -1), _cancellations(A, u0, w0, bad, K)):
-        UU, AWW = U * U, A * W * W
-        F = (UU - AWW) ** 2
-        G = 4 * U * W * (UU + AWW)
-        shift = max(0, max(abs(F), abs(G)).bit_length() - (30 + left * loss) * 10 // 3 - 2)
+        U, W, shift = _double(A, root, U, W, (base + left * _ORBIT_STEP_DIGITS) * 10 // 3 + 2)
         shifts = 4 * shifts + shift
         for p, c in cs.items():
             gammas[p] = gammas.get(p, 0) + (c << 2 * left)
-        U, W = F >> shift, G >> shift
     # digits for the logs and the sum, see the module docstring
     d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(max(abs(u0), abs(w0))) + 1) / precision))
     with mp.workdps(d):
@@ -245,15 +274,16 @@ class Heights:
 
     def height(self, P: Point) -> HeightValue:
         """Torsion points (including O) get an exact 0."""
-        _require_on_curve(self.E, P)
         key = (P.x, P.y)
-        if key not in self._memo:
+        h = self._memo.get(key)
+        if h is None:  # only points on E enter the memo
+            _require_on_curve(self.E, P)
             if P.is_infinity or _is_torsion(self.E, P):
                 h = HeightValue(0.0, 0.0)
             else:
                 h = _series_height(self.E, P, self.bad_primes, self.precision)
             self._memo[key] = h
-        return self._memo[key]
+        return h
 
     def pairing(self, P: Point, Q: Point) -> float:
         """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2 within 3 * precision / 2; <P, P> = h^(P)."""

@@ -6,6 +6,7 @@ cross-checked against the published four-decimal figures.
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,7 +15,7 @@ from mpmath import mp, mpf
 from biquadrank import heights
 from biquadrank.arith import EffortExceeded, FactorEffort, factor
 from biquadrank.biquadrate import PropertyViolation, euler_quadruple
-from biquadrank.curve import INFINITY, Curve, OffCurve, Point, add, curve_from_n, negate, scalar_mul
+from biquadrank.curve import INFINITY, Curve, OffCurve, Point, add, curve_from_n, dual_curve, negate, scalar_mul
 from biquadrank.heights import (
     GramMatrix,
     HeightValue,
@@ -27,8 +28,9 @@ from biquadrank.heights import (
 )
 from biquadrank.curve import constructed_points
 
-# h^ of the four constructed points, as float.hex(), from the series run
-# entirely at 30 + K * (2 * digits(b) + 4) digits
+# h^ of the four constructed points, as float.hex(), recorded from the
+# series with its orbit at 30 + K * (2 * digits(b) + 4) digits; the orbit at
+# D_0 = 30 + digits(a+) + 2 (K - 1) digits gives the same floats
 PINNED_HEIGHTS = {
     ((2, 1), 1e-4): ("0x1.4f5235fb768aep+3", "0x1.3b260a716508ap+3", "0x1.4cc115fb28ab4p+3", "0x1.418f58fcafe05p+3"),
     ((2, 1), 1e-8): ("0x1.4f52360523e14p+3", "0x1.3b260a7a4291ap+3", "0x1.4cc115fb519e1p+3", "0x1.418f58fce2d66p+3"),
@@ -61,16 +63,29 @@ def heights_on(E, precision):
 
 
 def series_budget(E: Curve, precision: float) -> tuple[int, int]:
-    """The series' term count K and its orbit loss per step L in digits."""
+    """The series' term count K and the older orbit loss per step,
+    L = 2 * digits(b) + 4 digits."""
     c_tail = heights._tail_constant(E.b)
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     return K, 2 * len(str(abs(E.b))) + 4
 
 
+def orbit_start_digits(E: Curve, precision: float) -> tuple[int, int]:
+    """a+ = ceil(sqrt|b|) and D_0 = 30 + digits(a+) + 2 (K - 1), the digits the
+    integer orbit keeps at its first step (heights module docstring)."""
+    root = math.isqrt(abs(E.b) - 1) + 1
+    K, _ = series_budget(E, precision)
+    return root, 30 + len(str(root)) + 2 * (K - 1)
+
+
 def mpf_series_height(E: Curve, P: Point, precision: float) -> float:
     """The series with its real orbit in mpf: normalised to max(|U|, |W|) = 1
     at 30 + K*L digits, dividing by s_k after each step and dropping L
-    digits, then one log of s_k per term."""
+    digits, then one log of s_k per term.
+
+    An independent oracle: it keeps the older loss budget of L digits per
+    step in the max norm, not the weighted-norm budget of `heights`, and
+    sums a log per term instead of telescoping."""
     A = E.b
     u0, w0 = P.x.numerator, P.x.denominator
     scale = max(abs(u0), abs(w0))
@@ -101,6 +116,14 @@ ORACLE_POINTS = [(E17, P17), (E17, Q17), (Curve(3), Point.affine(1, 2)), (Curve(
                  (Curve(66), Point.affine(3, 15))]
 ORACLE_POINTS += [(curve_from_n(euler_quadruple(*ab).n), P) for ab in ((2, 1), (5, 3), (1, 11))
                   for P in constructed_points(euler_quadruple(*ab))[:2]]
+# a 50-digit family point, and the image (y^2/x^2, y (x^2 - b)/x^2) of a
+# (1, 11) point on the 2-isogenous curve b' = -4b = 4n > 0, a 29-digit b' > 0
+QUAD4350 = euler_quadruple(43, 50)
+WIDE_POINTS = [(curve_from_n(QUAD4350.n), constructed_points(QUAD4350)[0])]
+E111 = curve_from_n(euler_quadruple(1, 11).n)
+P111 = constructed_points(euler_quadruple(1, 11))[0]
+WIDE_POINTS += [(dual_curve(E111), Point(P111.y**2 / P111.x**2, P111.y * (P111.x**2 - E111.b) / P111.x**2))]
+ORACLE_POINTS += WIDE_POINTS
 # and the pinned cancelling points, whose cancellations at 2 and at odd
 # primes check the series' weighted per-prime sums against a sum per term
 CANCELLING_POINTS = [(curve_from_n(n), Point.affine(x, y)) for n, x, y in PINNED_CANCELLING]
@@ -220,7 +243,7 @@ class TestWorkingPrecision:
         assert got == PINNED_CANCELLING[n, x, y]
 
     def test_logs_run_at_term_precision(self, monkeypatch):
-        # the orbit of the 28-digit (1, 11) curve starts above 1,000 digits;
+        # the orbit of the 28-digit (1, 11) curve keeps D_0 = 80 digits;
         # each log only needs the requested 8 digits and the sum's guard digits
         seen = []
         log = mp.log
@@ -269,6 +292,8 @@ class TestWorkingPrecision:
            precision=st.sampled_from([1e-4, 1e-8, 1e-20]))
     @example(point=CANCELLING_POINTS[0], k=1, precision=1e-20)
     @example(point=CANCELLING_POINTS[1], k=1, precision=1e-20)
+    @example(point=WIDE_POINTS[0], k=1, precision=1e-20)
+    @example(point=WIDE_POINTS[1], k=1, precision=1e-20)
     def test_integer_orbit_matches_the_mpf_orbit(self, point, k, precision):
         E, P = point
         Q = scalar_mul(E, k, P)
@@ -276,14 +301,70 @@ class TestWorkingPrecision:
         assert abs(got - mpf_series_height(E, Q, precision)) <= precision
 
     def test_start_above_the_orbit_budget(self):
-        # x(13 P) has more digits than the orbit keeps at 1e-4, so the first
-        # shift of the integer orbit truncates the exact start
+        # x(13 P) has more digits than any orbit integer after a shift at
+        # 1e-4 (D_0 + digits(a+) + 2), so the first shift truncates the exact
+        # start
         Q = scalar_mul(E17, 13, P17)
-        K, loss = series_budget(E17, 1e-4)
-        assert len(str(Q.x.numerator)) > 30 + K * loss
+        root, d0 = orbit_start_digits(E17, 1e-4)
+        assert len(str(Q.x.numerator)) > d0 + len(str(root)) + 2
         got = canonical_height(E17, Q, 1e-4).value
         assert abs(got - mpf_series_height(E17, Q, 1e-4)) <= 1e-4
         assert abs(got - 169 * canonical_height(E17, P17, 1e-10).value) <= 1e-4
+
+    def test_orbit_width_is_set_by_the_weighted_norm(self, monkeypatch):
+        # after a shift max(|U|, a+ |W|) has bitlen(a+) + bits(D_0) bits at
+        # most, so no orbit integer of the (1, 11) series at 1e-8 is wider than
+        # D_0 + digits(a+) + 2 = 96 digits; the older budget of
+        # 30 + K (2 digits(b) + 4) digits started near 1,150
+        E, quad = E111, euler_quadruple(1, 11)
+        root, d0 = orbit_start_digits(E, 1e-8)
+        assert d0 == 80
+        pairs = []
+        double = heights._double
+
+        def recording(A, a_plus, U, W, keep):
+            out = double(A, a_plus, U, W, keep)
+            pairs.append(out[:2])
+            return out
+
+        monkeypatch.setattr(heights, "_double", recording)
+        for P in constructed_points(quad):
+            canonical_height(E, P, 1e-8)
+        assert len(pairs) == 4 * series_budget(E, 1e-8)[0]
+        assert max(max(abs(U), root * abs(W)).bit_length() for U, W in pairs) <= root.bit_length() + d0 * 10 // 3 + 2
+        assert max(len(str(abs(v))) for pair in pairs for v in pair) <= d0 + len(str(root)) + 2
+
+
+def doubling_on_the_unit_box(sigma: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
+    """(F, G) at u = N alpha, w = N beta / a, divided by N^4 and with G
+    times a: the two components whose max is n(alpha, beta) in the heights
+    module docstring, with sigma = sign b."""
+    return (alpha**2 - sigma * beta**2) ** 2, 4 * alpha * beta * (alpha**2 + sigma * beta**2)
+
+
+class TestOrbitConstants:
+    """The two constants of the orbit's error argument (heights module
+    docstring), exactly in rationals on the boundary max(|alpha|, |beta|) = 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.sampled_from([-1, 1]), on_alpha=st.booleans(), edge=st.sampled_from([-1, 1]),
+           t=st.integers(-10**6, 10**6), d=st.tuples(st.integers(-10**7, 10**7), st.integers(-10**7, 10**7)))
+    @example(sigma=1, on_alpha=True, edge=1, t=200_000, d=(0, 10**7))
+    @example(sigma=1, on_alpha=False, edge=-1, t=215_000, d=(-10**7, 10**7))
+    @example(sigma=-1, on_alpha=True, edge=1, t=10**6, d=(10**7, -10**7))
+    def test_norm_floor_and_growth(self, sigma, on_alpha, edge, t, d):
+        # n >= 1 for b < 0 and n >= 0.83 for b > 0; a perturbation of
+        # relative N-size e <= 0.01 (e = max(|d|) / 10^9) leaves the step
+        # with relative N-size at most 40 e
+        assume(d != (0, 0))
+        free = Fraction(t, 10**6)
+        alpha, beta = (Fraction(edge), free) if on_alpha else (free, Fraction(edge))
+        f, g = doubling_on_the_unit_box(sigma, alpha, beta)
+        n = max(abs(f), abs(g))
+        assert n >= (1 if sigma < 0 else Fraction(83, 100))
+        e = Fraction(max(map(abs, d)), 10**9)
+        f2, g2 = doubling_on_the_unit_box(sigma, alpha + Fraction(d[0], 10**9), beta + Fraction(d[1], 10**9))
+        assert max(abs(f2 - f), abs(g2 - g)) <= 40 * e * n
 
 
 def exact_gcds(b: int, u: int, w: int, steps: int) -> list[int]:
@@ -404,6 +485,23 @@ class TestPairing:
         v = H.pairing(P17, Q17)
         v2 = H.pairing(scalar_mul(E17, 2, P17), Q17)
         assert abs(v2 - 2 * v) < 1e-7
+
+    def test_memo_hits_skip_the_curve_check(self, monkeypatch):
+        # only points on E enter the memo, so the 26 height lookups of a
+        # 4-point Gram matrix check each of its 10 distinct points once
+        checked = []
+        require = heights._require_on_curve
+
+        def recording(E, P):
+            checked.append((P.x, P.y))
+            require(E, P)
+
+        monkeypatch.setattr(heights, "_require_on_curve", recording)
+        H = heights_on(E21, 1e-8)
+        H.gram(PTS21)
+        assert len(checked) == len(set(checked)) == 10
+        with pytest.raises(OffCurve):
+            H.height(Point.affine(1, 1))
 
     def test_torsion_pairs_to_zero(self):
         T = Point.affine(0, 0)
