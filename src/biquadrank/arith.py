@@ -9,17 +9,19 @@ primality is Miller-Rabin, deterministic below the published 3.3e24
 threshold and with enough random rounds above it that the error
 probability is below 2**-128.
 
-Trial division reads m mod p as the sum of l_i * (2^(40 i) mod p) over the
-40-bit limbs l_i of m, with one modulo per 15 limbs (the chunk above carries
-in times 2^600 mod p; with p < 2^20 a sum stays below 15 * 2^60 + 2^40 < 2^64),
-from a uint32 table built row by row on first need, one block of primes at a time.
+Trial division runs on what is left of m in blocks of 2048, 4096, 8192, then
+16384 sieve primes, and stops when the next block starts past the primes up to
+min(10^6, isqrt(m)): m < p^2 then has no factor below p, that block's first
+prime, so m is 1 or a prime.  A block reads m mod p as the sum of
+l_i * (2^(40 i) mod p) over the 40-bit limbs l_i of m, one modulo per 15 limbs
+(the chunk above carries in times 2^600 mod p; with p < 2^20 a sum stays below
+15 * 2^60 + 2^40 < 2^64), from a uint32 table built row by row on first need.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,8 @@ _MR_RANDOM_ROUNDS = 64
 _SIEVE_BOUND = 1_000_000
 _LIMB_BITS = 40
 _CHUNK = 15  # limbs per modulo
-_BLOCK = 1 << 14  # primes per block of trial division
+_FIRST_BLOCK = 1 << 11  # primes in the first block of trial division
+_BLOCK = 1 << 14  # the most primes in one block; each block doubles up to it
 _sieve_primes: np.ndarray | None = None
 _weights: list[np.ndarray] = []
 
@@ -75,10 +78,7 @@ class Factorization:
     primes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        prod = 1
-        for p, e in self.primes:
-            prod *= p**e
-        if prod != abs(self.value):
+        if math.prod(p**e for p, e in self.primes) != abs(self.value):
             raise ValueError("factorization does not multiply back to |value|")
         if list(self.primes) != sorted(self.primes):
             raise ValueError("prime factors must be sorted")
@@ -91,10 +91,7 @@ class Factorization:
         return tuple(p for p, _ in self.primes)
 
     def exponent_of(self, p: int) -> int:
-        for q, e in self.primes:
-            if q == p:
-                return e
-        return 0
+        return dict(self.primes).get(p, 0)
 
 
 def _primes_below_bound() -> np.ndarray:
@@ -112,8 +109,8 @@ def _primes_below_bound() -> np.ndarray:
     return _sieve_primes
 
 
-def _trial_divisors(m: int, count: int) -> Iterator[int]:
-    """The primes among the first `count` sieve primes that divide m > 0."""
+def _trial_divisors(m: int, lo: int, hi: int) -> list[int]:
+    """The sieve primes primes[lo:hi] that divide m > 0."""
     global _weights
     limbs = [np.uint64(m >> s & (1 << _LIMB_BITS) - 1) for s in range(0, m.bit_length(), _LIMB_BITS)]
     chunks = [limbs[i : i + _CHUNK] for i in range(0, len(limbs), _CHUNK)][::-1]
@@ -121,17 +118,15 @@ def _trial_divisors(m: int, count: int) -> Iterator[int]:
     while len(rows) < (_CHUNK if len(chunks) > 1 else len(limbs) - 1):  # row 0 is all ones
         row = np.left_shift(rows[-1] if rows else np.ones(len(primes), np.uint32), _LIMB_BITS, dtype=np.uint64)
         rows = _weights = rows + [np.remainder(row, primes, out=row).astype(np.uint32)]
-    acc, term = np.empty(_BLOCK, np.uint64), np.empty(_BLOCK, np.uint64)
-    for lo in range(0, count, _BLOCK):
-        hi = min(lo + _BLOCK, count)
-        r, t = acc[: hi - lo], term[: hi - lo]
-        for k, chunk in enumerate(chunks):
-            r *= rows[_CHUNK - 1][lo:hi] if k else 0  # clear, or carry in the chunk above
-            r += chunk[0]
-            for limb, row in zip(chunk[1:], rows):
-                r += np.multiply(row[lo:hi], limb, out=t, dtype=np.uint64)  # numpy 1 would pick uint32
-            np.remainder(r, primes[lo:hi], out=r)
-        yield from primes[lo:hi][r == 0].tolist()
+    block = primes[lo:hi]
+    r, t = np.empty(len(block), np.uint64), np.empty(len(block), np.uint64)
+    for k, chunk in enumerate(chunks):
+        r *= rows[_CHUNK - 1][lo:hi] if k else 0  # clear, or carry in the chunk above
+        r += chunk[0]
+        for limb, row in zip(chunk[1:], rows):
+            r += np.multiply(row[lo:hi], limb, out=t, dtype=np.uint64)  # numpy 1 would pick uint32
+        np.remainder(r, block, out=r)
+    return block[r == 0].tolist()
 
 
 def jacobi(a: int, m: int) -> int:
@@ -188,7 +183,7 @@ def is_probable_prime(n: int, seed: int = DEFAULT_SEED) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, error < 2**-128 above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -282,12 +277,15 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         raise ValueError("0 has no factorization")
     m = abs(n)
     found: dict[int, int] = {}
-    # trial division tests every sieve prime up to min(10^6, isqrt(m))
-    count = np.searchsorted(_primes_below_bound(), np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right")
-    for p in _trial_divisors(m, int(count)):
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    # growing blocks of sieve primes, each on what is left of m, up to min(10^6, isqrt(m))
+    primes, lo, size = _primes_below_bound(), 0, _FIRST_BLOCK
+    while lo < (count := int(np.searchsorted(primes, np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right"))):
+        hi = min(lo + size, count)
+        for p in _trial_divisors(m, lo, hi):
+            while m % p == 0:
+                found[p] = found.get(p, 0) + 1
+                m //= p
+        lo, size = hi, min(2 * size, _BLOCK)
     if m > 1 and (m < _SIEVE_BOUND**2 or is_probable_prime(m, effort.seed)):
         # below 10^12 any survivor of trial division is prime
         found[m] = found.get(m, 0) + 1

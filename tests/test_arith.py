@@ -6,6 +6,7 @@ fast code must agree with them everywhere they can reach.
 """
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -302,11 +303,19 @@ def factor_by_horner(n: int, parts: tuple[int, ...] = ()) -> Factorization:
 
 SIEVE = _primes_below_bound().tolist()
 BLOCK = arith._BLOCK
-# prime slices: empty, one prime, a partial block, one block, a block and one
-# prime, and the whole sieve
-COUNTS = [0, 1, BLOCK // 2 + 7, BLOCK, BLOCK + 1, len(SIEVE)]
+FIRST = arith._FIRST_BLOCK
+# where factor's blocks start: 2048, 4096, 8192 and then 16384 primes long
+EDGES = [0, FIRST, 3 * FIRST, 7 * FIRST, *range(15 * FIRST, len(SIEVE), BLOCK)]
+# prime slices from the start: empty, one prime, a partial block, one block, a
+# block and one prime, and the whole sieve; then slices starting past 0: the
+# blocks of 2048, 4096 and 8192 primes, slices across a 16384 edge, the last
+# prime and an empty slice at the end
+SLICES = [(0, c) for c in [0, 1, BLOCK // 2 + 7, BLOCK, BLOCK + 1, len(SIEVE)]] + [
+    (FIRST, 3 * FIRST), (3 * FIRST, 7 * FIRST), (1, FIRST + 1), (BLOCK - 3, BLOCK + 3),
+    (15 * FIRST - 1, len(SIEVE)), (len(SIEVE) - 1, len(SIEVE)), (len(SIEVE), len(SIEVE)),
+]
 CHUNK_BITS = arith._CHUNK * arith._LIMB_BITS  # 600: one modulo reads this many bits
-# sieve primes at the start, on both sides of the first block edge, and at the end
+# sieve primes at the start, on both sides of the first 16384 edge, and at the end
 EDGE_PRIMES = math.prod(SIEVE[:3] + SIEVE[BLOCK - 1 : BLOCK + 1] + SIEVE[-1:])
 
 
@@ -328,32 +337,37 @@ class TestTrialDivision:
     @given(
         st.integers(min_value=1, max_value=2000).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
         st.lists(st.sampled_from(SIEVE[:100] + SIEVE[BLOCK - 3 : BLOCK + 3] + SIEVE[-3:]), max_size=6),
-        st.sampled_from(COUNTS),
+        st.sampled_from(SLICES),
     )
-    @example(1, [], len(SIEVE))
-    @example(1, [], 0)
-    @example(2**40, [], 1)
+    @example(1, [], (0, len(SIEVE)))
+    @example(1, [], (0, 0))
+    @example(2**40, [], (0, 1))
     # bit lengths on both sides of the 15-limb chunk edge, and one limb past it
-    @example(2 ** (CHUNK_BITS - 1) - 1, [], BLOCK)
-    @example(with_bits(CHUNK_BITS - 1, EDGE_PRIMES), [], len(SIEVE))
-    @example(2**CHUNK_BITS - 1, [], len(SIEVE))
-    @example(with_bits(CHUNK_BITS, EDGE_PRIMES), [], BLOCK + 1)
-    @example(with_bits(CHUNK_BITS, 999983), [], len(SIEVE))
-    @example(with_bits(CHUNK_BITS + 1, EDGE_PRIMES), [], len(SIEVE))
-    @example(with_bits(CHUNK_BITS + 1, 999983), [], BLOCK // 2 + 7)
-    @example(2 ** (CHUNK_BITS + 40) - 1, [], len(SIEVE))
-    @example(with_bits(CHUNK_BITS + 40, EDGE_PRIMES), [], len(SIEVE))
-    @example(with_bits(2 * CHUNK_BITS + 1, EDGE_PRIMES), [], len(SIEVE))
-    def test_divisors_match_division_by_each_prime(self, m, picks, count):
+    @example(2 ** (CHUNK_BITS - 1) - 1, [], (0, BLOCK))
+    @example(with_bits(CHUNK_BITS - 1, EDGE_PRIMES), [], (0, len(SIEVE)))
+    @example(2**CHUNK_BITS - 1, [], (0, len(SIEVE)))
+    @example(with_bits(CHUNK_BITS, EDGE_PRIMES), [], (0, BLOCK + 1))
+    @example(with_bits(CHUNK_BITS, 999983), [], (0, len(SIEVE)))
+    @example(with_bits(CHUNK_BITS + 1, EDGE_PRIMES), [], (0, len(SIEVE)))
+    @example(with_bits(CHUNK_BITS + 1, 999983), [], (0, BLOCK // 2 + 7))
+    @example(2 ** (CHUNK_BITS + 40) - 1, [], (0, len(SIEVE)))
+    @example(with_bits(CHUNK_BITS + 40, EDGE_PRIMES), [], (0, len(SIEVE)))
+    @example(with_bits(2 * CHUNK_BITS + 1, EDGE_PRIMES), [], (0, len(SIEVE)))
+    # slices that start past 0, so the table is read from row offset lo
+    @example(with_bits(CHUNK_BITS + 1, EDGE_PRIMES), [], (BLOCK - 1, BLOCK + 1))
+    @example(with_bits(2 * CHUNK_BITS + 1, EDGE_PRIMES), [], (len(SIEVE) - 1, len(SIEVE)))
+    @example(with_bits(CHUNK_BITS, SIEVE[FIRST] * SIEVE[3 * FIRST - 1]), [], (FIRST, 3 * FIRST))
+    @example(with_bits(CHUNK_BITS - 1, SIEVE[FIRST - 1] * SIEVE[3 * FIRST]), [], (FIRST, 3 * FIRST))
+    def test_divisors_match_division_by_each_prime(self, m, picks, bounds):
         m *= math.prod(picks)
-        primes = SIEVE[:count]
-        assert list(_trial_divisors(m, count)) == [p for p in primes if m % p == 0]
+        lo, hi = bounds
+        assert _trial_divisors(m, lo, hi) == [p for p in SIEVE[lo:hi] if m % p == 0]
 
     def test_table_rows_are_built_on_first_need(self, monkeypatch):
         monkeypatch.setattr(arith, "_weights", [])
-        list(_trial_divisors(2**100 + 1, 1))  # three 40-bit limbs: rows 1 and 2
+        _trial_divisors(2**100 + 1, 0, 1)  # three 40-bit limbs: rows 1 and 2
         assert len(arith._weights) == 2
-        list(_trial_divisors(2**600 + 1, 1))  # two chunks: the within-chunk rows and 2^600
+        _trial_divisors(2**600 + 1, 0, 1)  # two chunks: the within-chunk rows and 2^600
         rows = arith._weights
         assert len(rows) == arith._CHUNK
         for i, row in enumerate(rows, start=1):
@@ -380,6 +394,88 @@ class TestTrialDivision:
     def test_many_sieve_primes_and_high_powers_match_the_horner_kernel(self, n):
         assert factor(n) == factor_by_horner(n)
         assert factor(-n) == factor_by_horner(-n)
+
+
+def prime_near(n: int, step: int) -> int:
+    """The first prime at n, n + step, n + 2 step, ... by the trial_factor oracle."""
+    while trial_factor(n) != [(n, 1)]:
+        n += step
+    return n
+
+
+def record_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) slices the trial-division kernel is asked for from here on."""
+    blocks, kernel = [], arith._trial_divisors
+    monkeypatch.setattr(arith, "_trial_divisors", lambda m, lo, hi: blocks.append((lo, hi)) or kernel(m, lo, hi))
+    return blocks
+
+
+# sieve primes at the start, on both sides of each block edge and at the end
+NEAR_EDGES = SIEVE[:10] + [p for lo in EDGES[1:] for p in SIEVE[lo - 2 : lo + 2]] + SIEVE[-2:]
+# primes in (10^6, 10^12), with the two next to the square of each prime a
+# block of 2048, 4096 or 8192 primes starts at
+LARGE_PRIMES = [1000003, 10**9 + 7, 2**31 - 1, 999999999989] + [
+    prime_near(SIEVE[lo] ** 2 + step, step) for lo in EDGES[1:4] for step in (-1, 1)
+]
+
+
+class TestTrialDivisionStops:
+    """factor divides by blocks of 2048, 4096, 8192 and then 16384 sieve
+    primes, each on the current cofactor m, and stops before the block at lo
+    once primes[lo] > isqrt(m)."""
+
+    @pytest.mark.parametrize("i", [i for lo, hi in zip(EDGES, EDGES[1:4]) for i in (lo, hi - 1)])
+    def test_squares_cubes_and_neighbours_at_block_edges(self, i):
+        # i indexes the first or the last prime of the blocks of 2048, 4096 and 8192 primes
+        q = SIEVE[i]
+        for picks in [[q, q], [q, q, q], [q, SIEVE[i + 1]]] + ([[SIEVE[i - 1], q]] if i else []):
+            expected = tuple(sorted(Counter(picks).items()))
+            for sign in (1, -1):
+                f = factor(sign * math.prod(picks))
+                assert (f.primes, f.sign) == (expected, sign), picks
+
+    @pytest.mark.parametrize("lo", EDGES[1:4])
+    def test_the_next_block_runs_iff_its_first_prime_squared_fits_the_cofactor(self, lo, monkeypatch):
+        # the blocks before lo divide out primes[lo - 1] and leave m
+        p, k = SIEVE[lo], EDGES.index(lo)
+        earlier = list(zip(EDGES[:k], EDGES[1 : k + 1]))
+        blocks = record_blocks(monkeypatch)
+        for m, runs in [
+            (p * p, True),
+            (prime_near(p * p - 1, -1), False),  # the prime just below p^2 needs no block at lo
+            (prime_near(p * p + 1, 1), True),
+            (p * SIEVE[lo + 1], True),
+        ]:
+            blocks.clear()
+            n = SIEVE[lo - 1] * m
+            assert list(factor(n).primes) == trial_factor(n), m
+            assert blocks == earlier + ([(lo, lo + 1)] if runs else []), m
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(NEAR_EDGES), st.sampled_from(SIEVE)), max_size=5),
+        st.sampled_from([1] + LARGE_PRIMES),
+        st.sampled_from([-1, 1]),
+    )
+    def test_products_of_sieve_primes_and_at_most_one_large_prime(self, picks, large, sign):
+        n = sign * math.prod(picks) * large
+        f = factor(n)
+        assert (list(f.primes), f.sign) == (trial_factor(n), sign)
+
+    def test_small_primes_stop_within_two_blocks(self, monkeypatch):
+        # 2n for n = 635318657 and for the 28-digit ladder n of (a, b) = (1, 11)
+        blocks = record_blocks(monkeypatch)
+        for n in (2 * 635318657, 2 * euler_quadruple(1, 11).n):
+            blocks.clear()
+            factor(n)
+            assert blocks[0] == (0, FIRST) and len(blocks) <= 2 and blocks[-1][1] <= EDGES[2], n
+
+    def test_a_large_composite_cofactor_runs_the_whole_sieve(self, monkeypatch):
+        # 2n for the 34-digit n of (a, b) = (1, 16) keeps a composite of 26
+        # digits, so every block runs, at sizes 2048, 4096, 8192, then 16384
+        blocks = record_blocks(monkeypatch)
+        factor(2 * euler_quadruple(1, 16).n)
+        assert blocks == list(zip(EDGES, EDGES[1:] + [len(SIEVE)]))
 
 
 class TestSquarefreeParts:
