@@ -1,13 +1,13 @@
 """Exact integer arithmetic: gcds, Jacobi symbols, factoring, power-free parts.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic for a fixed seed.  Factoring is trial division by the primes
-below 10^6, then gcd splits against any known parts of the number (for a
-family quadruple, the quartic factors A, B, C, D of its raw n), then Brent's
-variant of Pollard rho with a seeded RNG on the composite pieces left;
-primality is Miller-Rabin, deterministic below the published 3.3e24
-threshold and with enough random rounds above it that the error
-probability is below 2**-128.
+deterministic: every random choice is seeded from DEFAULT_SEED and the
+number at hand.  Factoring is trial division by the primes below 10^6, then
+gcd splits against any known parts of the number (for a family quadruple,
+the quartic factors A, B, C, D of its raw n), then Brent's variant of
+Pollard rho on the composite pieces left; primality is Miller-Rabin,
+deterministic below the published 3.3e24 threshold and with enough random
+rounds above it that the error probability is below 2**-128.
 
 Trial division runs on what is left of m in blocks of 2048, 4096, 8192, then
 16384 sieve primes, and stops when the next block starts past the primes up to
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Deterministic default seed for the rho stage.
+# Seed of the rho walks and of the Miller-Rabin bases above 3.3e24.
 DEFAULT_SEED = 0x5EED
 
 # Strong-pseudoprime bases proving primality for all n < 3317044064679887385961981.
@@ -61,10 +61,9 @@ class EffortExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorEffort:
-    """Budget knobs for factor().  rho_iterations counts squarings mod n."""
+    """Budget of factor(): rho_iterations counts squarings mod n."""
 
     rho_iterations: int = 8_000_000
-    seed: int = DEFAULT_SEED
 
 
 DEFAULT_EFFORT = FactorEffort()
@@ -171,6 +170,15 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
+def valuation(m: int, p: int) -> int:
+    """The exponent of the prime p in m != 0."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -179,7 +187,7 @@ def is_fourth_power(n: int) -> bool:
     return n >= 0 and iroot(n, 4) ** 4 == n
 
 
-def is_probable_prime(n: int, seed: int = DEFAULT_SEED) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, error < 2**-128 above."""
     if n < 2:
         return False
@@ -203,7 +211,7 @@ def is_probable_prime(n: int, seed: int = DEFAULT_SEED) -> bool:
     if n < _MR_DETERMINISTIC_BOUND:
         bases = _MR_BASES
     else:
-        rng = random.Random(seed ^ (n & 0xFFFFFFFF))
+        rng = random.Random(DEFAULT_SEED ^ (n & 0xFFFFFFFF))
         bases = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return not any(witness(a) for a in bases)
 
@@ -282,23 +290,22 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     while lo < (count := int(np.searchsorted(primes, np.uint64(min(_SIEVE_BOUND, math.isqrt(m))), side="right"))):
         hi = min(lo + size, count)
         for p in _trial_divisors(m, lo, hi):
-            while m % p == 0:
-                found[p] = found.get(p, 0) + 1
-                m //= p
+            found[p] = valuation(m, p)
+            m //= p ** found[p]
         lo, size = hi, min(2 * size, _BLOCK)
-    if m > 1 and (m < _SIEVE_BOUND**2 or is_probable_prime(m, effort.seed)):
+    if m > 1 and (m < _SIEVE_BOUND**2 or is_probable_prime(m)):
         # below 10^12 any survivor of trial division is prime
         found[m] = found.get(m, 0) + 1
         m = 1
 
     budget = effort.rho_iterations
-    rng = random.Random(effort.seed ^ (abs(n) & 0xFFFFFFFFFFFF))
+    rng = random.Random(DEFAULT_SEED ^ (abs(n) & 0xFFFFFFFFFFFF))
     stack = [m] if m > 1 else []
     for part in parts:
         stack = [piece for c in stack for piece in _split(c, part)]
     while stack:
         c = stack.pop()
-        if is_probable_prime(c, effort.seed):
+        if is_probable_prime(c):
             found[c] = found.get(c, 0) + 1
             continue
         # perfect powers make rho degenerate; peel them first
@@ -316,7 +323,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         if g is None:
             residual = c
             for other in stack:
-                if is_probable_prime(other, effort.seed):
+                if is_probable_prime(other):
                     found[other] = found.get(other, 0) + 1
                 else:
                     residual *= other

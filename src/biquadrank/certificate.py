@@ -2,9 +2,9 @@
 bundled with enough witness material to re-verify it offline.
 
 A certificate records the double representation(s) of n, the constructed
-points with their canonical heights and Gram matrix, the verified descent
-images with witnesses, the root number with its justification, and three
-bounds:
+points with their Gram matrix of height pairings (its diagonal holds the
+canonical heights), the verified descent images with witnesses, the root
+number with its justification, and three bounds:
 
   unconditional_lower   max(descent count, Gram-certified independent points)
   conditional_lower     parity-adjusted (assumes the parity conjecture)
@@ -17,11 +17,12 @@ means a descent or factoring bug and aborts loudly.
 Serialization is line-delimited JSON written and read by one codec
 driven by the dataclasses: each dataclass is an object keyed by its field
 names, every exact integer and fraction is a decimal string, and JSON
-floats, always finite, appear only for heights, Gram entries, precision
-and tol.  Records keep evidence only: what it determines (a quadruple's n
-and flags, omega, the Gram determinant) is a property, never stored.
-parse_certificate rebuilds the full object through the constructors,
-re-running every check of the evidence on the way in.
+floats, always finite, appear only for Gram entries, precision and tol.
+Records keep evidence only: what it determines (a quadruple's n and flags,
+omega, the Gram determinant and the heights on its diagonal) is a property,
+never stored.  parse_certificate rebuilds the full object through the
+constructors, re-running every check of the evidence on the way in.
+reverify never factors: it checks that the images list the primes of 2n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from types import MappingProxyType, UnionType
 from typing import Mapping, get_args, get_origin, get_type_hints
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor
+from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, is_probable_prime, valuation
 from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
@@ -48,8 +49,8 @@ from .biquadrate import (
     validate_double_representation,
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
-from .descent import DescentImage, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
-from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable
+from .descent import DescentImage, WitnessInvalid, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
+from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable, _is_torsion
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
@@ -69,7 +70,6 @@ class RankCertificate:
     quadruples: tuple[BiquadQuadruple, ...]
     torsion: str
     points: tuple[Point, ...]
-    heights: tuple[HeightValue, ...]
     gram: GramMatrix | None
     independence: int | None
     phi: DescentImage
@@ -80,7 +80,6 @@ class RankCertificate:
     heuristic_upper: int
     root: RootNumber
     tool_version: str
-    seed: int
     precision: float
     tol: float
     notes: tuple[str, ...] = ()
@@ -90,6 +89,15 @@ class RankCertificate:
     def __post_init__(self):
         if not (0 < self.precision < math.inf and 0 < self.tol < math.inf):
             raise ValueError("precision and tol must be positive and finite")
+
+    @property
+    def heights(self) -> tuple[HeightValue, ...]:
+        """The Gram diagonal <P, P> = h(P), exact on torsion as Heights.height gives it."""
+        if self.gram is None:
+            return ()
+        E = curve_from_n(self.n)
+        return tuple(HeightValue(row[i], 0.0 if _is_torsion(E, P) else self.precision)
+                     for i, (P, row) in enumerate(zip(self.points, self.gram.entries)))
 
 
 def _with_params(quad: BiquadQuadruple, notes: list[str]) -> BiquadQuadruple:
@@ -224,15 +232,12 @@ def analyze(
     points = tuple(dict.fromkeys(constructed_points(quad)))  # distinct, in order
     timings["resolve"] = time.perf_counter() - t0
 
-    heights: tuple[HeightValue, ...] = ()
     gram: GramMatrix | None = None
     t0 = time.perf_counter()
     if skip_heights:
         notes.append("heights skipped by request")
     else:
-        H = Heights(E, precision, f2n.distinct_primes())
-        heights = tuple(H.height(P) for P in points)
-        gram = H.gram(points)
+        gram = Heights(E, precision, f2n.distinct_primes()).gram(points)
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -250,12 +255,10 @@ def analyze(
         n=n,
         quadruples=quadruples,
         points=points,
-        heights=heights,
         gram=gram,
         phi=phi,
         psi=psi,
         tool_version=TOOL_VERSION,
-        seed=effort.seed,
         precision=precision,
         tol=tol,
         notes=tuple(notes),
@@ -324,11 +327,11 @@ def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
     Every record re-runs its checks during construction (the quadruples,
-    heights, Gram matrix, descent images, and finite positive precision
-    and tol), so a tampered line fails here rather than at reverify time.
-    A line that is not JSON, lacks a field, has an unknown one or one of
-    the wrong wire type, or was written by another tool_version, raises
-    CertificateInvalid.
+    the Gram matrix, the descent images with their witnesses, and finite
+    positive precision and tol), so a tampered line fails here rather than
+    at reverify time.  A line that is not JSON, lacks a field, has an
+    unknown one or one of the wrong wire type, was written by another
+    tool_version, or holds a witness that fails, raises CertificateInvalid.
     """
     try:
         d = json.loads(line)
@@ -337,7 +340,7 @@ def parse_certificate(line: str) -> RankCertificate:
         if d["tool_version"] != TOOL_VERSION:
             raise CertificateInvalid(f"tool_version {d['tool_version']!r} is not {TOOL_VERSION}")
         return _decode(RankCertificate, d)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError, WitnessInvalid) as exc:
         raise CertificateInvalid(f"malformed certificate record: {type(exc).__name__}: {exc}") from exc
 
 
@@ -346,38 +349,41 @@ def reverify(cert: RankCertificate) -> bool:
 
     First the exact evidence: n positive and not divisible by 4, each
     quadruple (checked when built) representing n, the points on the
-    curve, the descent witnesses, and the heights and Gram matrix within
-    their error bounds.  Then every derived field is rebuilt by _bounds,
-    the one derivation analyze records, and compared with the certificate.
+    curve, the primes of 2n the images list and their witnesses, and the
+    Gram matrix within its error bounds.  Then every derived field is
+    rebuilt by _bounds, the one derivation analyze records, and compared
+    with the certificate.  Nothing is factored.
     """
     n = cert.n
-
-    def fail(msg: str):
-        raise CertificateInvalid(msg)
-
     if n <= 0 or n % 4 == 0:
-        fail(f"n = {n} is not positive or is divisible by 4")
+        raise CertificateInvalid(f"n = {n} is not positive or is divisible by 4")
     E = curve_from_n(n)
     if not cert.quadruples:
-        fail("no quadruple recorded")
+        raise CertificateInvalid("no quadruple recorded")
     for q in cert.quadruples:
         if q.n != n:
-            fail(f"quadruple {q.components()} does not represent {n}")
+            raise CertificateInvalid(f"quadruple {q.components()} does not represent {n}")
     for P in cert.points:
         if not is_on_curve(E, P):
-            fail(f"point {P} is off the curve")
+            raise CertificateInvalid(f"point {P} is off the curve")
     if cert.phi.curve_b != E.b:
-        fail("phi image bound to the wrong curve")
+        raise CertificateInvalid("phi image bound to the wrong curve")
     if cert.psi.curve_b != 4 * n:
-        fail("psi image bound to the wrong curve")
-    f2n = factor_2n(cert.quadruples[0])
+        raise CertificateInvalid("psi image bound to the wrong curve")
+    if cert.psi.primes != cert.phi.primes:
+        raise CertificateInvalid("phi and psi images list different primes")
+    for p in cert.phi.primes:  # tested before 2n is divided by it: dividing out 1 never stops
+        if not is_probable_prime(p) or 2 * n % p:
+            raise CertificateInvalid(f"listed {p} is not a prime of 2n")
+    try:  # their powers in 2n multiply back to it, in ascending order
+        f2n = Factorization(2 * n, tuple((p, valuation(2 * n, p)) for p in cert.phi.primes))
+    except ValueError as exc:
+        raise CertificateInvalid(f"image primes are not the primes of 2n: {exc}") from exc
     for img in (cert.phi, cert.psi):
-        if img.primes != f2n.distinct_primes():
-            fail(f"{img.side} image primes are not the primes of 2n")
         img.reverify()
     if cert.gram is None:
-        if cert.heights or cert.independence is not None:
-            fail("heights or independence recorded without a Gram matrix")
+        if cert.independence is not None:
+            raise CertificateInvalid("independence recorded without a Gram matrix")
     else:
         _reverify_heights(cert, E, f2n.distinct_primes())
 
@@ -387,32 +393,28 @@ def reverify(cert: RankCertificate) -> bool:
         raise CertificateInvalid(str(exc)) from exc
     for name, value in derived.items():
         if getattr(cert, name) != value:
-            fail(f"{name} does not match the evidence")
+            raise CertificateInvalid(f"{name} does not match the evidence")
     return True
 
 
 def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) -> None:
-    """Recompute the heights and the Gram matrix from the points at the
-    recorded precision, and check the recorded ones against them."""
-    k = len(cert.points)
+    """Recompute the Gram matrix from the points at the recorded precision
+    and check the recorded one against it: the recorded and the recomputed
+    height each lie within its error bound of the true one, and a pairing
+    within 3 * precision / 2."""
     recorded = cert.gram.entries
-    if len(cert.heights) != k or len(recorded) != k:
-        raise CertificateInvalid("heights or Gram matrix do not match the points")
+    if len(recorded) != len(cert.points):
+        raise CertificateInvalid("Gram matrix does not match the points")
     H = Heights(E, cert.precision, primes)
     try:
         fresh = H.gram(cert.points)
-        for P, h in zip(cert.points, cert.heights):
-            # the recorded and the recomputed value each lie within the
-            # error bound of the true height
-            f = H.height(P)
-            if h.error_bound != f.error_bound or abs(h.value - f.value) > 2 * f.error_bound:
-                raise CertificateInvalid(f"height of ({P.x}, {P.y}) does not match the point")
     except PrecisionUnreachable as exc:
         raise CertificateInvalid(f"recorded precision is unreachable: {exc}") from exc
-    # each pairing lies within 3 * precision / 2 of the true one
-    for row, fresh_row in zip(recorded, fresh.entries):
-        if any(abs(a - b) > 3 * cert.precision for a, b in zip(row, fresh_row)):
-            raise CertificateInvalid("gram entries do not match the points")
+    for i, (P, row, fresh_row) in enumerate(zip(cert.points, recorded, fresh.entries)):
+        for j, (a, b) in enumerate(zip(row, fresh_row)):
+            bound = 2 * H.height(P).error_bound if i == j else 3 * cert.precision
+            if abs(a - b) > bound:
+                raise CertificateInvalid(f"gram entry ({i}, {j}) does not match the points")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +442,7 @@ def render_table(cert: RankCertificate) -> str:
     lines = []
     add = lines.append
     add(f"n = {cert.n}")
-    add(f"torsion: {cert.torsion}    tool {cert.tool_version}    seed {cert.seed}")
+    add(f"torsion: {cert.torsion}    tool {cert.tool_version}")
     for q in cert.quadruples:
         tag = " (single)" if q.degenerate else ""
         src = f"  from (a,b) = {q.euler_params}" if q.euler_params else ""

@@ -16,7 +16,7 @@ import math
 import sys
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, DEFAULT_SEED, EffortExceeded, FactorEffort
+from .arith import DEFAULT_EFFORT, EffortExceeded, FactorEffort
 from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, ZeroBase, search_double_representations
 from .certificate import (
     CSV_HEADER,
@@ -100,7 +100,6 @@ FORMATS = ["table", "json-lines", "csv"]
 
 
 def _add_effort(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--factor-effort", type=_positive(int, zero_ok=True),
                      default=DEFAULT_EFFORT.rho_iterations, metavar="N",
                      help="rho iteration budget per factorization")
@@ -149,10 +148,6 @@ def build_parser() -> _Parser:
     _add_effort(p_rep)
 
     return parser
-
-
-def _effort(args) -> FactorEffort:
-    return FactorEffort(rho_iterations=args.factor_effort, seed=args.seed)
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -205,7 +200,7 @@ def _run_analysis(args, *, n=None, pqrs=None, ab=None):
         ab=ab,
         precision=args.precision,
         tol=args.tol,
-        effort=_effort(args),
+        effort=FactorEffort(rho_iterations=args.factor_effort),
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
     )

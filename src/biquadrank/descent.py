@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factor, is_square
+from .arith import Factorization, factor, is_square, valuation
 from .biquadrate import BiquadQuadruple, factor_2n, fourth_power_witness, quartic_factors
 from .curve import Curve
 
@@ -57,10 +57,8 @@ def square_class(m: int, primes: tuple[int, ...]) -> int:
         raise ValueError("0 has no square class")
     c, rest = (-1 if m < 0 else 1), abs(m)
     for p in primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
+        e = valuation(rest, p)
+        rest //= p**e
         if e % 2:
             c *= p
     if not is_square(rest):
@@ -138,7 +136,7 @@ class DescentImage:
     """The subgroup of Q*/Q*^2 spanned by witnessed generators inside one
     descent image, read as F2 vectors over (-1, primes).  The rank counts
     that subgroup only when primes are distinct primes; certificate.reverify
-    checks them against the factorization of 2n."""
+    checks that they are the primes of 2n."""
 
     side: str
     curve_b: int

@@ -91,7 +91,7 @@ from itertools import combinations
 import numpy as np
 from mpmath import mp
 
-from .arith import DEFAULT_EFFORT, FactorEffort, factor
+from .arith import DEFAULT_EFFORT, FactorEffort, factor, valuation
 from .biquadrate import PropertyViolation
 from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
@@ -128,6 +128,8 @@ class GramMatrix:
         k = len(self.entries)
         if not all(len(row) == k and all(map(math.isfinite, row)) for row in self.entries):
             raise ValueError("Gram entries must form a square matrix of finite floats")
+        if any(row[i] < 0 for i, row in enumerate(self.entries)):
+            raise ValueError("Gram diagonal entries are heights and must be nonnegative")
 
     @property
     def determinant(self) -> float:
@@ -169,14 +171,6 @@ def _tail_constant(A: int) -> float:
     return 8.0 * math.log(abs(A) + 3) + 12.0
 
 
-def _valuation(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def _settled(p: int, A: int, u: int, w: int) -> bool:
     """p does not divide u but divides A*w: every cancellation at p from here on is 0."""
     return u % p != 0 and A * w % p == 0
@@ -188,7 +182,7 @@ class _PadicTracker:
 
     def __init__(self, p: int, A: int, u0: int, w0: int, steps: int):
         self.p = p
-        r = (12 if p == 2 else 0) + 6 * _valuation(abs(A), p)
+        r = (12 if p == 2 else 0) + 6 * valuation(abs(A), p)
         self.cap = r
         self.left = steps
         self.M = (steps + 2) * r + 8
@@ -202,7 +196,7 @@ class _PadicTracker:
         t = (self.u * self.u - self.A * self.w * self.w) % mod
         fu = t * t % mod
         gw = 4 * self.u * self.w % mod * ((self.u * self.u + self.A * self.w * self.w) % mod) % mod
-        c = _valuation(math.gcd(fu, gw, mod), self.p)  # min(v_p(fu), v_p(gw), M)
+        c = valuation(math.gcd(fu, gw, mod), self.p)  # min(v_p(fu), v_p(gw), M)
         if c > self.cap:
             raise PropertyViolation(f"cancellation {c} above resultant cap at p={self.p}")
         pc = self.p**c

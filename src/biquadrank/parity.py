@@ -1,10 +1,12 @@
 """Root numbers for y^2 = x^3 - n x via the closed-form criterion
-omega = sgn(-n) * epsilon(n) * prod_{p^2 || n} (-1/p), n not divisible by 4,
+omega = sgn(-n) * epsilon(n) * prod_{p^2 || n0} (-1/p), n not divisible by 4,
 and the conditional parity adjustment of rank lower bounds.
 
 No L-functions here: epsilon(n) is a table on n mod 16 and the product runs
-over primes whose square exactly divides n.  Every f here is the
-factorization of 2n, as in descent, so one factorization serves both.
+over the primes whose square exactly divides n0, the fourth-power-free part
+of n = n0 k^4 (E_n is isomorphic to E_n0, and n = n0 mod 16 as k is odd).
+Every f here is the factorization of 2n, as in descent, so one
+factorization serves both.
 For n with a representation n = p^4 + q^4, gcd(p, q) = 1, every odd prime
 divisor of n is 1 mod 8, so the product is +1 without factoring anything;
 root_number records which justification was used so certificates can be
@@ -35,8 +37,8 @@ class RootNumber:
     16; epsilon (the table on the residue) and omega = -epsilon *
     square_part_product are derived.  Parity conclusions drawn from omega
     assume the parity conjecture.  justification records how the square
-    part's contribution was established: "squarefree" (no square part),
-    "factored" (explicit residue symbols), or "coprime-representation"
+    part's contribution was established: "squarefree" (n0 has no square
+    part), "factored" (explicit residue symbols), or "coprime-representation"
     (all odd prime divisors are 1 mod 8, so every symbol is +1).
     """
 
@@ -89,14 +91,14 @@ def root_number(
     f: Factorization | None = None,
     quad: BiquadQuadruple | None = None,
 ) -> RootNumber:
-    """omega(E_n) from the closed form, for positive fourth-power-free n.
+    """omega(E_n) from the closed form, for positive n not divisible by 4.
 
     f is the factorization of 2n, factored when None and needed.  A
     coprime representation n = p^4 + q^4 in quad takes precedence: it
     forces every symbol to +1, and f, if given, is only checked.
-    Otherwise the square part is read from the primes of exponent exactly
-    2 in f, other than 2 (4 does not divide n, so 2's exponent in n is at
-    most 1).
+    Otherwise the square part of n0 is read from the primes of exponent
+    2 mod 4 in f, other than 2 (4 does not divide n, so 2's exponent in n
+    is at most 1).
     """
     epsilon(n)  # OutOfDomain unless n > 0 and 4 does not divide n
 
@@ -108,7 +110,7 @@ def root_number(
     if coprime:
         return RootNumber(1, n % 16, "coprime-representation")
 
-    square_primes = [p for p, e in f.primes if e == 2 and p != 2]
+    square_primes = [p for p, e in f.primes if e % 4 == 2 and p != 2]
     spp = 1
     for p in square_primes:
         spp *= jacobi(-1, p)

@@ -5,6 +5,7 @@ for the Jacobi symbol, trial division for factoring and primality.  The
 fast code must agree with them everywhere they can reach.
 """
 
+import dataclasses
 import math
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -27,6 +28,7 @@ from biquadrank.arith import (
     is_probable_prime,
     is_square,
     jacobi,
+    valuation,
 )
 from biquadrank.biquadrate import euler_quadruple, factor_2n, quartic_factors
 
@@ -109,6 +111,11 @@ class TestIntegerRoots:
         assert not is_fourth_power(big + 1)
 
 
+    def test_valuation(self):
+        assert [valuation(m, 3) for m in (1, 3, 18, -81, 3**40 * 7)] == [0, 1, 2, 4, 40]
+        assert valuation(2 * 635318657, 41) == 1
+
+
 class TestPrimality:
     def test_agrees_with_trial_division_below_10000(self):
         for n in range(2, 10000):
@@ -170,11 +177,15 @@ class TestFactor:
         f = factor(p * q)
         assert f.primes == ((p, 1), (q, 1))
 
+    def test_budget_is_the_only_knob(self):
+        # every rho walk and Miller-Rabin base is seeded from DEFAULT_SEED
+        assert [f.name for f in dataclasses.fields(FactorEffort)] == ["rho_iterations"]
+
     def test_budget_exhaustion_raises_with_partial(self):
         # product of two ~2^110 primes is far beyond a tiny rho budget
         p = 2**107 - 1
         q = 2**127 - 1
-        tiny = FactorEffort(rho_iterations=500, seed=7)
+        tiny = FactorEffort(rho_iterations=500)
         with pytest.raises(EffortExceeded) as exc:
             factor(4 * p * q, tiny)
         assert exc.value.residual > 1
@@ -183,7 +194,7 @@ class TestFactor:
     def test_budget_exhaustion_moves_waiting_primes_into_partial(self):
         # the parts split off the two primes before rho runs out on p * q
         p, q, r, s = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
-        tiny = FactorEffort(rho_iterations=0, seed=7)
+        tiny = FactorEffort(rho_iterations=0)
         with pytest.raises(EffortExceeded) as exc:
             factor(p * q * r * s, tiny, parts=(p, q))
         assert exc.value.partial == ((p, 1), (q, 1))

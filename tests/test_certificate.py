@@ -9,6 +9,8 @@ import pytest
 
 import biquadrank.heights as heights_module
 from biquadrank.arith import FactorEffort, factor
+from biquadrank.curve import Point, curve_from_n
+from biquadrank.heights import GramMatrix, HeightValue, Heights
 from biquadrank.biquadrate import PropertyViolation
 from biquadrank.certificate import (
     CSV_HEADER,
@@ -23,7 +25,6 @@ from biquadrank.certificate import (
     reverify,
     to_json_line,
 )
-from biquadrank.descent import WitnessInvalid
 from biquadrank.parity import OutOfDomain, parity_adjusted_bound
 
 
@@ -97,9 +98,6 @@ class TestAnalyzeEntryPoints:
         with pytest.raises(ValueError):
             analyze()
 
-    def test_seed_recorded_is_the_factoring_seed(self):
-        assert analyze(ab=(2, 1), skip_heights=True, effort=FactorEffort(seed=7)).seed == 7
-
     def test_budget_that_factors_2n_suffices(self):
         # 2n factors within 5000 rho iterations and n is never factored on
         # its own, so the small budget gives the default-effort certificate
@@ -162,7 +160,19 @@ class TestOnePass:
         assert bounds == (2, 2, 2, 11)
         factored.clear()
         assert reverify(cert)
-        assert factored == [2 * cert.n]
+        assert factored == []
+
+    @pytest.mark.parametrize("skip_heights", [False, True], ids=["heights", "no-heights"])
+    @pytest.mark.parametrize("given", [
+        {"ab": (2, 1)}, {"pqrs": (177, 474, 399, 402)}, {"n": 635318657}, {"n": 17, "allow_single": True},
+    ], ids=["ab", "pqrs", "n", "single"])
+    def test_reverify_never_factors(self, monkeypatch, given, skip_heights):
+        # the images list the primes of 2n; reverify checks them and
+        # rebuilds the factorization from them
+        line = to_json_line(analyze(**given, skip_heights=skip_heights))
+        factored = log_factor_calls(monkeypatch)
+        assert reverify(parse_certificate(line))
+        assert factored == []
 
 
 class TestBoundChain:
@@ -213,6 +223,22 @@ class TestSerialization:
         assert set(record["quadruples"][0]) == {"p", "q", "r", "s", "reduction", "euler_params"}
         assert set(record["root"]) == {"square_part_product", "residue", "justification"}
         assert set(record["gram"]) == {"entries"}
+        # heights are the Gram diagonal; the factoring budget is not evidence
+        assert "heights" not in record and "seed" not in record
+
+    def test_heights_are_the_gram_diagonal(self):
+        E = curve_from_n(CERT21.n)
+        H = Heights(E, CERT21.precision, factor(2 * CERT21.n).distinct_primes())
+        assert CERT21.heights == tuple(H.height(P) for P in CERT21.points)
+        assert [h.value for h in CERT21.heights] == [row[i] for i, row in enumerate(CERT21.gram.entries)]
+        assert analyze(ab=(2, 1), skip_heights=True).heights == ()
+
+    def test_torsion_point_height_is_exact(self):
+        # (0, 0) has height 0 with error 0, as Heights.height gives it
+        T = Point.affine(0, 0)
+        gram = GramMatrix(((0.0, 0.0), (0.0, CERT21.gram.entries[0][0])))
+        cert = dataclasses.replace(CERT21, points=(T, CERT21.points[0]), gram=gram)
+        assert cert.heights == (HeightValue(0.0, 0.0), HeightValue(gram.entries[1][1], CERT21.precision))
 
     def test_images_list_only_generators(self):
         record = certificate_record(CERT21)
@@ -248,7 +274,7 @@ class TestTamperDetection:
         def mutate(d):
             d["phi"]["generators"][1]["data"][-1] = "999"
 
-        with pytest.raises(WitnessInvalid):
+        with pytest.raises(CertificateInvalid, match="WitnessInvalid: torsor witness for class -1 fails"):
             parse_certificate(self.tampered(mutate))
 
     def test_repeated_generator_leaves_descent_lower(self):
@@ -278,16 +304,30 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match="not a squarefree class"):
             parse_certificate(self.tampered(mutate))
 
-    @pytest.mark.parametrize(
-        "primes",
-        [["2", "113", "241", "569"], ["2", "41", "113", "241", "569", "4633"], ["2", "4633", "241", "569"]],
-        ids=["prime-dropped", "composite-inserted", "composite-for-two-primes"],
-    )
-    def test_wrong_primes_caught(self, primes):
+    @pytest.mark.parametrize("primes, message", [
+        (["2", "113", "241", "569"], "not a squarefree class"),
+        (["2", "41", "113", "241", "569", "4633"], "listed 4633 is not a prime of 2n"),
+        (["2", "4633", "241", "569"], "listed 4633 is not a prime of 2n"),
+        (["1", "2", "41", "113", "241", "569"], "listed 1 is not a prime of 2n"),
+        (["2", "41", "41", "113", "241", "569"], "does not multiply back"),
+        (["2", "3", "41", "113", "241", "569"], "listed 3 is not a prime of 2n"),
+        (["2", "113", "41", "241", "569"], "must be sorted"),
+    ], ids=["prime-dropped", "composite-inserted", "composite-for-two-primes", "one-listed",
+            "prime-repeated", "prime-not-dividing-2n", "unsorted"])
+    def test_wrong_primes_caught(self, primes, message):
+        # both images list the same wrong primes, so each reaches its own check
         def mutate(d):
-            d["phi"]["primes"] = primes
+            d["phi"]["primes"] = d["psi"]["primes"] = primes
 
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid, match=message):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_images_with_different_primes_caught(self, side):
+        def mutate(d):
+            d[side]["primes"] = ["2", "3", "41", "113", "241", "569"]
+
+        with pytest.raises(CertificateInvalid, match="different primes"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_other_tool_version_caught_on_parse(self):
@@ -296,6 +336,23 @@ class TestTamperDetection:
 
         with pytest.raises(CertificateInvalid, match="tool_version"):
             parse_certificate(self.tampered(mutate))
+
+    def test_0_4_0_line_caught_on_parse(self):
+        # 0.4.0 also stored the heights and the factoring seed
+        def mutate(d):
+            d.update(tool_version="0.4.0", seed="24301",
+                     heights=[{"error_bound": 1e-08, "value": row[i]} for i, row in enumerate(d["gram"]["entries"])])
+
+        with pytest.raises(CertificateInvalid, match="tool_version '0.4.0'"):
+            parse_certificate(self.tampered(mutate))
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", "24301"),
+        ("heights", [{"error_bound": 1e-08, "value": 10.47878552440583}]),
+    ], ids=["seed", "heights"])
+    def test_fields_that_are_not_evidence_caught_on_parse(self, name, value):
+        with pytest.raises(CertificateInvalid, match=rf"unknown RankCertificate fields \['{name}'\]"):
+            parse_certificate(self.tampered(lambda d: d.update({name: value})))
 
     def test_inflated_descent_bound_caught(self):
         def mutate(d):
@@ -430,21 +487,22 @@ class TestTamperDetection:
             {"square_class": "-1", "kind": "point", "data": ["1", "0", "1", "1"]}),
         lambda d: d["quadruples"][0].update(euler_params=["2"]),
         lambda d: d.update(precision="abc"),
-        lambda d: d["heights"][0].update(value="10.47878552440583"),
+        lambda d: d["gram"]["entries"][0].__setitem__(0, "10.47878552440583"),
         lambda d: d["root"].update(justification=1),
         lambda d: d.update(seed=5),
         lambda d: d.update(n=None),
         lambda d: d.update(precision=math.inf),
         lambda d: d["points"][0].update(y=None),
+        lambda d: d["gram"]["entries"][2].__setitem__(2, -1.0),
     ], ids=["zero-denominator-point", "zero-denominator-witness", "short-euler-params",
             "string-precision", "string-height", "numeric-justification", "numeric-seed", "null-n",
-            "infinite-precision", "point-without-y"])
+            "infinite-precision", "point-without-y", "negative-height"])
     def test_malformed_field_caught_on_parse(self, mutate):
         with pytest.raises(CertificateInvalid, match="malformed"):
             parse_certificate(self.tampered(mutate))
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d["heights"][0].update(value=math.nan),
+        lambda d: d["gram"]["entries"][0].__setitem__(0, math.nan),
         lambda d: d["gram"]["entries"][0].__setitem__(1, math.nan),
     ], ids=["height", "gram-entry"])
     def test_nan_caught_on_parse(self, mutate):
@@ -471,15 +529,32 @@ class TestTamperDetection:
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_scaled_heights_caught(self):
-        # a self-consistent Gram matrix that the points contradict
+        # a self-consistent Gram matrix that the points contradict; its
+        # first entry is the first point's height
         def mutate(d):
-            for h in d["heights"]:
-                h["value"] *= 10
-            entries = [[10 * v for v in row] for row in d["gram"]["entries"]]
-            d["gram"]["entries"] = entries
+            d["gram"]["entries"] = [[10 * v for v in row] for row in d["gram"]["entries"]]
 
-        with pytest.raises(CertificateInvalid, match="height"):
+        with pytest.raises(CertificateInvalid, match=r"gram entry \(0, 0\) does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
+
+    @pytest.mark.parametrize("i, j, delta", [(1, 1, 2.5e-8), (0, 1, 3.5e-8)], ids=["diagonal", "pairing"])
+    def test_gram_entry_just_outside_its_bound_caught(self, i, j, delta):
+        # a height within 2 * precision of the recomputed one passes, and a
+        # pairing within 3 * precision; one step beyond either fails
+        def mutate(d):
+            d["gram"]["entries"][i][j] += delta
+            d["gram"]["entries"][j][i] = d["gram"]["entries"][i][j]
+
+        with pytest.raises(CertificateInvalid, match=rf"gram entry \({i}, {j}\) does not match"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    @pytest.mark.parametrize("i, j, delta", [(1, 1, 1.5e-8), (0, 1, 2.5e-8)], ids=["diagonal", "pairing"])
+    def test_gram_entry_inside_its_bound_passes(self, i, j, delta):
+        def mutate(d):
+            d["gram"]["entries"][i][j] += delta
+            d["gram"]["entries"][j][i] = d["gram"]["entries"][i][j]
+
+        assert reverify(parse_certificate(self.tampered(mutate)))
 
 
 class TestRendering:

@@ -91,6 +91,8 @@ class TestUsage:
         ["verify-paper", "--cache", "c.jsonl"],
         ["verify-paper", "--format", "csv"],
         ["analyze", "--n", "635318657", "--max-base", "100"],
+        ["analyze", "--ab", "2", "1", "--seed", "1"],
+        ["report", "--max-base", "200", "--seed", "1"],
     ])
     def test_flags_a_subcommand_does_not_read(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -77,6 +77,15 @@ class TestRootNumber:
         rn = root_number(45)
         assert (rn.epsilon, rn.square_part_product, rn.omega) == (-1, -1, -1)
 
+    @pytest.mark.parametrize("n0, k", [(45, 3), (45, 7), (9, 3), (9, 9)])
+    def test_fourth_power_factor_leaves_omega(self, n0, k):
+        # y^2 = x^3 - k^4 n0 x is isomorphic over Q to the curve of n0
+        # (x -> k^2 x), so the square part is that of the fourth-power-free
+        # part n0: 3^4 * 45, 3^6 and 3^10 count 3 exactly as 45 and 9 do
+        rn, rn0 = root_number(n0 * k**4), root_number(n0)
+        assert (rn.omega, rn.square_part_product, rn.justification) == (
+            rn0.omega, rn0.square_part_product, rn0.justification)
+
     def test_square_part_silent_when_prime_is_1_mod_4(self):
         rn = root_number(N_SQUARE_PART)  # 17^2 || n, (-1/17) = +1
         assert (rn.omega, rn.square_part_product) == (1, 1)
