@@ -89,9 +89,6 @@ class Factorization:
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.primes)
 
-    def exponent_of(self, p: int) -> int:
-        return dict(self.primes).get(p, 0)
-
 
 def _primes_below_bound() -> np.ndarray:
     global _sieve_primes

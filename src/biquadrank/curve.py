@@ -27,6 +27,11 @@ class Curve:
     def __post_init__(self):
         if self.b == 0:
             raise ValueError("b = 0 is singular")
+        # the height facts heights._heights keeps: the primes of 2b, then per
+        # precision the memos of heights and pairings; plain attributes, so
+        # outside fields, __eq__, __hash__ and repr
+        object.__setattr__(self, "_bad_primes", None)
+        object.__setattr__(self, "_height_memos", {})
 
     @property
     def n(self) -> int:

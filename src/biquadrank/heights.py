@@ -78,8 +78,12 @@ first term log max(|u_0|, |w_0|)):
   mod p, so such a tracker retires, and one settled at (u_0, w_0) is never
   built.
 
-The trackers need the primes of 2b, so the public functions factor 2b with
-the caller's effort and let EffortExceeded propagate when that fails.
+The trackers need the primes of 2b.  The public functions factor 2b once
+per Curve object, with the effort of the first call that needs the primes,
+and let EffortExceeded propagate when that fails; once 2b is factored,
+`effort` no longer matters.  The curve also keeps, per precision, the height
+of each distinct point and each pairing, so heights live as long as the
+curve does and a new Curve object starts empty.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from mpmath import mp
 
 from .arith import DEFAULT_EFFORT, FactorEffort, factor, valuation
 from .biquadrate import PropertyViolation
@@ -237,6 +240,8 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
+    from mpmath import mp  # loaded by the first height, not by the package import
+
     root = math.isqrt(abs(A) - 1) + 1  # a+ of the module docstring
     base = 30 + len(str(root))
     U, W, shifts, gammas = u0, w0, 0, {}  # shifts and gammas: S and C_p of the module docstring
@@ -253,18 +258,19 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
 
 
 class Heights:
-    """Canonical heights on E at one precision, each distinct point computed once.
+    """Canonical heights on E at one precision, each distinct point and pairing computed once.
 
-    bad_primes are the primes dividing 2b.
+    bad_primes are the primes dividing 2b; memos, when given, are the height
+    and pairing dicts to fill (those a Curve keeps, see _heights).
     """
 
-    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...]):
-        if precision <= 0:
-            raise ValueError("precision must be positive")
+    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...], memos=None):
+        if not 0 < precision < math.inf:  # NaN included
+            raise ValueError("precision must be positive and finite")
         self.E = E
         self.precision = precision
         self.bad_primes = bad_primes
-        self._memo: dict[tuple, HeightValue] = {}
+        self._memo, self._pairs = memos if memos is not None else ({}, {})
 
     def height(self, P: Point) -> HeightValue:
         """Torsion points (including O) get an exact 0."""
@@ -281,10 +287,14 @@ class Heights:
 
     def pairing(self, P: Point, Q: Point) -> float:
         """<P, Q> = (h^(P+Q) - h^(P) - h^(Q)) / 2 within 3 * precision / 2; <P, P> = h^(P)."""
-        hP, hQ = self.height(P).value, self.height(Q).value
-        if (P.x, P.y) == (Q.x, Q.y):
-            return hP
-        return (self.height(_add_unchecked(self.E, P, Q)).value - hP - hQ) / 2
+        key = (P.x, P.y), (Q.x, Q.y)
+        if key[0] == key[1]:
+            return self.height(P).value
+        s = self._pairs.get(key)
+        if s is None:  # only pairings of points on E enter the memo
+            hP, hQ = self.height(P).value, self.height(Q).value
+            s = self._pairs[key] = (self.height(_add_unchecked(self.E, P, Q)).value - hP - hQ) / 2
+        return s
 
     def gram(self, points) -> GramMatrix:
         """Height pairing Gram matrix; diagonal entries are canonical heights."""
@@ -297,7 +307,14 @@ class Heights:
 
 
 def _heights(E: Curve, precision: float, effort: FactorEffort) -> Heights:
-    return Heights(E, precision, factor(2 * abs(E.b), effort).distinct_primes())
+    """Heights on the facts E keeps: the first call that needs the primes of
+    2b factors it with its `effort` (an EffortExceeded keeps nothing), and
+    each precision fills its own memos."""
+    if E._bad_primes is None:
+        object.__setattr__(E, "_bad_primes", factor(2 * abs(E.b), effort).distinct_primes())
+    H = Heights(E, precision, E._bad_primes, E._height_memos.get(precision))
+    E._height_memos[precision] = H._memo, H._pairs
+    return H
 
 
 def canonical_height(

@@ -281,12 +281,6 @@ class TestFactor:
         assert expected.primes == ((p, 2), (q, 2))
         assert calls == []
 
-    def test_exponent_of(self):
-        f = factor(720)
-        assert f.exponent_of(2) == 4
-        assert f.exponent_of(3) == 2
-        assert f.exponent_of(7) == 0
-
 
 def horner_residues(m: int, primes: np.ndarray) -> np.ndarray:
     """Oracle: m mod each prime by Horner over the 32-bit limbs of m, the

@@ -3,11 +3,9 @@
 import dataclasses
 import json
 import math
-import sys
 
 import pytest
 
-import biquadrank.heights as heights_module
 from biquadrank.arith import FactorEffort, factor
 from biquadrank.curve import Point, curve_from_n
 from biquadrank.heights import GramMatrix, HeightValue, Heights
@@ -113,66 +111,41 @@ class TestAnalyzeEntryPoints:
         assert any("reduced by common factor 2" in note for note in cert.notes)
 
 
-def counting(real, log):
-    def wrapper(*args, **kwargs):
-        log.append(args[0] if real is factor else (args[1].x, args[1].y))
-        return real(*args, **kwargs)
-
-    return wrapper
-
-
-def log_factor_calls(monkeypatch) -> list:
-    """The argument of every factor call from now on."""
-    factored = []
-    # modules import factor by name, so patch every binding of it
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("biquadrank") and getattr(mod, "factor", None) is factor:
-            monkeypatch.setattr(mod, "factor", counting(factor, factored))
-    return factored
-
-
 class TestOnePass:
     @pytest.mark.parametrize("given", [{"ab": (2, 1)}, {"n": 635318657}], ids=["ab", "n"])
-    def test_each_fact_computed_once(self, monkeypatch, given):
-        series = []
-        monkeypatch.setattr(
-            heights_module, "_series_height", counting(heights_module._series_height, series)
-        )
-        factored = log_factor_calls(monkeypatch)
-
+    def test_each_fact_computed_once(self, factor_calls, series_calls, given):
         cert = analyze(**given)
         # 4 points and 6 pairwise sums, each evaluated once; the Gram
         # diagonal is the points' heights, so no doubles are evaluated
-        assert len(series) == len(set(series)) == 10
+        assert len(series_calls) == len(set(series_calls)) == 10
         # 2n once: the representations of an n, heights, both descent
         # images (n and the quartic class B*D) and the upper bound read its
         # primes; torsion and the coprime root number need no factoring
-        assert factored == [2 * cert.n]
+        assert factor_calls == [2 * cert.n]
 
-    def test_one_factorization_without_a_coprime_pair(self, monkeypatch):
+    def test_one_factorization_without_a_coprime_pair(self, factor_calls):
         # 3 * (59, 158, 133, 134): no coprime pair vouches for the root
         # number, so its square part is read from the factorization of 2n
-        factored = log_factor_calls(monkeypatch)
         cert = analyze(pqrs=(177, 474, 399, 402), skip_heights=True)
-        assert factored == [2 * cert.n] == [2 * 81 * 635318657]
+        assert factor_calls == [2 * cert.n] == [2 * 81 * 635318657]
         assert (cert.root.square_part_product, cert.root.justification) == (1, "squarefree")
         bounds = (cert.descent_lower, cert.unconditional_lower, cert.conditional_lower, cert.heuristic_upper)
         assert bounds == (2, 2, 2, 11)
-        factored.clear()
+        factor_calls.clear()
         assert reverify(cert)
-        assert factored == []
+        assert factor_calls == []
 
     @pytest.mark.parametrize("skip_heights", [False, True], ids=["heights", "no-heights"])
     @pytest.mark.parametrize("given", [
         {"ab": (2, 1)}, {"pqrs": (177, 474, 399, 402)}, {"n": 635318657}, {"n": 17, "allow_single": True},
     ], ids=["ab", "pqrs", "n", "single"])
-    def test_reverify_never_factors(self, monkeypatch, given, skip_heights):
+    def test_reverify_never_factors(self, factor_calls, given, skip_heights):
         # the images list the primes of 2n; reverify checks them and
         # rebuilds the factorization from them
         line = to_json_line(analyze(**given, skip_heights=skip_heights))
-        factored = log_factor_calls(monkeypatch)
+        factor_calls.clear()
         assert reverify(parse_certificate(line))
-        assert factored == []
+        assert factor_calls == []
 
 
 class TestBoundChain:

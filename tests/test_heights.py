@@ -4,8 +4,11 @@ The frozen determinant values were computed at high precision and
 cross-checked against the published four-decimal figures.
 """
 
+import dataclasses
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -212,6 +215,9 @@ class TestCanonicalHeight:
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):
             canonical_height(E17, P17, precision=0.0)
+        for precision in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="precision must be positive and finite"):
+                canonical_height(E17, P17, precision=precision)
 
     def test_unreachable_precision_raises(self):
         with pytest.raises(PrecisionUnreachable):
@@ -507,6 +513,71 @@ class TestPairing:
         T = Point.affine(0, 0)
         v = heights_on(E17, 1e-9).pairing(T, P17)
         assert abs(v) < 1e-7
+
+
+class TestCurveKeepsHeightFacts:
+    """A Curve object keeps the primes of 2b and, per precision, the height
+    of each distinct point and each pairing, across the public functions."""
+
+    def test_one_factorization_and_one_series_per_distinct_point(self, factor_calls, series_calls, monkeypatch):
+        sums = []
+        add_unchecked = heights._add_unchecked
+        monkeypatch.setattr(heights, "_add_unchecked", lambda E, P, Q: sums.append(1) or add_unchecked(E, P, Q))
+        E = curve_from_n(QUAD21.n)
+        for P in PTS21:
+            canonical_height(E, P)
+        gram_matrix(E, PTS21)
+        assert len(sums) == 6
+        assert independence_rank(E, PTS21) == 4
+        assert factor_calls == [2 * abs(E.b)]
+        # 4 points and their 6 pairwise sums; the second Gram matrix, inside
+        # independence_rank, is all memo hits and adds no point sum
+        assert len(series_calls) == len(set(series_calls)) == 10
+        assert len(sums) == 6
+
+    def test_a_new_curve_object_starts_empty(self, factor_calls, series_calls):
+        E, again = curve_from_n(QUAD21.n), curve_from_n(QUAD21.n)
+        gram_matrix(E, PTS21)
+        gram_matrix(again, PTS21)
+        assert factor_calls == [2 * abs(E.b)] * 2
+        assert len(series_calls) == 20 and len(set(series_calls)) == 10
+        # the facts are plain attributes, outside the dataclass
+        assert E == again and hash(E) == hash(again) and repr(E) == repr(again)
+        assert [f.name for f in dataclasses.fields(E)] == ["b"]
+
+    def test_heights_are_freed_with_the_curve(self):
+        # the curve holds its memos and nothing in them points back at it,
+        # so reference counting alone frees both
+        E = curve_from_n(QUAD21.n)
+        gram_matrix(E, PTS21)
+        gone = weakref.ref(E)
+        gc.disable()
+        try:
+            del E
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_values_match_a_fresh_heights(self):
+        # both precisions on one curve object, each with its own memos
+        E = curve_from_n(QUAD21.n)
+        primes = factor(2 * abs(E.b)).distinct_primes()
+        for precision in (1e-4, 1e-8):
+            kept = [canonical_height(E, P, precision).value.hex() for P in PTS21]
+            gram = gram_matrix(E, PTS21, precision).entries
+            fresh = Heights(E, precision, primes)
+            assert kept == [fresh.height(P).value.hex() for P in PTS21] == list(PINNED_HEIGHTS[(2, 1), precision])
+            assert [v.hex() for row in gram for v in row] == [v.hex() for row in fresh.gram(PTS21).entries for v in row]
+
+    def test_effort_exceeded_keeps_nothing(self):
+        quad = euler_quadruple(2, 9)
+        E, P = curve_from_n(quad.n), constructed_points(quad)[0]
+        with pytest.raises(EffortExceeded):
+            canonical_height(E, P, effort=FactorEffort(rho_iterations=0))
+        h = canonical_height(E, P)
+        assert h == Heights(E, 1e-8, factor(2 * abs(E.b)).distinct_primes()).height(P)
+        # once 2b is factored, effort no longer matters
+        assert canonical_height(E, P, effort=FactorEffort(rho_iterations=0)) == h
 
 
 class TestGramDeterminants:

@@ -34,14 +34,15 @@ def test_version_matches_pyproject():
     assert pyproject["project"]["version"] == biquadrank.__version__ == TOOL_VERSION
 
 
-def test_import_leaves_executor_and_logging_unloaded():
+def test_import_leaves_executor_logging_and_mpmath_unloaded():
     # every CLI call pays for the import: the search imports its thread pool
     # from `concurrent.futures`, which pulls in `logging` (about 12 ms), only
-    # when it runs, so the import itself loads neither module
+    # when it runs, and the first height series imports `mpmath` (about
+    # 26 ms), so the import itself loads none of them
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = "import sys, biquadrank; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    probe = "import sys, biquadrank; print(sorted({'concurrent.futures', 'logging', 'mpmath'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
