@@ -38,7 +38,7 @@ print(f"heuristic upper bound     {cert.heuristic_upper}")
 print(f"root number {cert.root.omega:+d} ({cert.root.justification})")
 
 # the certificate serializes to one JSON line; parsing re-runs every
-# witness check, and reverify() re-derives the bounds from scratch
+# check of the evidence, and reverify() re-derives the bounds from scratch
 from biquadrank import parse_certificate, reverify, to_json_line
 
 line = to_json_line(cert)

@@ -1,6 +1,6 @@
 """
-Descent witnesses, the quartic factors, and two corrected misprints
-===================================================================
+Descent generators, the quartic factors, and two corrected misprints
+====================================================================
 
 """
 
@@ -30,9 +30,9 @@ print(f"printed variant gives {a**4 * printed_inner**2}, not {K}")
 assert a**4 * printed_inner**2 != K
 
 # the descent itself: phi on y^2 = x^3 - n x, psi on the dual curve, each
-# image the F2 span of a few generator classes; every generator carries a
-# witness the verifier can re-check (a point or a torsor solution), and the
-# order of the span is 2^rank
+# image the F2 span of a few generator classes; every generator is a
+# rational point the verifier can re-check on its curve, its class is that
+# of x (of b at (0, 0)), and the order of the span is 2^rank
 from biquadrank.curve import curve_from_n, dual_curve
 from biquadrank.descent import phi_image, psi_image
 
@@ -44,8 +44,8 @@ psi = psi_image(dual_curve(E), quad)
 print()
 for img in (phi, psi):
     print(f"{img.side} image, rank {img.rank}, order {img.order}:")
-    for w in img.generators:
-        print(f"  class {w.square_class:>12d}  via {w.kind}")
+    for P, c in zip(img.generators, img.classes):
+        print(f"  class {c:>12d}  from ({P.x}, {P.y})")
 
 from biquadrank.descent import rank_lower_bound
 from biquadrank.parity import parity_adjusted_bound, root_number

@@ -3,8 +3,8 @@ integers with two representations as a sum of two fourth powers.
 
 The package finds double representations n = p^4 + q^4 = r^4 + s^4, builds
 the four rational points they induce, measures their independence through
-canonical heights, runs the explicit square-class descent with re-checkable
-witnesses, and assembles everything into a serializable certificate with
+canonical heights, runs the explicit square-class descent on re-checkable
+rational points, and assembles everything into a serializable certificate with
 unconditional and parity-conditional rank bounds.
 
 The root exports the certificate pipeline and the exceptions it raises;

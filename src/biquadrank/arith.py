@@ -168,7 +168,13 @@ def iroot(n: int, k: int) -> int:
 
 
 def valuation(m: int, p: int) -> int:
-    """The exponent of the prime p in m != 0."""
+    """The exponent of the prime p in m != 0.
+
+    Raises ValueError for p < 2 or m = 0, where the division loop would
+    never end.
+    """
+    if p < 2 or m == 0:
+        raise ValueError(f"valuation at {p} of {m} needs p >= 2 and m != 0")
     v = 0
     while m % p == 0:
         m //= p

@@ -1,9 +1,9 @@
 """Rank certificates: everything one analysis establishes about E_n,
-bundled with enough witness material to re-verify it offline.
+bundled with enough evidence to re-verify it offline.
 
 A certificate records the double representation(s) of n, the constructed
 points with their Gram matrix of height pairings (its diagonal holds the
-canonical heights), the verified descent images with witnesses, the root
+canonical heights), the descent images with their generator points, the root
 number with its justification, and three bounds:
 
   unconditional_lower   max(descent count, Gram-certified independent points)
@@ -49,7 +49,7 @@ from .biquadrate import (
     validate_double_representation,
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
-from .descent import DescentImage, WitnessInvalid, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
+from .descent import DescentImage, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
 from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable, _is_torsion
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
@@ -327,11 +327,12 @@ def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
     Every record re-runs its checks during construction (the quadruples,
-    the Gram matrix, the descent images with their witnesses, and finite
-    positive precision and tol), so a tampered line fails here rather than
-    at reverify time.  A line that is not JSON, lacks a field, has an
-    unknown one or one of the wrong wire type, was written by another
-    tool_version, or holds a witness that fails, raises CertificateInvalid.
+    the Gram matrix, the descent images with their generator points and
+    classes, and finite positive precision and tol), so a tampered line
+    fails here rather than at reverify time.  A line that is not JSON,
+    lacks a field, has an unknown one or one of the wrong wire type, was
+    written by another tool_version, or holds a generator off its curve or
+    with a class off its image's primes, raises CertificateInvalid.
     """
     try:
         d = json.loads(line)
@@ -340,7 +341,7 @@ def parse_certificate(line: str) -> RankCertificate:
         if d["tool_version"] != TOOL_VERSION:
             raise CertificateInvalid(f"tool_version {d['tool_version']!r} is not {TOOL_VERSION}")
         return _decode(RankCertificate, d)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError, WitnessInvalid) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CertificateInvalid(f"malformed certificate record: {type(exc).__name__}: {exc}") from exc
 
 
@@ -349,7 +350,7 @@ def reverify(cert: RankCertificate) -> bool:
 
     First the exact evidence: n positive and not divisible by 4, each
     quadruple (checked when built) representing n, the points on the
-    curve, the primes of 2n the images list and their witnesses, and the
+    curve, the primes of 2n the images list and their generators, and the
     Gram matrix within its error bounds.  Then every derived field is
     rebuilt by _bounds, the one derivation analyze records, and compared
     with the certificate.  Nothing is factored.
@@ -454,7 +455,7 @@ def render_table(cert: RankCertificate) -> str:
         add(f"gram determinant: {cert.gram.determinant:.8g}   tol {cert.tol}")
         add(f"independent points certified: {cert.independence}")
     for img in (cert.phi, cert.psi):
-        add(f"{img.side} image of order {img.order}, generators {[w.square_class for w in img.generators]}")
+        add(f"{img.side} image of order {img.order}, generators {list(img.classes)}")
     w = cert.root
     add(
         f"root number: omega = {w.omega:+d} "

@@ -85,9 +85,13 @@ def dual_curve(E: Curve) -> Curve:
 
 
 def is_on_curve(E: Curve, P: Point) -> bool:
+    """y^2 = x^3 + b x, cross-multiplied for x = u/d and y = v/e into
+    v^2 d^3 = e^2 u (u^2 + b d^2), so no Fraction is built."""
     if P.is_infinity:
         return True
-    return P.y * P.y == P.x**3 + E.b * P.x
+    u, d = P.x.numerator, P.x.denominator
+    v, e = P.y.numerator, P.y.denominator
+    return v * v * d**3 == e * e * u * (u * u + E.b * d * d)
 
 
 def _require_on_curve(E: Curve, P: Point):

@@ -7,43 +7,45 @@ in Q*/Q*^2, and |phi(G)| * |psi(G-dual)| = 2^{r+2} where r is the rank.
 Exhibiting explicit elements of either image therefore gives an
 unconditional rank lower bound.
 
-Every generator recorded here carries a witness that re-verifies by
-exact integer arithmetic: the coefficient class of (0,0), an affine
-point's x-coordinate, or a solution (M, e, N) of a homogeneous space
-N^2 = b1 M^4 + b2 e^4 with b1 b2 = b.  No torseur solving is attempted:
-only witnesses that exist in closed form for n = p^4 + q^4 are used.
+Every generator is a rational point on its curve y^2 = x^3 + b x, and its
+class is that of x, with (0, 0) read as b (Silverman, AEC X.4.9).  A
+solution (M, e, N) of a homogeneous space N^2 = b1 M^4 + b2 e^4 with
+b1 b2 = b is the point (b1 M^2/e^2, b1 M N/e^3) in the class of b1, so
+one on-curve check by exact integer arithmetic verifies any of them.  No
+homogeneous space is searched: for n = p^4 + q^4 the points are in closed
+form,
 
-Square classes are canonicalized to signed squarefree integers once, at
-construction, from the primes of the one complete factorization of 2n.
-The classes read there, of n and of the quartic factor B*D (which
-divides the raw n*g^4, g the reduction), have all their primes of odd
-exponent among them, so reading a class is division by known primes plus
-a perfect-square check on the cofactor; a class with a prime outside them
-raises ValueError instead of coming out wrong.  Only when that
-factorization is not given do the images factor, by factor_2n (through
-the quartic factors A*B*C*D), and yoshida_upper_bound, by factor(2n).
+  phi   (0, 0), -P1 = (-p^2, -p q^2), P1 + (0, 0) = (n/p^2, n q^2/p^3),
+        and for the family (BD/(bg)^2, BD N/(bg)^3), N^2 = BD - b^4 AC
+        (N = a^2 |witness_root_polynomial|) and g the reduction;
+  psi   (0, 0) and (2(p+q)^2, 4(p+q)(p^2+pq+q^2)) on y^2 = x^3 + 4n x,
+        from 2(p+q)^4 + 2n = (2(p^2+pq+q^2))^2.
+
+Square classes are canonicalized to signed squarefree integers from the
+primes of the one complete factorization of 2n.  Every class read here
+has all its primes of odd exponent among them, so reading a class is
+division by known primes plus a perfect-square check on the cofactor; a
+class with a prime outside them raises ValueError instead of coming out
+wrong.  Only when that factorization is not given do the images factor,
+by factor_2n (through the quartic factors A*B*C*D), and
+yoshida_upper_bound, by factor(2n).
 
 An image is the F2 span of its generators (Silverman, AEC X.4; Cremona,
 Algorithms for Modular Elliptic Curves 3.6).  A class is a bitmask over
 (-1, p_1, ..., p_k), the p_i the primes of 2n, so the product of two
 classes is the XOR of their vectors, and the order of the image is
-2^rank for the F2 rank of the generator vectors.  Verification never
-factors: two integers share a class iff their product is a positive
-perfect square.
+2^rank for the F2 rank of the generator vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import Factorization, factor, is_square, valuation
-from .biquadrate import BiquadQuadruple, factor_2n, fourth_power_witness, quartic_factors
-from .curve import Curve
-
-
-class WitnessInvalid(RuntimeError):
-    """A stored witness failed exact re-verification."""
+from .biquadrate import BiquadQuadruple, factor_2n, quartic_factors, witness_root_polynomial
+from .curve import Curve, OffCurve, Point, is_on_curve
 
 
 def square_class(m: int, primes: tuple[int, ...]) -> int:
@@ -75,73 +77,29 @@ def _primes_of_2n(n: int, f: Factorization | None) -> tuple[int, ...]:
     return f.distinct_primes()
 
 
-def _same_class(m1: int, m2: int) -> bool:
-    return m1 * m2 > 0 and is_square(m1 * m2)
-
-
 def _vector(c: int, primes: tuple[int, ...]) -> int:
-    """The squarefree class c as an F2 vector: bit 0 for the sign, bit
-    i + 1 for primes[i].  Raises ValueError when c is not a product of
-    distinct listed primes (up to sign)."""
+    """The squarefree class c, a product of distinct listed primes up to
+    sign, as an F2 vector: bit 0 for the sign, bit i + 1 for primes[i]."""
     v, rest = int(c < 0), abs(c)
     for i, p in enumerate(primes):
         if rest % p == 0:
             rest //= p
             v |= 2 << i
-    if rest != 1:
-        raise ValueError(f"{c} is not a squarefree class over {primes}")
     return v
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Exactly checkable evidence that a square class lies in an image.
-
-    data layout by kind:
-      coefficient  ()                      class of the curve coefficient b
-      point        (xn, xd, yn, yd)        affine point, class of x
-      torsor       (b1, b2, M, e, N)       N^2 = b1 M^4 + b2 e^4, b1 b2 = b
-    """
-
-    kind: str
-    square_class: int
-    data: tuple[int, ...] = ()
-
-    def verify(self, curve_b: int) -> None:
-        c = self.square_class
-        if self.kind == "coefficient":
-            ok = _same_class(curve_b, c)
-        elif self.kind == "point":
-            xn, xd, yn, yd = self.data
-            x = Fraction(xn, xd)
-            y = Fraction(yn, yd)
-            ok = x != 0 and y * y == x**3 + curve_b * x and _same_class(xn * xd, c)
-        elif self.kind == "torsor":
-            b1, b2, m, e, nn = self.data
-            ok = (
-                b1 * b2 == curve_b
-                and m != 0
-                and e != 0
-                and nn * nn == b1 * m**4 + b2 * e**4
-                and _same_class(b1, c)
-            )
-        else:
-            ok = False
-        if not ok:
-            raise WitnessInvalid(f"{self.kind} witness for class {c} fails")
-
-
-@dataclass(frozen=True)
 class DescentImage:
-    """The subgroup of Q*/Q*^2 spanned by witnessed generators inside one
-    descent image, read as F2 vectors over (-1, primes).  The rank counts
-    that subgroup only when primes are distinct primes; certificate.reverify
-    checks that they are the primes of 2n."""
+    """The subgroup of Q*/Q*^2 spanned by the classes of rational points on
+    y^2 = x^3 + curve_b x inside one descent image, read as F2 vectors over
+    (-1, primes).  The rank counts that subgroup only when primes are
+    distinct primes; certificate.reverify checks that they are the primes
+    of 2n."""
 
     side: str
     curve_b: int
     primes: tuple[int, ...]
-    generators: tuple[Witness, ...]
+    generators: tuple[Point, ...]
 
     def __post_init__(self):
         if self.side not in ("phi", "psi"):
@@ -149,18 +107,27 @@ class DescentImage:
         self.reverify()
 
     def reverify(self) -> None:
-        """Re-check every witness; raises WitnessInvalid on any failure, and
-        ValueError for a class with a prime outside primes."""
-        for w in self.generators:
-            w.verify(self.curve_b)
-            _vector(w.square_class, self.primes)
+        """Check that every generator is an affine point on the curve and
+        that its class lies over primes; raises ValueError (OffCurve for a
+        point) on any failure."""
+        E = Curve(self.curve_b)
+        for P in self.generators:
+            if P.is_infinity or not is_on_curve(E, P):
+                raise OffCurve(f"generator {P} is not an affine point on {E}")
+        self.classes  # reading them raises ValueError for a class off primes
 
-    @property
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """Each generator's class: that of x, with (0, 0) read as curve_b."""
+        return tuple(square_class(P.x.numerator * P.x.denominator or self.curve_b, self.primes)
+                     for P in self.generators)
+
+    @cached_property
     def rank(self) -> int:
-        """F2 rank of the generator vectors, by XOR elimination."""
+        """F2 rank of the generator classes, by XOR elimination."""
         basis: list[int] = []
-        for w in self.generators:
-            v = _vector(w.square_class, self.primes)
+        for c in self.classes:
+            v = _vector(c, self.primes)
             for b in basis:
                 v = min(v, v ^ b)
             if v:
@@ -175,65 +142,49 @@ class DescentImage:
 def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
     """Verified subgroup of phi(E(Q)) for E: y^2 = x^3 - n x, n = p^4 + q^4.
 
-    Always contains 1, -n (from (0,0)), -1 (solution (M,e,N) = (p,1,q^2) of
-    N^2 = -M^4 + n e^4) and n (solution (1,p,q^2) of N^2 = n M^4 - e^4).
-    When the quadruple carries generating parameters, the quartic factor
-    class B*D joins via the fourth-power identity BD - b^4 AC = N^2, and
-    the span has order eight.  Every class is read from the primes of the
-    factorization f of 2n (when None, factor_2n(quad) computes it).
+    Always contains 1, -n (from (0,0)), -1 (from -P1 = (-p^2, -p q^2)) and
+    n (from P1 + (0, 0) = (n/p^2, n q^2/p^3)).  When the quadruple carries
+    generating parameters, the quartic factor class B*D joins through the
+    point (BD/(bg)^2, BD N/(bg)^3), N from the fourth-power identity
+    BD - b^4 AC = N^2 and g the reduction, and the span has order eight.
+    Every class is read from the primes of the factorization f of 2n (when
+    None, factor_2n(quad) computes it).
     """
     n = quad.n
     if E.n != n:
         raise ValueError("curve does not match the quadruple")
     primes = _primes_of_2n(n, f or factor_2n(quad))
-    p, q = quad.p, quad.q
-    c_n = square_class(n, primes)
+    p, q = abs(quad.p), abs(quad.q)
     gens = [
-        Witness("coefficient", -c_n),
-        Witness("torsor", -1, (-1, n, p, 1, q * q)),
-        Witness("torsor", c_n, (n, -1, 1, p, q * q)),
+        Point.affine(0, 0),
+        Point.affine(-p * p, -p * q * q),
+        Point.affine(Fraction(n, p * p), Fraction(n * q * q, p**3)),
     ]
-
     if quad.euler_params is not None:
         a, b = quad.euler_params
-        factors = quartic_factors(a, b)
-        _, nwit = fourth_power_witness(a, b)
-        c_bd = square_class(factors.B * factors.D, primes)
-        g = quad.reduction
-        if g == 1:
-            w = Witness("torsor", c_bd, (factors.b1, factors.b2, 1, b, nwit))
-        else:
-            # scale the raw-model point (BD/b^2, BD*N/b^3) down to E
-            x = Fraction(factors.B * factors.D, b * b * g * g)
-            y = Fraction(factors.B * factors.D * nwit, b**3 * g**3)
-            w = Witness(
-                "point",
-                c_bd,
-                (x.numerator, x.denominator, y.numerator, y.denominator),
-            )
-        gens.append(w)
-
+        bd = quartic_factors(a, b).b1
+        nwit = a * a * abs(witness_root_polynomial(a, b))  # checked on the curve below
+        bg = b * quad.reduction
+        gens.append(Point.affine(Fraction(bd, bg * bg), Fraction(bd * nwit, bg**3)))
     return DescentImage("phi", E.b, primes, tuple(gens))
 
 
 def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
     """Verified subgroup of psi on the dual curve y^2 = x^3 + 4 n x.
 
-    Contains 1, the class of 4n ~ n (from (0,0)) and 2, witnessed by the
-    identity 2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2; they span 2n too.
-    The class of n is read from the primes of the factorization f of 2n
-    (when None, factor_2n(quad) computes it).
+    Contains 1, the class of 4n ~ n (from (0,0)) and 2, from the point
+    (2(p+q)^2, 4(p+q)(p^2+pq+q^2)) that the identity
+    2(p+q)^4 + 2(p^4+q^4) = (2(p^2+pq+q^2))^2 puts on the curve; they span
+    2n too.  The class of n is read from the primes of the factorization f
+    of 2n (when None, factor_2n(quad) computes it).
     """
     n = quad.n
     if E_dual.b != 4 * n:
         raise ValueError("expected the dual curve with coefficient 4n")
     p, q = abs(quad.p), abs(quad.q)
     primes = _primes_of_2n(n, f or factor_2n(quad))
-    c_n = square_class(n, primes)
-    gens = (
-        Witness("coefficient", c_n),
-        Witness("torsor", 2, (2, 2 * n, p + q, 1, 2 * (p * p + p * q + q * q))),
-    )
+    s = p + q
+    gens = (Point.affine(0, 0), Point.affine(2 * s * s, 4 * s * (p * p + p * q + q * q)))
     return DescentImage("psi", E_dual.b, primes, gens)
 
 

@@ -115,6 +115,12 @@ class TestIntegerRoots:
         assert [valuation(m, 3) for m in (1, 3, 18, -81, 3**40 * 7)] == [0, 1, 2, 4, 40]
         assert valuation(2 * 635318657, 41) == 1
 
+    @pytest.mark.parametrize("m, p", [(12, 1), (12, -1), (12, 0), (12, -3), (0, 2), (0, 1)])
+    def test_valuation_without_an_end_rejected(self, m, p):
+        # each of these would divide forever, or by zero
+        with pytest.raises(ValueError, match=f"valuation at {p} of {m} needs p >= 2 and m != 0"):
+            valuation(m, p)
+
 
 class TestPrimality:
     def test_agrees_with_trial_division_below_10000(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -187,8 +188,8 @@ class TestSerialization:
         assert record["n"] == "635318657"
         assert record["quadruples"][0]["p"] == "158"
         assert record["phi"]["primes"] == ["2", "41", "113", "241", "569"]
-        assert [g["square_class"] for g in record["phi"]["generators"]] == [
-            "-635318657", "-1", "635318657", "137129"
+        assert [g["x"] for g in record["phi"]["generators"]] == [
+            "0", "-24964", "635318657/24964", "137129"
         ]
 
     def test_records_keep_evidence_only(self):
@@ -216,7 +217,8 @@ class TestSerialization:
     def test_images_list_only_generators(self):
         record = certificate_record(CERT21)
         assert set(record["phi"]) == {"side", "curve_b", "primes", "generators"}
-        assert [g["kind"] for g in record["psi"]["generators"]] == ["coefficient", "torsor"]
+        # a generator is a point; its class is derived, never stored
+        assert all(set(g) == {"x", "y"} for side in ("phi", "psi") for g in record[side]["generators"])
 
     def test_timings_not_serialized(self):
         record = certificate_record(CERT21)
@@ -245,9 +247,9 @@ class TestTamperDetection:
 
     def test_tampered_witness_rejected_on_parse(self):
         def mutate(d):
-            d["phi"]["generators"][1]["data"][-1] = "999"
+            d["phi"]["generators"][1]["y"] = "999"
 
-        with pytest.raises(CertificateInvalid, match="WitnessInvalid: torsor witness for class -1 fails"):
+        with pytest.raises(CertificateInvalid, match=r"OffCurve: generator Point\(-24964, 999\) is not an affine point"):
             parse_certificate(self.tampered(mutate))
 
     def test_repeated_generator_leaves_descent_lower(self):
@@ -259,29 +261,23 @@ class TestTamperDetection:
 
     def test_product_generator_leaves_descent_lower(self):
         # 2n = n * 2 on the dual: N^2 = 2n M^4 + 2 e^4 at (M, e) = (1, p + q)
+        # is the point (2n / (p + q)^2, 2n N / (p + q)^3)
         n, p, q = 635318657, 158, 59
-        witness = ["1270637314", "2", "1", str(p + q), str(2 * (p * p + p * q + q * q))]
+        s, nn = p + q, 2 * (p * p + p * q + q * q)
+        point = {"x": str(Fraction(2 * n, s**2)), "y": str(Fraction(2 * n * nn, s**3))}
 
         def mutate(d):
-            d["psi"]["generators"].append({"square_class": "1270637314", "kind": "torsor", "data": witness})
+            d["psi"]["generators"].append(point)
 
         cert = parse_certificate(self.tampered(mutate))
-        assert 2 * n == 1270637314 and len(cert.psi.generators) == 3
+        assert cert.psi.classes[-1] == 2 * n == 1270637314 and len(cert.psi.generators) == 3
         assert reverify(cert) and cert.descent_lower == 3 and cert.psi.rank == 2
 
-    def test_class_with_a_prime_outside_primes_caught(self):
-        # -9n is in the class of -n, so the witness holds, but 3 does not divide 2n
-        def mutate(d):
-            d["phi"]["generators"][0]["square_class"] = str(-9 * 635318657)
-
-        with pytest.raises(CertificateInvalid, match="not a squarefree class"):
-            parse_certificate(self.tampered(mutate))
-
     @pytest.mark.parametrize("primes, message", [
-        (["2", "113", "241", "569"], "not a squarefree class"),
+        (["2", "113", "241", "569"], "has a prime of odd exponent outside"),
         (["2", "41", "113", "241", "569", "4633"], "listed 4633 is not a prime of 2n"),
         (["2", "4633", "241", "569"], "listed 4633 is not a prime of 2n"),
-        (["1", "2", "41", "113", "241", "569"], "listed 1 is not a prime of 2n"),
+        (["1", "2", "41", "113", "241", "569"], "valuation at 1 of"),
         (["2", "41", "41", "113", "241", "569"], "does not multiply back"),
         (["2", "3", "41", "113", "241", "569"], "listed 3 is not a prime of 2n"),
         (["2", "113", "41", "241", "569"], "must be sorted"),
@@ -456,8 +452,7 @@ class TestTamperDetection:
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d["points"][0].update(x="1/0"),
-        lambda d: d["phi"]["generators"].append(
-            {"square_class": "-1", "kind": "point", "data": ["1", "0", "1", "1"]}),
+        lambda d: d["phi"]["generators"].append({"x": "1/0", "y": "1"}),
         lambda d: d["quadruples"][0].update(euler_params=["2"]),
         lambda d: d.update(precision="abc"),
         lambda d: d["gram"]["entries"][0].__setitem__(0, "10.47878552440583"),

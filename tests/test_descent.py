@@ -1,10 +1,10 @@
-"""Descent image bookkeeping: witnessed square classes and rank bounds.
+"""Descent image bookkeeping: square classes of generator points and rank
+bounds.
 
 Expected class sets below were computed by hand from the closed-form
-witnesses and are compared with the span of an image's generators, which
-span() enumerates independently of the F2 rank; every test re-verifies
-the stored witnesses by exact integer arithmetic through DescentImage's
-own audit path.
+points and are compared with the span of an image's generators, which
+span() enumerates independently of the F2 rank; every image re-checks its
+points by exact integer arithmetic through DescentImage's own audit path.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -19,12 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from biquadrank.arith import factor
 from biquadrank.biquadrate import euler_quadruple, factor_2n, quartic_factors, validate_double_representation
-from biquadrank.curve import curve_from_n, dual_curve
+from biquadrank.curve import INFINITY, OffCurve, Point, add, curve_from_n, dual_curve, negate, pair_points
 from biquadrank.descent import (
     DescentImage,
-    Witness,
-    WitnessInvalid,
-    _same_class,
     phi_image,
     psi_image,
     rank_lower_bound,
@@ -40,7 +38,7 @@ def span(img):
     """Every class in the span of img's generators: each product of a subset
     of generator classes, reduced to its squarefree part from the
     factorizations of the generators."""
-    fs = [_factor(w.square_class) for w in img.generators]
+    fs = [_factor(c) for c in img.classes]
     classes = set()
     for chosen in itertools.product((False, True), repeat=len(fs)):
         sign, exponents = 1, Counter()
@@ -82,13 +80,6 @@ class TestSquareClasses:
                 for m in (quad.n, factors.B * factors.D):
                     assert square_class(m, primes) == oracle(m), (a, b, m)
 
-    def test_same_class(self):
-        assert _same_class(2, 8)
-        assert _same_class(-3, -27)
-        assert not _same_class(2, -2)
-        assert not _same_class(2, 3)
-        assert _same_class(635318657, 635318657 * 4)
-
 
 QUAD21 = euler_quadruple(2, 1)
 N21 = QUAD21.n
@@ -117,12 +108,36 @@ class TestPhiImage:
         assert span(img) == {1, -1, N21, -N21}
 
     def test_reduced_quadruple_uses_point_witness(self):
+        # reduction g > 1 scales the raw-model point (BD/b^2, BD N/b^3) by g
         quad = euler_quadruple(3, 1)
+        assert quad.reduction > 1
         img = phi_image(curve_from_n(quad.n), quad)
         assert img.order == 8
-        kinds = {w.kind for w in img.generators}
-        assert "point" in kinds  # reduction > 1 transports BD via a point
+        factors = quartic_factors(3, 1)
+        g = quad.reduction
+        assert img.generators[3].x == Fraction(factors.B * factors.D, g * g)
         img.reverify()
+
+    def test_generators_are_the_papers_points(self):
+        P1, _ = pair_points(QUAD21.p, QUAD21.q)
+        T = Point.affine(0, 0)
+        gens = phi_image(E21, QUAD21).generators
+        assert gens[0] == T
+        assert gens[1] == negate(P1)
+        assert gens[2] == add(E21, P1, T)
+
+    def test_family_classes_are_the_closed_forms(self):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                quad = euler_quadruple(a, b)
+                E = curve_from_n(quad.n)
+                f = factor_2n(quad)
+                primes = f.distinct_primes()
+                factors = quartic_factors(a, b)
+                c_n = square_class(quad.n, primes)
+                c_bd = square_class(factors.B * factors.D, primes)
+                assert phi_image(E, quad, f).classes == (-c_n, -1, c_n, c_bd), (a, b)
+                assert psi_image(dual_curve(E), quad, f).classes == (c_n, 2), (a, b)
 
     def test_curve_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -199,37 +214,31 @@ class TestPsiImage:
 
 
 class TestWitnessAudit:
-    def test_tampered_torsor_detected(self):
-        w = Witness("torsor", -1, (-1, 17, 1, 1, 5))  # 5^2 != -1 + 17
-        with pytest.raises(WitnessInvalid):
-            w.verify(-17)
-
     def test_tampered_point_detected(self):
-        w = Witness("point", -1, (-4, 1, 3, 1))  # (-4, 3) not on the curve
-        with pytest.raises(WitnessInvalid):
-            w.verify(-17)
+        with pytest.raises(OffCurve):  # (-4, 3) is not on y^2 = x^3 - 17x
+            DescentImage("phi", -17, (2, 17), (Point.affine(-4, 3),))
 
-    def test_unknown_kind_rejected(self):
-        # a class past the generators lies in their span and needs no
-        # witness of its own
-        for kind in ("oracle", "identity", "product"):
-            with pytest.raises(WitnessInvalid):
-                Witness(kind, 1).verify(-17)
+    def test_point_at_infinity_rejected(self):
+        # O maps to the trivial class, so it is no generator
+        with pytest.raises(OffCurve, match="not an affine point"):
+            DescentImage("phi", -17, (2, 17), (INFINITY,))
+
+    def test_zero_x_with_nonzero_y_rejected(self):
+        # x = 0 reads the class of b only at the 2-torsion point (0, 0)
+        with pytest.raises(OffCurve):
+            DescentImage("phi", -17, (2, 17), (Point.affine(0, 1),))
 
     def test_image_constructor_runs_the_audit(self):
-        bad = Witness("torsor", -1, (-1, 17, 1, 1, 5))
-        with pytest.raises(WitnessInvalid):
-            DescentImage("phi", -17, (2, 17), (bad,))
+        # -P1 = (-1, -4) for 17 = 1^4 + 2^4, then y moved off the curve
+        good = Point.affine(-1, -4)
+        assert DescentImage("phi", -17, (2, 17), (good,)).classes == (-1,)
+        with pytest.raises(OffCurve):
+            DescentImage("phi", -17, (2, 17), (Point.affine(-1, 5),))
 
     @pytest.mark.parametrize("primes", [(2,), (2, 3), ()])
     def test_class_with_a_prime_outside_primes_rejected(self, primes):
-        with pytest.raises(ValueError):
-            DescentImage("phi", -17, primes, (Witness("coefficient", -17),))
-
-    def test_class_that_is_not_squarefree_rejected(self):
-        # -68 is in the class of -17 but is not its squarefree representative
-        with pytest.raises(ValueError):
-            DescentImage("phi", -17, (2, 17), (Witness("coefficient", -68),))
+        with pytest.raises(ValueError, match="outside"):
+            DescentImage("phi", -17, primes, (Point.affine(0, 0),))
 
 
 class TestRankBounds:
@@ -255,7 +264,7 @@ class TestRankBounds:
     def test_dependent_generators_leave_the_rank(self):
         phi = phi_image(E21, QUAD21)
         gens = phi.generators
-        assert [w.square_class for w in gens[:3]] == [-N21, -1, N21]
+        assert phi.classes[:3] == (-N21, -1, N21)
         # -n = -1 * n: three generators, rank two
         assert dataclasses.replace(phi, generators=gens[:3]).rank == 2
         for extra in (gens + gens[:1], gens + (gens[1],) * 3):

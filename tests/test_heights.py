@@ -18,7 +18,10 @@ from mpmath import mp, mpf
 from biquadrank import heights
 from biquadrank.arith import EffortExceeded, FactorEffort, factor
 from biquadrank.biquadrate import PropertyViolation, euler_quadruple
-from biquadrank.curve import INFINITY, Curve, OffCurve, Point, add, curve_from_n, dual_curve, negate, scalar_mul
+from biquadrank.curve import (
+    INFINITY, Curve, OffCurve, Point, add, curve_from_n, dual_curve, is_on_curve, negate, scalar_mul,
+)
+from biquadrank.descent import phi_image
 from biquadrank.heights import (
     GramMatrix,
     HeightValue,
@@ -472,6 +475,31 @@ class TestSettledTrackers:
         monkeypatch.setattr(heights._PadicTracker, "__init__", lowered)
         with pytest.raises(PropertyViolation, match="above resultant cap"):
             canonical_height(curve_from_n(1280), Point.affine(80, 640))
+
+
+def isogeny_image(E: Curve, P: Point) -> Point:
+    """phi(x, y) = (y^2/x^2, y (b - x^2)/x^2), the 2-isogeny from
+    y^2 = x^3 + b x to y^2 = x^3 - 4b x, at an affine P != (0, 0)."""
+    return Point(P.y**2 / P.x**2, P.y * (E.b - P.x**2) / P.x**2)
+
+
+class TestIsogenyOracle:
+    """h(phi P) = 2 h(P) on the 2-isogenous curve, for phi of degree 2: an
+    oracle that runs the series on a second curve with other bad primes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(ab=st.sampled_from([(2, 1), (3, 1), (1, 11)]), i=st.integers(0, 6))
+    def test_height_doubles_through_the_isogeny(self, ab, i):
+        # the four constructed points, then the three phi-side generators
+        # other than (0, 0), which phi sends to O
+        quad = euler_quadruple(*ab)
+        E = curve_from_n(quad.n)
+        P = (constructed_points(quad) + list(phi_image(E, quad).generators[1:]))[i]
+        E_dual = dual_curve(E)
+        Q = isogeny_image(E, P)
+        assert is_on_curve(E_dual, Q)
+        h, h_dual = canonical_height(E, P, 1e-8), canonical_height(E_dual, Q, 1e-8)
+        assert abs(h_dual.value - 2 * h.value) <= h_dual.error_bound + 2 * h.error_bound
 
 
 class TestPairing:
