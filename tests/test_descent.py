@@ -214,6 +214,16 @@ class TestPsiImage:
 
 
 class TestWitnessAudit:
+    def test_tampered_torsor_detected(self):
+        # a solution (M, e, N) of N^2 = b1 M^4 + b2 e^4 enters as the point
+        # (b1 M^2/e^2, b1 M N/e^3); 5^2 != -1 + 17, so its point is off the curve
+        def torsor_point(b1, b2, M, e, N):
+            return Point.affine(Fraction(b1 * M * M, e * e), Fraction(b1 * M * N, e**3))
+
+        assert DescentImage("phi", -17, (2, 17), (torsor_point(-1, 17, 1, 1, 4),)).classes == (-1,)
+        with pytest.raises(OffCurve):
+            DescentImage("phi", -17, (2, 17), (torsor_point(-1, 17, 1, 1, 5),))
+
     def test_tampered_point_detected(self):
         with pytest.raises(OffCurve):  # (-4, 3) is not on y^2 = x^3 - 17x
             DescentImage("phi", -17, (2, 17), (Point.affine(-4, 3),))
