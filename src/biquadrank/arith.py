@@ -4,10 +4,11 @@ Everything here works on plain Python ints (arbitrary precision) and is
 deterministic: every random choice is seeded from DEFAULT_SEED and the
 number at hand.  Factoring is trial division by the primes below 10^6, then
 gcd splits against any known parts of the number (for a family quadruple,
-the quartic factors A, B, C, D of its raw n), then Brent's variant of
-Pollard rho on the composite pieces left; primality is Miller-Rabin,
-deterministic below the published 3.3e24 threshold and with enough random
-rounds above it that the error probability is below 2**-128.
+the quartic factors A, B, C, D of its raw n), then one stage of Pollard's
+p - 1 method on the first composite piece large enough to be worth it, then
+Brent's variant of Pollard rho on the composite pieces left; primality is
+Miller-Rabin, deterministic below the published 3.3e24 threshold and with
+enough random rounds above it that the error probability is below 2**-128.
 
 Trial division runs on what is left of m in blocks of 2048, 4096, 8192, then
 16384 sieve primes, and stops when the next block starts past the primes up to
@@ -16,6 +17,16 @@ prime, so m is 1 or a prime.  A block reads m mod p as the sum of
 l_i * (2^(40 i) mod p) over the 40-bit limbs l_i of m, one modulo per 15 limbs
 (the chunk above carries in times 2^600 mod p; with p < 2^20 a sum stays below
 15 * 2^60 + 2^40 < 2^64), from a uint32 table built row by row on first need.
+
+The p - 1 stage (Pollard, Proc. Cambridge Philos. Soc. 76 (1974), stage 1
+only) takes g = gcd(2^E - 1 mod c, c), with E the product of the largest
+power of each prime up to B1 = 10^4 that stays within B1 (14,447 bits, built
+from the sieve on first need).  g splits off every prime p of c for which
+the order of 2 mod p divides E, which holds when p - 1 is a product of prime
+powers up to B1.  The stage costs about 14,447 squarings mod c and rho needs
+about sqrt(p) <= c^(1/4) steps for the least prime p of c, so it runs at most
+once per factor call, and only on a piece c with c^(1/4) above that cost.
+A gcd only splits, so the stage changes the work and never the result.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ _FIRST_BLOCK = 1 << 11  # primes in the first block of trial division
 _BLOCK = 1 << 14  # the most primes in one block; each block doubles up to it
 _sieve_primes: np.ndarray | None = None
 _weights: list[np.ndarray] = []
+_PM1_BOUND = 10_000  # B1 of the p - 1 stage
+_PM1_SQUARINGS = 14_447  # bit length of its exponent: the stage's cost and gate
+_pm1_exponent: int | None = None
 
 
 class EffortExceeded(RuntimeError):
@@ -61,7 +75,9 @@ class EffortExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorEffort:
-    """Budget of factor(): rho_iterations counts squarings mod n."""
+    """Budget of factor(): rho_iterations counts squarings mod n, those of
+    the p - 1 stage (14,447, charged only when the budget left covers them)
+    and those of rho."""
 
     rho_iterations: int = 8_000_000
 
@@ -260,6 +276,22 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
+def _pm1(c: int) -> int:
+    """gcd(2^E - 1, c) for the p - 1 stage's exponent E (see the module
+    docstring), which the first call builds from the sieve."""
+    global _pm1_exponent
+    if _pm1_exponent is None:
+        small = _primes_below_bound()
+        exponent = 1
+        for p in small[: int(np.searchsorted(small, np.uint64(_PM1_BOUND), side="right"))].tolist():
+            q = p
+            while q * p <= _PM1_BOUND:
+                q *= p
+            exponent *= q
+        _pm1_exponent = exponent
+    return math.gcd(pow(2, _pm1_exponent, c) - 1, c)
+
+
 def _split(c: int, part: int) -> list[int]:
     """c as a product of proper gcds with part, divided out until the rest is
     coprime to part or divides it."""
@@ -277,12 +309,15 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
 
     `parts` are integers that may share factors with n, such as known
     factors of a multiple of n: after trial division each piece of n is
-    split by its gcds with each part before rho runs.  A gcd can only split,
-    so parts change the work and never the result; a part that is 0,
-    negative, a multiple of n or coprime to it splits nothing.
+    split by its gcds with each part.  A gcd can only split, so parts change
+    the work and never the result; a part that is 0, negative, a multiple of
+    n or coprime to it splits nothing.  Then the first composite piece c with
+    c^(1/4) above 14,447 gets one p - 1 stage (see the module docstring),
+    when the budget left covers its 14,447 squarings, and rho factors the
+    pieces left.
 
     Raises EffortExceeded (with the partial factorization and composite
-    residual attached) when the rho budget runs out.
+    residual attached) when the budget of p - 1 and rho squarings runs out.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
@@ -304,6 +339,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     budget = effort.rho_iterations
     rng = random.Random(DEFAULT_SEED ^ (abs(n) & 0xFFFFFFFFFFFF))
     stack = [m] if m > 1 else []
+    pm1_left = True
     for part in parts:
         stack = [piece for c in stack for piece in _split(c, part)]
     while stack:
@@ -321,6 +357,12 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
                 break
         if peeled:
             continue
+        if pm1_left and budget >= _PM1_SQUARINGS and iroot(c, 4) > _PM1_SQUARINGS:
+            pm1_left, budget = False, budget - _PM1_SQUARINGS
+            g = _pm1(c)
+            if 1 < g < c:
+                stack.extend([g, c // g])
+                continue
         g, used = _brent_rho(c, rng, budget)
         budget -= used
         if g is None:

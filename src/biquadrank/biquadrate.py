@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -72,7 +73,8 @@ class BiquadQuadruple:
     parameters give these pairs and reduction is that gcd; reduction is 1
     without parameters).
     Derived: n = p^4 + q^4; primitive <=> gcd(p, q, r, s) == 1;
-    degenerate <=> {|p|, |q|} == {|r|, |s|} as multisets.
+    degenerate <=> {|p|, |q|} == {|r|, |s|} as multisets; `quartic`, the
+    quartic factors of the parameters, built once per quadruple.
     """
 
     p: int
@@ -111,6 +113,11 @@ class BiquadQuadruple:
     @property
     def degenerate(self) -> bool:
         return len(set(self.pairs())) == 1
+
+    @cached_property
+    def quartic(self) -> QuarticFactors | None:
+        """quartic_factors(*euler_params), or None without parameters."""
+        return None if self.euler_params is None else quartic_factors(*self.euler_params)
 
     def components(self) -> tuple[int, int, int, int]:
         return (self.p, self.q, self.r, self.s)
@@ -398,9 +405,9 @@ def factor_2n(quad: BiquadQuadruple, effort: FactorEffort = DEFAULT_EFFORT) -> F
     The parameters only guide the work: the result is factor(2n) whatever
     they are.
     """
-    if quad.euler_params is None:
+    f = quad.quartic
+    if f is None:
         return factor(2 * quad.n, effort)
-    f = quartic_factors(*quad.euler_params)
     return factor(2 * quad.n, effort, (f.A, f.B, f.C, f.D))
 
 

@@ -102,7 +102,7 @@ FORMATS = ["table", "json-lines", "csv"]
 def _add_effort(sub: argparse.ArgumentParser):
     sub.add_argument("--factor-effort", type=_positive(int, zero_ok=True),
                      default=DEFAULT_EFFORT.rho_iterations, metavar="N",
-                     help="rho iteration budget per factorization")
+                     help="squaring budget of p-1 and rho per factorization")
 
 
 def build_parser() -> _Parser:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import Factorization, factor, is_square, valuation
-from .biquadrate import BiquadQuadruple, factor_2n, quartic_factors, witness_root_polynomial
+from .biquadrate import BiquadQuadruple, factor_2n, witness_root_polynomial
 from .curve import Curve, OffCurve, Point, is_on_curve
 
 
@@ -162,7 +162,7 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     ]
     if quad.euler_params is not None:
         a, b = quad.euler_params
-        bd = quartic_factors(a, b).b1
+        bd = quad.quartic.b1
         nwit = a * a * abs(witness_root_polynomial(a, b))  # checked on the curve below
         bg = b * quad.reduction
         gens.append(Point.affine(Fraction(bd, bg * bg), Fraction(bd * nwit, bg**3)))

@@ -288,6 +288,96 @@ class TestFactor:
         assert calls == []
 
 
+# primes p whose p - 1 is a product of prime powers up to 10^4, so that the
+# order of 2 mod p divides the p - 1 stage's exponent and the stage finds p,
+# and safe primes q = 2r + 1 with r a prime above 10^4, so that the order of
+# 2 mod q is r or 2r and the stage never finds q
+SMOOTH = [97417967, 178998707, 194758007, 268789667, 337214183, 456195827, 513105059, 745413143]
+ROUGH = [102795479, 106763387, 120047399, 128666639, 160568363, 192037619, 192507527, 192893423]
+SMOOTH_13, ROUGH_13 = 875287580243, (1124451382667, 1403313988079)
+
+
+def next_prime(m: int) -> int:
+    while not is_probable_prime(m):
+        m += 1
+    return m
+
+
+@pytest.fixture
+def pm1_calls(monkeypatch) -> list[int]:
+    """The piece of every p - 1 stage from now on."""
+    calls, real = [], arith._pm1
+    monkeypatch.setattr(arith, "_pm1", lambda c: calls.append(c) or real(c))
+    return calls
+
+
+class TestPm1Stage:
+    def test_the_pools_are_what_they_claim(self):
+        for p in SMOOTH + [SMOOTH_13]:
+            assert is_probable_prime(p) and all(l**e <= 10**4 for l, e in factor(p - 1).primes), p
+        for q in ROUGH + list(ROUGH_13):
+            r = (q - 1) // 2
+            assert is_probable_prime(q) and is_probable_prime(r) and r > 10**4, q
+
+    def test_the_exponent_is_the_lcm_up_to_the_bound(self):
+        assert arith._pm1(SMOOTH_13 * ROUGH_13[0]) == SMOOTH_13
+        assert arith._pm1_exponent == math.lcm(*range(1, arith._PM1_BOUND + 1))
+        assert arith._pm1_exponent.bit_length() == arith._PM1_SQUARINGS
+
+    def test_a_smooth_prime_splits_off_without_rho(self, monkeypatch):
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: pytest.fail("rho ran"))
+        p, q = SMOOTH_13, ROUGH_13[0]
+        assert factor(p * q).primes == ((p, 1), (q, 1))
+        assert factor(-12 * p * q).primes == ((2, 2), (3, 1), (p, 1), (q, 1))
+
+    def test_a_budget_just_above_the_cost_keeps_the_split(self):
+        # the stage splits p off and is charged its squarings, so rho gets
+        # one squaring for s * t, whose split takes it 1,022
+        p, s, t = SMOOTH_13, 1000003, 1000039
+        with pytest.raises(EffortExceeded) as exc:
+            factor(12 * p * s * t, FactorEffort(rho_iterations=arith._PM1_SQUARINGS + 1))
+        assert exc.value.partial == ((2, 2), (3, 1), (p, 1))
+        assert exc.value.residual == s * t
+
+    @pytest.mark.parametrize("budget", [0, 5000, arith._PM1_SQUARINGS - 1])
+    def test_a_budget_below_the_cost_skips_the_stage(self, budget, pm1_calls):
+        p, (q, r) = SMOOTH_13, ROUGH_13
+        with pytest.raises(EffortExceeded) as exc:
+            factor(12 * p * q * r, FactorEffort(rho_iterations=budget))
+        assert (exc.value.partial, exc.value.residual) == (((2, 2), (3, 1)), p * q * r)
+        assert pm1_calls == []
+
+    def test_at_most_one_stage_per_call(self, pm1_calls):
+        # the part leaves two pieces above the gate; only the first popped gets the stage
+        big, small = SMOOTH_13 * ROUGH_13[0], SMOOTH[-1] * ROUGH[-1]
+        f = factor(big * small, parts=(small,))
+        assert f.primes == tuple(sorted(((SMOOTH_13, 1), (ROUGH_13[0], 1), (SMOOTH[-1], 1), (ROUGH[-1], 1))))
+        assert pm1_calls == [big]
+
+    def test_pieces_at_or_below_the_gate_never_run_the_stage(self, pm1_calls):
+        for p, q in combinations_with_replacement(NEAR_MILLION, 2):
+            factor(p * q)
+        # a 15-digit composite that rho splits in the family census a != b <= 40
+        assert factor(100772119855681).primes == ((2525177, 1), (39906953, 1))
+        assert pm1_calls == []
+        # iroot(c, 4) at the stage's cost, then one above it
+        for k in (arith._PM1_SQUARINGS, arith._PM1_SQUARINGS + 1):
+            p = next_prime(k * k)
+            q = next_prime(p + 1)
+            assert iroot(p * q, 4) == k
+            assert factor(p * q).primes == ((p, 1), (q, 1))
+        assert pm1_calls == [p * q]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(SMOOTH + ROUGH), min_size=1, max_size=3), st.sampled_from([1, -1, 30, -49]))
+    def test_the_stage_never_changes_a_factorization(self, picks, cofactor):
+        # the oracle is the construction: the primes drawn and those of the cofactor
+        f = factor(cofactor * math.prod(picks))
+        expected = [p for p, e in trial_factor(cofactor) for _ in range(e)] + picks
+        assert [p for p, e in f.primes for _ in range(e)] == sorted(expected)
+        assert f.value == cofactor * math.prod(picks)
+
+
 def horner_residues(m: int, primes: np.ndarray) -> np.ndarray:
     """Oracle: m mod each prime by Horner over the 32-bit limbs of m, the
     kernel trial division ran before the table of 2^(40 i) mod p."""

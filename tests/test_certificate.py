@@ -10,6 +10,7 @@ import pytest
 from biquadrank.arith import FactorEffort, factor
 from biquadrank.curve import Point, curve_from_n
 from biquadrank.heights import GramMatrix, HeightValue, Heights
+from biquadrank import biquadrate, certificate
 from biquadrank.biquadrate import PropertyViolation
 from biquadrank.certificate import (
     CSV_HEADER,
@@ -135,6 +136,22 @@ class TestOnePass:
         factor_calls.clear()
         assert reverify(cert)
         assert factor_calls == []
+
+    @pytest.mark.parametrize("given, raw", [({"ab": (2, 1)}, 3), ({"pqrs": (59, 158, 133, 134)}, 5)],
+                             ids=["ab", "pqrs"])
+    def test_quartic_factors_built_once(self, monkeypatch, given, raw):
+        # factor_2n and phi_image read the quadruple's quartic factors; the
+        # raw quadruple is built by euler_quadruple, checked by the
+        # constructor and by quartic_factors, and for pqrs also by the
+        # recovered candidate (twice) and analyze's reduction
+        calls = []
+        for name in ("quartic_factors", "euler_raw_quadruple"):
+            real = getattr(biquadrate, name)
+            for mod in (biquadrate, certificate):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        analyze(**given, skip_heights=True)
+        assert (calls.count("quartic_factors"), calls.count("euler_raw_quadruple")) == (1, raw)
 
     @pytest.mark.parametrize("skip_heights", [False, True], ids=["heights", "no-heights"])
     @pytest.mark.parametrize("given", [
