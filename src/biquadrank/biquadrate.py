@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, chain, combinations, pairwise, product, starmap
 
 import numpy as np
 
@@ -35,15 +36,15 @@ MAX_SEARCH_BASE = 46_340
 # quadruple (see search_double_representations), so the search skips it.
 SIEVE_PRIMES = (2, 3, 5, 7)
 
-# Search settings; none of them changes the output.  Slices of fewer than
-# SHORT_SLICE sums are built in groups, and sorted sums are compared with
-# their successors, about CHUNK at a time, so no temporary grows with the
-# window.  A search uses one thread per SEGMENT_MIN sums of a window, up to
-# one per CPU: in smaller windows the threads' handoffs of the interpreter
-# lock (about 2 ms a window) cost more than sharing the sort saves.
+# Search settings; none of them changes the output.  A search cuts its sums
+# into value windows of at most about WINDOW_SUMS sums (16 MB as int64) and
+# builds, sorts and scans each whole on one thread, up to one per CPU; each
+# thread reuses one buffer.  Slices of fewer than SHORT_SLICE sums are built
+# in groups, and sorted sums are compared with their successors, about CHUNK
+# at a time, so no temporary grows with the window.
 CHUNK = 1 << 13
 SHORT_SLICE = 256
-SEGMENT_MIN = 1 << 20
+WINDOW_SUMS = 1 << 21
 
 
 class NotEqual(ValueError):
@@ -203,28 +204,29 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     pairs, gcd(p,q,r,s) == 1.
 
     Returns one quadruple per unordered pair of representations, sorted by
-    (n, pairs); deterministic.  Sums go into `shards` value windows [L, U) of
-    about equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
-    slice, so each sum is built once.  Each window is split again into value
-    segments, one per CPU the process may use but none under SEGMENT_MIN
-    sums.  Equal sums share a segment, so each segment is built, sorted and
-    scanned for repeats alone, in its part of the window's one buffer, on a
-    thread pool made once per search (or in the caller if one suffices).
-    Neither the windows nor the CPU count change the output.
+    (n, pairs); deterministic.  Sums go into value windows [L, U) of about
+    equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
+    slice, so each sum is built once.  There are at least `shards` windows,
+    and a multiple of the thread count large enough that no window holds
+    much more than WINDOW_SUMS sums; a search uses one thread per
+    WINDOW_SUMS sums, up to one per CPU the process may use.  Equal sums
+    share a window, so each window is built, sorted and scanned for repeats
+    whole, on a thread pool made once per search (or in the caller if one
+    thread suffices), into its thread's one buffer.  Neither the windows nor
+    the CPU count change the output, and peak memory is about 8*WINDOW_SUMS
+    bytes a thread plus arrays of about 400*max_base bytes.
 
-    A window edge or segment cut is a value v whose count of built sums
-    below it is within 1% of a window (or segment) of its target.  Below
-    max_base^4 that count grows like sqrt(v), so a cut is found by false
-    position in sqrt(v), with a bisection every third step: about two count
-    evaluations per cut.
+    A window edge is a value v whose count of built sums below it is within
+    1% of a window of its target.  Below max_base^4 that count grows like
+    sqrt(v), so an edge is found by false position in sqrt(v), with a
+    bisection every third step: about two count evaluations per edge.
 
     Only sums a primitive quadruple can use are built.  Let l be a prime
     with l != 1 (mod 8) dividing p and q.  For odd l, -1 is not a fourth
     power mod l (a fourth root of -1 has order 8 in F_l^*), so l | r^4 + s^4
     forces l | r and l | s; for l = 2, n = 0 (mod 16) forces r and s even.
     Either way l | gcd(p, q, r, s), so pairs sharing a prime of SIEVE_PRIMES
-    are skipped: that keeps about prod(1 - 1/l^2) = 0.63 of the sums, and
-    peak memory is still about 0.63*8*max_base^2/(2*shards) bytes.
+    are skipped: that keeps about prod(1 - 1/l^2) = 0.63 of the sums.
     """
     if max_base < 2:
         raise ValueError("max_base must be at least 2")
@@ -263,7 +265,17 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
         start = rank.take(row + first_p(v))
         return v, start, int(start.sum())
 
-    def cut(target: int, tol: int, lo: tuple, hi: tuple) -> tuple:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    first, last = mark(0), mark(2 * max_base**4 + 1)
+    total = last[2] - first[2]
+    threads = min(cpus, -(-total // WINDOW_SUMS))
+    windows = max(shards, -(-total // (threads * WINDOW_SUMS)) * threads)
+    windows = min(windows, max_base * (max_base + 1) // 2)
+    tol = total // (100 * windows)
+    width = total // windows + 1 + 2 * tol  # the longest window edges within tol make
+    local = threading.local()  # a thread's buffer, for all its windows
+
+    def cut(lo: tuple, target: int, hi: tuple = last) -> tuple:
         """A mark from lo to hi whose total is within tol of target."""
         for end in (lo, hi):
             if abs(end[2] - target) <= tol:
@@ -283,21 +295,18 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
             lo, hi = (mid, hi) if mid[2] < target else (lo, mid)
         return hi
 
-    def split(lower: tuple, upper: tuple, parts: int):
-        """The marks after lower that cut [lower, upper) into `parts` pieces
-        of about equal size, each within 1% of a piece; the last is upper."""
-        base, size = lower[2], upper[2] - lower[2]
-        for k in range(1, parts):
-            lower = cut(base + k * size // parts, size // (100 * parts), lower, upper)
-            yield lower
-        yield upper
+    # consecutive marks (a, b) that cut the built sums into `windows` windows, made lazily
+    targets = (first[2] + k * total // windows for k in range(1, windows))
+    edges = pairwise(chain(accumulate(targets, cut, initial=first), [last]))
 
-    def segment(out: np.ndarray, start: np.ndarray, stop: np.ndarray) -> list[int]:
-        """Build into out the sums from the kept p^4 in [start, stop) of each
-        q, sort them, and return those built twice or more, ascending."""
-        size = stop - start
+    def window(a: tuple, b: tuple) -> list[int]:
+        """Build the sums from the kept p^4 between marks a and b of each q,
+        sort them, and return those built twice or more, ascending."""
+        start, stop, out = a[1], b[1], getattr(local, "out", None)
+        if out is None or len(out) < b[2] - a[2]:  # once a thread, unless an edge overshot
+            out = local.out = np.empty(max(b[2] - a[2], width), dtype=np.int64)
+        out, size, pos = out[: b[2] - a[2]], stop - start, 0
         long = np.flatnonzero(size >= SHORT_SLICE)
-        pos = 0
         for i, lo, hi in zip(long.tolist(), start[long].tolist(), stop[long].tolist()):
             np.add(kept[lo:hi], q4[i], out=out[pos : pos + hi - lo])  # one add per long slice
             pos += hi - lo
@@ -306,8 +315,8 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
         short = np.flatnonzero((size > 0) & (size < SHORT_SLICE))
         ends = np.cumsum(size[short])
         groups = np.searchsorted(ends, np.arange(CHUNK, len(out) - pos, CHUNK)).tolist()
-        for a, b in zip([0, *groups], [*groups, len(short)]):
-            qs = short[a:b]
+        for lo, hi in zip([0, *groups], [*groups, len(short)]):
+            qs = short[lo:hi]
             n = size[qs]
             part = out[pos : pos + int(n.sum())]
             at = np.repeat(start[qs] - np.cumsum(n) + n, n)
@@ -323,35 +332,26 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
             repeats.update(right[left[: len(right)] == right].tolist())
         return sorted(repeats)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    lower, last = mark(0), mark(2 * max_base**4 + 1)
-    windows = min(shards, max_base * (max_base + 1) // 2)
-    workers = min(cpus, max(1, (last[2] - lower[2]) // windows // SEGMENT_MIN))
     results: list[BiquadQuadruple] = []
-    with ThreadPoolExecutor(workers) as pool:  # starts no thread until used
-        run = pool.map if workers > 1 else map
-        for upper in split(lower, last, windows):
-            marks = [lower, *split(lower, upper, workers)]
-            window = np.empty(upper[2] - lower[2], dtype=np.int64)
+    with ThreadPoolExecutor(threads) as pool:  # starts no thread until used
 
-            # marks, not views, which a finished pool task would keep alive a while
-            def part(a: tuple, b: tuple) -> list[int]:
-                return segment(window[a[2] - lower[2] : b[2] - lower[2]], a[1], b[1])
+        def pooled():  # each window's repeats in order, at most threads + 1 windows in flight
+            pending = []
+            for a, b in edges:
+                pending.append(pool.submit(window, a, b))
+                if len(pending) > threads:
+                    yield pending.pop(0).result()
+            yield from (future.result() for future in pending)
 
-            repeated = [n for repeats in run(part, marks, marks[1:]) for n in repeats]
-            del window  # freed before the next window is allocated
+        for repeated in pooled() if threads > 1 else starmap(window, edges):
             for n in repeated:
                 # p <= q  <=>  2 p^4 <= n; then q^4 = n - p^4 is looked up exactly
                 ps = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1)
                 qs = np.minimum(np.searchsorted(fourth, n - fourth[ps]), max_base)
                 found = fourth[ps] + fourth[qs] == n
                 pairs = zip(ps[found].tolist(), qs[found].tolist())
-                results.extend(
-                    BiquadQuadruple(p, q, r, s)
-                    for (p, q), (r, s) in combinations(pairs, 2)
-                    if math.gcd(p, q, r, s) == 1
-                )
-            lower = upper
+                results.extend(BiquadQuadruple(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2)
+                               if math.gcd(p, q, r, s) == 1)
     return results
 
 
@@ -441,29 +441,22 @@ def fourth_power_witness(a: int, b: int) -> tuple[int, int]:
     return K, N
 
 
-def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
-    """Try to express a double representation via the parametrization.
+def recover_euler_quadruple(quad: BiquadQuadruple) -> BiquadQuadruple | None:
+    """The reduced parametrized quadruple with the pairs of quad, or None.
 
     In the family, (p - r) / (s - q) = (b/a)^3, so a candidate (a : b) can be
     read off from any sign/order arrangement of the quadruple and then
-    verified exactly against the reduced parametrized quadruple.  Returns
-    (a, b) or None if no arrangement works.
+    verified exactly against the reduced parametrized quadruple, which is
+    returned for the first arrangement that works.
     """
-    base = (quad.p, quad.q, quad.r, quad.s)
-    arrangements = []
-    for swap_pairs in (False, True):
-        p, q, r, s = (base[2], base[3], base[0], base[1]) if swap_pairs else base
-        for sp in (1, -1):
-            for sq in (1, -1):
-                for sr in (1, -1):
-                    for ss in (1, -1):
-                        arrangements.append((sp * p, sq * q, sr * r, ss * s))
-                        arrangements.append((sp * q, sq * p, sr * s, ss * r))
-    seen = set()
-    for p, q, r, s in arrangements:
-        if (p, q, r, s) in seen:
-            continue
-        seen.add((p, q, r, s))
+    base = quad.components()
+    arrangements = [
+        arranged
+        for p, q, r, s in (base, base[2:] + base[:2])
+        for sp, sq, sr, ss in product((1, -1), repeat=4)
+        for arranged in ((sp * p, sq * q, sr * r, ss * s), (sp * q, sq * p, sr * s, ss * r))
+    ]
+    for p, q, r, s in dict.fromkeys(arrangements):  # each once, in order
         num, den = p - r, s - q
         if num == 0 or den == 0:
             continue
@@ -476,6 +469,13 @@ def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
             continue
         if num < 0:
             b_cand = -b_cand
-        if euler_quadruple(a_cand, b_cand).pairs() in (quad.pairs(), quad.pairs()[::-1]):
-            return a_cand, b_cand
+        found = euler_quadruple(a_cand, b_cand)
+        if found.pairs() in (quad.pairs(), quad.pairs()[::-1]):
+            return found
     return None
+
+
+def recover_euler_params(quad: BiquadQuadruple) -> tuple[int, int] | None:
+    """The family parameters (a, b) of quad, or None (see recover_euler_quadruple)."""
+    found = recover_euler_quadruple(quad)
+    return None if found is None else found.euler_params

@@ -42,9 +42,8 @@ from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
     euler_quadruple,
-    euler_raw_quadruple,
     factor_2n,
-    recover_euler_params,
+    recover_euler_quadruple,
     representations,
     validate_double_representation,
 )
@@ -102,11 +101,11 @@ class RankCertificate:
 
 def _with_params(quad: BiquadQuadruple, notes: list[str]) -> BiquadQuadruple:
     """Attach the family parameters (a, b) when the quadruple has them."""
-    params = recover_euler_params(quad)
-    if params is None:
+    found = recover_euler_quadruple(quad)
+    if found is None:
         return quad
-    notes.append(f"matched parametrization (a, b) = {params}")
-    return replace(quad, euler_params=params, reduction=math.gcd(*euler_raw_quadruple(*params)))
+    notes.append(f"matched parametrization (a, b) = {found.euler_params}")
+    return replace(quad, euler_params=found.euler_params, reduction=found.reduction)
 
 
 def _resolve_quadruples(

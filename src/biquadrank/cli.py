@@ -97,6 +97,7 @@ def _nonzero(text: str) -> int:
 _search_base.__name__ = _nonzero.__name__ = "int"  # argparse names the type in "invalid int value"
 
 FORMATS = ["table", "json-lines", "csv"]
+SHARDS_HELP = "least number of value windows; memory (about 16 MB a CPU) does not grow with it"
 
 
 def _add_effort(sub: argparse.ArgumentParser):
@@ -112,7 +113,7 @@ def build_parser() -> _Parser:
 
     p_search = subs.add_parser("search", parents=[], help="find n = p^4+q^4 = r^4+s^4")
     p_search.add_argument("--max-base", type=_search_base, required=True)
-    p_search.add_argument("--shards", type=_positive(int), default=1)
+    p_search.add_argument("--shards", type=_positive(int), default=1, help=SHARDS_HELP)
     p_search.add_argument("--output", metavar="PATH", default=None)
     p_search.add_argument("--format", choices=FORMATS, default="table")
 
@@ -139,7 +140,7 @@ def build_parser() -> _Parser:
     src = p_rep.add_mutually_exclusive_group(required=True)
     src.add_argument("--max-base", type=_search_base)
     src.add_argument("--input", metavar="PATH", help="json-lines search output to re-analyze")
-    p_rep.add_argument("--shards", type=_positive(int), default=1)
+    p_rep.add_argument("--shards", type=_positive(int), default=1, help=SHARDS_HELP)
     p_rep.add_argument("--precision", type=_positive(float), default=1e-8)
     p_rep.add_argument("--tol", type=_positive(float), default=1e-3)
     p_rep.add_argument("--skip-heights", action="store_true")

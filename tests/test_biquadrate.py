@@ -2,7 +2,8 @@
 
 The search oracle is a pure-Python brute force kept independent of the
 vectorized implementation on purpose.  The search's CPU count is set by
-monkeypatching `os.sched_getaffinity` and `os.cpu_count`.
+monkeypatching `os.sched_getaffinity` and `os.cpu_count`, and its window
+cap by monkeypatching `WINDOW_SUMS`.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
+from itertools import combinations, starmap
 
 import numpy as np
 import pytest
@@ -257,12 +258,17 @@ def brute_force_search(max_base: int) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def use_cpus(monkeypatch, cpus: int, segment_min: int = 1) -> None:
-    """Make the search see `cpus` CPUs, and split windows down to segments
-    of `segment_min` sums, so that small bases use every thread too."""
+def use_cpus(monkeypatch, cpus: int, window_sums: int = 1 << 15) -> None:
+    """Make the search see `cpus` CPUs and cut windows of at most about
+    `window_sums` sums, so that small bases use every thread too."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(biquadrate, "SEGMENT_MIN", segment_min)
+    monkeypatch.setattr(biquadrate, "WINDOW_SUMS", window_sums)
+
+
+# Sums built up to base 2000: 0.63 of the 2,001,000, one window at the real
+# cap.  Counted in test_sums_built_to_2000.
+SUMS_TO_2000 = 1_254_532
 
 
 class TestSearch:
@@ -296,45 +302,61 @@ class TestSearch:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("shards, limit_mb", [(1, 14), (4, 4)])
     def test_peak_memory_follows_the_window(self, monkeypatch, shards, limit_mb, cpus):
-        # the 2,001,000 sums up to base 2000 take 16 MB as int64; pairs that
-        # share a prime of SIEVE_PRIMES are skipped, so about 63% are built;
-        # segments share their window's buffer, whatever the CPU count
-        use_cpus(monkeypatch, cpus)
-        tracemalloc.start()
-        try:
-            search_double_representations(2000, shards=shards)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit_mb * 2**20
+        # at the real cap the SUMS_TO_2000 sums (10 MB as int64) fit one
+        # window, so `shards` windows in the caller cut memory; with windows
+        # of at most 2^18 sums each thread holds one 2 MB buffer, so the peak
+        # follows neither the base (5 million sums at 4000) nor `shards`
+        def peak(base: int) -> int:
+            tracemalloc.start()
+            try:
+                search_double_representations(base, shards=shards)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        use_cpus(monkeypatch, cpus, biquadrate.WINDOW_SUMS)
+        assert peak(2000) < limit_mb * 2**20
+        use_cpus(monkeypatch, cpus, 1 << 18)
+        for base in (2000, 4000):
+            assert peak(base) < cpus * (1 << 18) * 8 + 5 * 2**19
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
     def test_cpu_count_is_transparent(self, monkeypatch, shards, cpus):
-        use_cpus(monkeypatch, cpus)
-        got = [
-            (t.p, t.q, t.r, t.s, t.n)
-            for t in search_double_representations(2000, shards=shards)
-        ]
-        assert got == sorted(brute_force_search(2000), key=lambda t: (t[4], t[:4]))
+        # caps of 1 and 7 sums cut a window at nearly every sum, and cost up
+        # to about 0.2 ms a window; below the window count `shards`
+        # changes nothing, so they run once per CPU count, at a small base
+        caps = [(1 << 10, 1000), (biquadrate.WINDOW_SUMS, 2000)]
+        for window_sums, base in [(1, 160), (7, 160)] * (shards == 1) + caps:
+            use_cpus(monkeypatch, cpus, window_sums)
+            got = [
+                (t.p, t.q, t.r, t.s, t.n)
+                for t in search_double_representations(base, shards=shards)
+            ]
+            assert got == sorted(brute_force_search(base), key=lambda t: (t[4], t[:4]))
 
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     def test_more_shards_than_sums_on_several_cpus(self, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
         assert search_double_representations(10, shards=1000) == search_double_representations(10)
 
-    @pytest.mark.parametrize("shards, cpus, segment_min, threads", [
-        (1, 3, 1, 3), (1, 5, 1, 5), (1, 3, None, 0), (1000, 3, 1, 3),
+    def test_sums_built_to_2000(self):
+        x = np.arange(1, 2001)
+        shared = functools.reduce(np.logical_or, [np.outer(x % ell == 0, x % ell == 0) for ell in SIEVE_PRIMES])
+        assert np.triu(~shared).sum() == SUMS_TO_2000  # pairs p <= q sharing none
+
+    @pytest.mark.parametrize("shards, cpus, window_sums, threads, windows", [
+        (1, 3, 1 << 15, 3, 39), (1, 5, 1 << 15, 5, 40), (1, 2, 500_000, 2, 4),
+        (1000, 3, 1 << 15, 3, 1000), (1, 3, None, 0, 1), (4, 3, None, 0, 4),
     ])
-    def test_one_worker_thread_per_segment(
-        self, monkeypatch, shards, cpus, segment_min, threads
-    ):
-        # base 2000 builds about 790,000 sums: one segment per window under
-        # SEGMENT_MIN = 2^20 (no pool), or one per CPU at a minimum of 1.  The
-        # pool is made once per search, so at most one thread per CPU runs
-        # segments; the executor may reuse an idle thread, so fewer may
-        use_cpus(monkeypatch, cpus, segment_min or biquadrate.SEGMENT_MIN)
-        ran = []  # the thread that ran each segment
+    def test_one_pool_thread_per_cpu(self, monkeypatch, shards, cpus, window_sums, threads, windows):
+        # base 2000 builds SUMS_TO_2000 sums: one thread per window_sums of
+        # them, up to one per CPU, and a multiple of the thread count of
+        # windows, or `shards` if more.  Under the real cap the windows run
+        # in the caller.  The executor may reuse an idle thread, so fewer
+        # threads may run windows; each allocates one buffer for all of them
+        use_cpus(monkeypatch, cpus, window_sums or biquadrate.WINDOW_SUMS)
+        ran, allocated = [], []  # the thread that ran each window, or allocated a buffer
 
         def recording(fn):
             def run(*args):
@@ -343,15 +365,26 @@ class TestSearch:
 
             return run
 
-        pool_map = ThreadPoolExecutor.map
-        monkeypatch.setattr(ThreadPoolExecutor, "map", lambda pool, fn, *its: pool_map(pool, recording(fn), *its))
-        monkeypatch.setattr(biquadrate, "map", lambda fn, *its: map(recording(fn), *its), raising=False)
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                allocated.append(threading.current_thread())
+                return np.empty(*args, **kwargs)
+
+        submit = ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, fn, *a: submit(pool, recording(fn), *a))
+        monkeypatch.setattr(biquadrate, "starmap", lambda fn, its: starmap(recording(fn), its))
+        monkeypatch.setattr(biquadrate, "np", Recording())
         got = search_double_representations(2000, shards=shards)
         assert len(got) == len(brute_force_search(2000))
-        assert len(ran) == shards * max(threads, 1)
+        assert len(ran) == windows and (shards > 1 or windows % max(threads, 1) == 0)
         pool_threads = {thread for thread in ran if thread is not threading.main_thread()}
-        assert 1 <= len(pool_threads) <= cpus if threads else not pool_threads
+        assert 1 <= len(pool_threads) <= threads if threads else not pool_threads
         assert not any(thread.is_alive() for thread in pool_threads)
+        assert sorted(map(id, allocated)) == sorted(map(id, set(ran)))
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_repeats_across_chunk_edges(self, monkeypatch, chunk):
@@ -363,9 +396,9 @@ class TestSearch:
         assert got == sorted(brute_force_search(300), key=lambda t: (t[4], t[:4]))
 
     def test_segments_under_frequent_thread_switches(self, monkeypatch):
-        # eight segment threads per window, switching every 10 microseconds: a
-        # segment written into another's part of the buffer, or a lost
-        # result, would change the output
+        # eight window threads, switching every 10 microseconds: a window
+        # built into another thread's buffer, or a lost or reordered result,
+        # would change the output
         use_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -386,15 +419,15 @@ class TestSearch:
         assert [t.n for t in three] == [t[4] for t in brute_force_search(2000)]
 
     def test_real_segment_size_splits_a_large_window(self, monkeypatch):
-        # base 3500 in one window holds about 3.8 million sums: 3 segments
-        # of at least SEGMENT_MIN at 3 or more CPUs, each in its own thread
-        use_cpus(monkeypatch, 1, biquadrate.SEGMENT_MIN)
+        # base 3500 builds about 3.8 million sums: two windows of the real
+        # cap, run in the caller at one CPU and on two threads at five
+        use_cpus(monkeypatch, 1, biquadrate.WINDOW_SUMS)
         one = search_double_representations(3500)
-        use_cpus(monkeypatch, 5, biquadrate.SEGMENT_MIN)
+        use_cpus(monkeypatch, 5, biquadrate.WINDOW_SUMS)
         assert search_double_representations(3500) == one
         assert 155974778565937 in {t.n for t in one}
 
-    def test_a_failing_segment_thread_raises_in_the_caller(self, monkeypatch):
+    def test_a_failing_window_thread_raises_in_the_caller(self, monkeypatch):
         use_cpus(monkeypatch, 3)
 
         class FailsOffTheMainThread:
@@ -404,12 +437,12 @@ class TestSearch:
             @staticmethod
             def flatnonzero(a):
                 if threading.current_thread() is not threading.main_thread():
-                    raise RuntimeError("segment lost")
+                    raise RuntimeError("window lost")
                 return np.flatnonzero(a)
 
         monkeypatch.setattr(biquadrate, "np", FailsOffTheMainThread())
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="segment lost"):
+        with pytest.raises(RuntimeError, match="window lost"):
             search_double_representations(2000)
         assert threading.active_count() == before
 

@@ -137,13 +137,13 @@ class TestOnePass:
         assert reverify(cert)
         assert factor_calls == []
 
-    @pytest.mark.parametrize("given, raw", [({"ab": (2, 1)}, 3), ({"pqrs": (59, 158, 133, 134)}, 5)],
+    @pytest.mark.parametrize("given, raw", [({"ab": (2, 1)}, 3), ({"pqrs": (59, 158, 133, 134)}, 4)],
                              ids=["ab", "pqrs"])
     def test_quartic_factors_built_once(self, monkeypatch, given, raw):
         # factor_2n and phi_image read the quadruple's quartic factors; the
         # raw quadruple is built by euler_quadruple, checked by the
-        # constructor and by quartic_factors, and for pqrs also by the
-        # recovered candidate (twice) and analyze's reduction
+        # constructor and by quartic_factors; for pqrs the recovered
+        # candidate builds it and checks it, and carries the reduction
         calls = []
         for name in ("quartic_factors", "euler_raw_quadruple"):
             real = getattr(biquadrate, name)
