@@ -19,14 +19,16 @@ l_i * (2^(40 i) mod p) over the 40-bit limbs l_i of m, one modulo per 15 limbs
 15 * 2^60 + 2^40 < 2^64), from a uint32 table built row by row on first need.
 
 The p - 1 stage (Pollard, Proc. Cambridge Philos. Soc. 76 (1974), stage 1
-only) takes g = gcd(2^E - 1 mod c, c), with E the product of the largest
-power of each prime up to B1 = 10^4 that stays within B1 (14,447 bits, built
-from the sieve on first need).  g splits off every prime p of c for which
-the order of 2 mod p divides E, which holds when p - 1 is a product of prime
-powers up to B1.  The stage costs about 14,447 squarings mod c and rho needs
-about sqrt(p) <= c^(1/4) steps for the least prime p of c, so it runs at most
-once per factor call, and only on a piece c with c^(1/4) above that cost.
-A gcd only splits, so the stage changes the work and never the result.
+only) raises x = 2 mod c to E, the product of the largest power of each
+prime up to B1 = 10^4 within B1 (14,447 bits), in 20 batches of 64 prime
+powers with a checkpoint gcd(x - 1, c) after each (Montgomery, Math. Comp.
+48 (1987)); a hit replays its batch one prime power at a time.  So it splits
+off every prime p of c whose order of 2 divides E (p - 1 a product of prime
+powers up to B1), and parts two such primes unless their orders complete at
+the same prime power.  The stage costs about 14,447 squarings mod c and rho
+about sqrt(p) <= c^(1/4) steps for the least prime p of c, so it runs at
+most once per factor call, and only on a piece c with c^(1/4) above that
+cost.  A gcd only splits, so the stage changes the work and never the result.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ _sieve_primes: np.ndarray | None = None
 _weights: list[np.ndarray] = []
 _PM1_BOUND = 10_000  # B1 of the p - 1 stage
 _PM1_SQUARINGS = 14_447  # bit length of its exponent: the stage's cost and gate
-_pm1_exponent: int | None = None
+_PM1_BATCH = 64  # prime powers between two gcd checkpoints: 20 batches up to B1
+_pm1_batches: list[tuple[int, list[int]]] | None = None  # (product, prime powers) per batch
 
 
 class EffortExceeded(RuntimeError):
@@ -76,8 +79,8 @@ class EffortExceeded(RuntimeError):
 @dataclass(frozen=True)
 class FactorEffort:
     """Budget of factor(): rho_iterations counts squarings mod n, those of
-    the p - 1 stage (14,447, charged only when the budget left covers them)
-    and those of rho."""
+    the p - 1 stage (14,447, charged only when the budget left covers them;
+    the replay of a batch whose checkpoint splits is free) and those of rho."""
 
     rho_iterations: int = 8_000_000
 
@@ -276,20 +279,31 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def _pm1(c: int) -> int:
-    """gcd(2^E - 1, c) for the p - 1 stage's exponent E (see the module
-    docstring), which the first call builds from the sieve."""
-    global _pm1_exponent
-    if _pm1_exponent is None:
+def _pm1(c: int) -> list[int]:
+    """c in pieces > 1 by the p - 1 stage, each prime of c in one piece (one
+    piece when nothing splits): a checkpoint gcd(x - 1, c) after each batch,
+    and on a hit an uncharged replay of that batch prime power by prime power
+    that divides each nontrivial gcd out of c.  The first call builds the
+    batches from the sieve."""
+    global _pm1_batches
+    if _pm1_batches is None:
         small = _primes_below_bound()
-        exponent = 1
-        for p in small[: int(np.searchsorted(small, np.uint64(_PM1_BOUND), side="right"))].tolist():
-            q = p
-            while q * p <= _PM1_BOUND:
-                q *= p
-            exponent *= q
-        _pm1_exponent = exponent
-    return math.gcd(pow(2, _pm1_exponent, c) - 1, c)
+        powers = [p ** int(math.log(_PM1_BOUND, p)) for p in small[small <= _PM1_BOUND].tolist()]
+        batches = [powers[i : i + _PM1_BATCH] for i in range(0, len(powers), _PM1_BATCH)]
+        _pm1_batches = [(math.prod(batch), batch) for batch in batches]
+    pieces, x = [], 2
+    for product, batch in _pm1_batches:
+        y = pow(x, product, c)
+        if math.gcd(y - 1, c) > 1:  # replay the batch one prime power at a time
+            for q in batch:
+                x = pow(x, q, c)
+                if (g := math.gcd(x - 1, c)) > 1:
+                    while (h := math.gcd(g, c // g)) > 1:  # the whole power of each prime
+                        g *= h
+                    pieces.append(g)
+                    c //= g
+        x = y % c  # 2^(E so far) mod what is left of c
+    return pieces + [c] if c > 1 else pieces
 
 
 def _split(c: int, part: int) -> list[int]:
@@ -313,8 +327,9 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     the work and never the result; a part that is 0, negative, a multiple of
     n or coprime to it splits nothing.  Then the first composite piece c with
     c^(1/4) above 14,447 gets one p - 1 stage (see the module docstring),
-    when the budget left covers its 14,447 squarings, and rho factors the
-    pieces left.
+    when the budget left covers its 14,447 squarings: its gcd checkpoints
+    along the exponent part c into pieces, which go back on the stack, and
+    rho factors the composite pieces left.
 
     Raises EffortExceeded (with the partial factorization and composite
     residual attached) when the budget of p - 1 and rho squarings runs out.
@@ -359,9 +374,9 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
             continue
         if pm1_left and budget >= _PM1_SQUARINGS and iroot(c, 4) > _PM1_SQUARINGS:
             pm1_left, budget = False, budget - _PM1_SQUARINGS
-            g = _pm1(c)
-            if 1 < g < c:
-                stack.extend([g, c // g])
+            pieces = _pm1(c)
+            if len(pieces) > 1:
+                stack.extend(pieces)
                 continue
         g, used = _brent_rho(c, rng, budget)
         budget -= used

@@ -8,11 +8,11 @@ fast code must agree with them everywhere they can reach.
 import dataclasses
 import math
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from biquadrank import arith
 from biquadrank.arith import (
@@ -320,9 +320,12 @@ class TestPm1Stage:
             assert is_probable_prime(q) and is_probable_prime(r) and r > 10**4, q
 
     def test_the_exponent_is_the_lcm_up_to_the_bound(self):
-        assert arith._pm1(SMOOTH_13 * ROUGH_13[0]) == SMOOTH_13
-        assert arith._pm1_exponent == math.lcm(*range(1, arith._PM1_BOUND + 1))
-        assert arith._pm1_exponent.bit_length() == arith._PM1_SQUARINGS
+        assert sorted(arith._pm1(SMOOTH_13 * ROUGH_13[0])) == [SMOOTH_13, ROUGH_13[0]]
+        powers = [q for product, batch in arith._pm1_batches for q in batch]
+        assert [math.prod(batch) for _, batch in arith._pm1_batches] == [product for product, _ in arith._pm1_batches]
+        assert math.prod(powers) == math.lcm(*range(1, arith._PM1_BOUND + 1))
+        assert math.prod(powers).bit_length() == arith._PM1_SQUARINGS
+        assert {len(batch) for _, batch in arith._pm1_batches[:-1]} == {arith._PM1_BATCH}
 
     def test_a_smooth_prime_splits_off_without_rho(self, monkeypatch):
         monkeypatch.setattr(arith, "_brent_rho", lambda *a: pytest.fail("rho ran"))
@@ -367,6 +370,31 @@ class TestPm1Stage:
             assert iroot(p * q, 4) == k
             assert factor(p * q).primes == ((p, 1), (q, 1))
         assert pm1_calls == [p * q]
+
+    def test_mersenne_primes_split_inside_the_stage(self, monkeypatch):
+        # base 2 has order k mod 2^k - 1, so one gcd at the end of the exponent
+        # found both Mersenne primes at once; the orders 31 and 61 complete at
+        # different prime powers, so the checkpoints part them
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: pytest.fail("rho ran"))
+        p, q = 2**31 - 1, 2**61 - 1
+        assert factor(p * q).primes == ((p, 1), (q, 1))
+
+    @pytest.mark.parametrize("p, q", list(combinations(SMOOTH, 2)))
+    def test_glued_smooth_primes_come_apart(self, p, q, monkeypatch):
+        # both orders of 2 divide the exponent; the replay of a batch parts them
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: pytest.fail("rho ran"))
+        r = ROUGH_13[0]
+        assert factor(p * q * r).primes == tuple(sorted(((p, 1), (q, 1), (r, 1))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(SMOOTH + ROUGH + [SMOOTH_13, *ROUGH_13]), min_size=2, max_size=5))
+    def test_the_pieces_multiply_back_and_part_the_primes(self, picks):
+        c = math.prod(picks)
+        assume(iroot(c, 4) > arith._PM1_SQUARINGS)
+        pieces = arith._pm1(c)
+        assert all(piece > 1 for piece in pieces) and math.prod(pieces) == c
+        for p in set(picks):
+            assert sum(piece % p == 0 for piece in pieces) == 1, p
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from(SMOOTH + ROUGH), min_size=1, max_size=3), st.sampled_from([1, -1, 30, -49]))

@@ -55,19 +55,19 @@ def test_import_builds_no_trial_division_table():
     # factor call that needs them, so every CLI call that never factors
     # skips them; then factoring the one-limb prime 2^31 - 1 builds no table
     # row and divides only by the 4,792 primes up to isqrt(2^31 - 1) = 46,340;
-    # the p - 1 stage's exponent (about 2 ms from the sieve) waits for the
+    # the p - 1 stage's batches (about 2 ms from the sieve) wait for the
     # first composite piece above the stage's gate
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = (
         "import biquadrank.cli, biquadrank.arith as a\n"
-        "print(a._sieve_primes is None, a._weights, a._pm1_exponent)\n"
+        "print(a._sieve_primes is None, a._weights, a._pm1_batches)\n"
         "blocks, kernel = [], a._trial_divisors\n"
         "a._trial_divisors = lambda m, lo, hi: blocks.append((lo, hi)) or kernel(m, lo, hi)\n"
         "a.factor(2**31 - 1)\n"
         "tested = a._sieve_primes[: max(hi for _, hi in blocks)]\n"
-        "print(a._weights, len(tested), tested[-1], a._sieve_primes[len(tested)], a._pm1_exponent)\n"
+        "print(a._weights, len(tested), tested[-1], a._sieve_primes[len(tested)], a._pm1_batches)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
