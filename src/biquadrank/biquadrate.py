@@ -206,15 +206,16 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     Returns one quadruple per unordered pair of representations, sorted by
     (n, pairs); deterministic.  Sums go into value windows [L, U) of about
     equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
-    slice, so each sum is built once.  There are at least `shards` windows,
-    and a multiple of the thread count large enough that no window holds
-    much more than WINDOW_SUMS sums; a search uses one thread per
-    WINDOW_SUMS sums, up to one per CPU the process may use.  Equal sums
-    share a window, so each window is built, sorted and scanned for repeats
-    whole, on a thread pool made once per search (or in the caller if one
-    thread suffices), into its thread's one buffer.  Neither the windows nor
-    the CPU count change the output, and peak memory is about 8*WINDOW_SUMS
-    bytes a thread plus arrays of about 400*max_base bytes.
+    slice, so each sum is built once.  There are at least `shards` windows
+    (only benchmarks and tests set it), and a multiple of the thread count
+    large enough that no window holds much more than WINDOW_SUMS sums; a
+    search uses one thread per WINDOW_SUMS sums, up to one per CPU the
+    process may use.  Equal sums share a window, so each window is built,
+    sorted and scanned for repeats whole, on a thread pool made once per
+    search (or in the caller if one thread suffices), into its thread's one
+    buffer.  Neither the windows nor the CPU count change the output, and
+    peak memory is about 8*WINDOW_SUMS bytes a thread plus arrays of about
+    400*max_base bytes.
 
     A window edge is a value v whose count of built sums below it is within
     1% of a window of its target.  Below max_base^4 that count grows like
@@ -409,6 +410,13 @@ def factor_2n(quad: BiquadQuadruple, effort: FactorEffort = DEFAULT_EFFORT) -> F
     if f is None:
         return factor(2 * quad.n, effort)
     return factor(2 * quad.n, effort, (f.A, f.B, f.C, f.D))
+
+
+def factorization_of_2n(n: int, f: Factorization | None, quad: BiquadQuadruple | None = None) -> Factorization:
+    """f, checked to be the factorization of 2n; when None, factor_2n(quad), or factor(2n) without quad."""
+    if f is not None and f.value != 2 * n:
+        raise ValueError("factorization is not of 2n")
+    return f or (factor(2 * n) if quad is None else factor_2n(quad))
 
 
 def witness_root_polynomial(a: int, b: int) -> int:

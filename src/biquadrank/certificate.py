@@ -13,11 +13,14 @@ number with its justification, and three bounds:
 Every bound, with torsion, independence and the root number, is derived
 in one function that analyze records and reverify compares against.  It
 enforces the chain unconditional <= conditional <= upper; a violation
-means a descent or factoring bug and aborts loudly.
+means a descent or factoring bug and aborts loudly.  Independence counts
+the points whose Gram determinant clears the margin of entries within
+ENTRY_ERROR * precision of the true pairings, the most reverify lets an
+entry stray (heights.GramMatrix.independence): no threshold is chosen.
 Serialization is line-delimited JSON written and read by one codec
 driven by the dataclasses: each dataclass is an object keyed by its field
 names, every exact integer and fraction is a decimal string, and JSON
-floats, always finite, appear only for Gram entries, precision and tol.
+floats, always finite, appear only for Gram entries and precision.
 Records keep evidence only: what it determines (a quadruple's n and flags,
 omega, the Gram determinant and the heights on its diagonal) is a property,
 never stored.  parse_certificate rebuilds the full object through the
@@ -49,10 +52,11 @@ from .biquadrate import (
 )
 from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
 from .descent import DescentImage, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
-from .heights import GramMatrix, HeightValue, Heights, Inconclusive, PrecisionUnreachable, _is_torsion
+from .heights import GramMatrix, HeightValue, Heights, PrecisionUnreachable, _is_torsion
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
+ENTRY_ERROR = 4.5  # a recorded Gram entry's distance from the true pairing, in units of precision
 
 
 class NoRepresentation(ValueError):
@@ -80,14 +84,13 @@ class RankCertificate:
     root: RootNumber
     tool_version: str
     precision: float
-    tol: float
     notes: tuple[str, ...] = ()
     # volatile measurements: read-only, kept off the wire and out of ==
     timings: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
     def __post_init__(self):
-        if not (0 < self.precision < math.inf and 0 < self.tol < math.inf):
-            raise ValueError("precision and tol must be positive and finite")
+        if not 0 < self.precision < math.inf:
+            raise ValueError("precision must be positive and finite")
 
     @property
     def heights(self) -> tuple[HeightValue, ...]:
@@ -167,20 +170,15 @@ def _check_domain(n: int) -> None:
 
 
 def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
-            f2n: Factorization, tol: float) -> dict:
+            f2n: Factorization, precision: float) -> dict:
     """Every certificate field that follows from the evidence, keyed by
     RankCertificate field name: analyze records these, and reverify
     compares a certificate with them.
 
-    An Inconclusive independence count gives None.  Raises PropertyViolation
+    Independence is None without a Gram matrix.  Raises PropertyViolation
     when the bounds break their chain.
     """
-    independence = None
-    if gram is not None:
-        try:
-            independence = gram.independence(tol)
-        except Inconclusive:
-            pass
+    independence = None if gram is None else gram.independence(ENTRY_ERROR * precision)
     descent = rank_lower_bound(phi, psi)
     unconditional = max(descent, independence or 0)
     root = root_number(n, f2n, quad)
@@ -209,7 +207,6 @@ def analyze(
     pqrs: tuple[int, int, int, int] | None = None,
     ab: tuple[int, int] | None = None,
     precision: float = 1e-8,
-    tol: float = 1e-3,
     effort: FactorEffort = DEFAULT_EFFORT,
     allow_single: bool = False,
     skip_heights: bool = False,
@@ -245,9 +242,7 @@ def analyze(
     timings["descent"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bounds = _bounds(n, quad, gram, phi, psi, f2n, tol)
-    if gram is not None and bounds["independence"] is None:
-        notes.append("independence inconclusive: determinants inside (0, tol]")
+    bounds = _bounds(n, quad, gram, phi, psi, f2n, precision)
     timings["bounds"] = time.perf_counter() - t0
 
     return RankCertificate(
@@ -259,7 +254,6 @@ def analyze(
         psi=psi,
         tool_version=TOOL_VERSION,
         precision=precision,
-        tol=tol,
         notes=tuple(notes),
         timings=MappingProxyType(timings),
         **bounds,
@@ -327,7 +321,7 @@ def parse_certificate(line: str) -> RankCertificate:
 
     Every record re-runs its checks during construction (the quadruples,
     the Gram matrix, the descent images with their generator points and
-    classes, and finite positive precision and tol), so a tampered line
+    classes, and a finite positive precision), so a tampered line
     fails here rather than at reverify time.  A line that is not JSON,
     lacks a field, has an unknown one or one of the wrong wire type, was
     written by another tool_version, or holds a generator off its curve or
@@ -386,7 +380,7 @@ def reverify(cert: RankCertificate) -> bool:
         _reverify_heights(cert, E, f2n.distinct_primes())
 
     try:
-        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.tol)
+        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.precision)
     except PropertyViolation as exc:
         raise CertificateInvalid(str(exc)) from exc
     for name, value in derived.items():
@@ -451,8 +445,8 @@ def render_table(cert: RankCertificate) -> str:
             hs = f"  h = {h.value:.9f} (+/- {h.error_bound:.1e})" if h else ""
             add(f"  ({P.x}, {P.y}){hs}")
     if cert.gram is not None:
-        add(f"gram determinant: {cert.gram.determinant:.8g}   tol {cert.tol}")
-        add(f"independent points certified: {cert.independence}")
+        add(f"independent points certified: {cert.independence} (gram determinant "
+            f"{cert.gram.determinant:.8g}, entries within {ENTRY_ERROR * cert.precision:.1e})")
     for img in (cert.phi, cert.psi):
         add(f"{img.side} image of order {img.order}, generators {list(img.classes)}")
     w = cert.root

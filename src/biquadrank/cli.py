@@ -97,7 +97,6 @@ def _nonzero(text: str) -> int:
 _search_base.__name__ = _nonzero.__name__ = "int"  # argparse names the type in "invalid int value"
 
 FORMATS = ["table", "json-lines", "csv"]
-SHARDS_HELP = "least number of value windows; memory (about 16 MB a CPU) does not grow with it"
 
 
 def _add_effort(sub: argparse.ArgumentParser):
@@ -113,7 +112,6 @@ def build_parser() -> _Parser:
 
     p_search = subs.add_parser("search", parents=[], help="find n = p^4+q^4 = r^4+s^4")
     p_search.add_argument("--max-base", type=_search_base, required=True)
-    p_search.add_argument("--shards", type=_positive(int), default=1, help=SHARDS_HELP)
     p_search.add_argument("--output", metavar="PATH", default=None)
     p_search.add_argument("--format", choices=FORMATS, default="table")
 
@@ -123,7 +121,6 @@ def build_parser() -> _Parser:
     group.add_argument("--pqrs", type=_nonzero, nargs=4, metavar=("P", "Q", "R", "S"))
     group.add_argument("--ab", type=_nonzero, nargs=2, metavar=("A", "B"))
     p_an.add_argument("--precision", type=_positive(float), default=1e-8)
-    p_an.add_argument("--tol", type=_positive(float), default=1e-3)
     p_an.add_argument("--allow-single", action="store_true",
                       help="analyze n with a single representation instead of exiting 3")
     p_an.add_argument("--skip-heights", action="store_true")
@@ -140,9 +137,7 @@ def build_parser() -> _Parser:
     src = p_rep.add_mutually_exclusive_group(required=True)
     src.add_argument("--max-base", type=_search_base)
     src.add_argument("--input", metavar="PATH", help="json-lines search output to re-analyze")
-    p_rep.add_argument("--shards", type=_positive(int), default=1, help=SHARDS_HELP)
     p_rep.add_argument("--precision", type=_positive(float), default=1e-8)
-    p_rep.add_argument("--tol", type=_positive(float), default=1e-3)
     p_rep.add_argument("--skip-heights", action="store_true")
     p_rep.add_argument("--output", metavar="PATH", default=None)
     p_rep.add_argument("--format", choices=FORMATS, default="table")
@@ -178,7 +173,7 @@ def _quad_line(q) -> str:
 
 
 def cmd_search(args) -> int:
-    quads = search_double_representations(args.max_base, args.shards)
+    quads = search_double_representations(args.max_base)
     if args.format == "json-lines":
         text = "\n".join(_quad_line(q) for q in quads)
     elif args.format == "csv":
@@ -200,7 +195,6 @@ def _run_analysis(args, *, n=None, pqrs=None, ab=None):
         pqrs=pqrs,
         ab=ab,
         precision=args.precision,
-        tol=args.tol,
         effort=FactorEffort(rho_iterations=args.factor_effort),
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
@@ -276,7 +270,7 @@ def cmd_report(args) -> int:
                 raise NotEqual(f"n = {n} is not {p}^4 + {q}^4")
         inputs = [pqrs for pqrs, _ in inputs]
     else:
-        quads = search_double_representations(args.max_base, args.shards)
+        quads = search_double_representations(args.max_base)
         inputs = [(q.p, q.q, q.r, q.s) for q in quads]
 
     certs = [_run_analysis(args, pqrs=pqrs) for pqrs in inputs]

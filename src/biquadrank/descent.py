@@ -26,9 +26,8 @@ primes of the one complete factorization of 2n.  Every class read here
 has all its primes of odd exponent among them, so reading a class is
 division by known primes plus a perfect-square check on the cofactor; a
 class with a prime outside them raises ValueError instead of coming out
-wrong.  Only when that factorization is not given do the images factor,
-by factor_2n (through the quartic factors A*B*C*D), and
-yoshida_upper_bound, by factor(2n).
+wrong.  Only when that factorization is not given do the images and
+yoshida_upper_bound factor, by biquadrate.factorization_of_2n.
 
 An image is the F2 span of its generators (Silverman, AEC X.4; Cremona,
 Algorithms for Modular Elliptic Curves 3.6).  A class is a bitmask over
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Factorization, factor, is_square, valuation
-from .biquadrate import BiquadQuadruple, factor_2n, witness_root_polynomial
+from .arith import Factorization, is_square, valuation
+from .biquadrate import BiquadQuadruple, factorization_of_2n, witness_root_polynomial
 from .curve import Curve, OffCurve, Point, is_on_curve
 
 
@@ -66,15 +65,6 @@ def square_class(m: int, primes: tuple[int, ...]) -> int:
     if not is_square(rest):
         raise ValueError(f"{m} has a prime of odd exponent outside {primes}")
     return c
-
-
-def _primes_of_2n(n: int, f: Factorization | None) -> tuple[int, ...]:
-    """The primes of 2n from its factorization f (factored when None)."""
-    if f is None:
-        f = factor(2 * n)
-    if f.value != 2 * n:
-        raise ValueError("factorization is not of 2n")
-    return f.distinct_primes()
 
 
 def _vector(c: int, primes: tuple[int, ...]) -> int:
@@ -153,7 +143,7 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
     n = quad.n
     if E.n != n:
         raise ValueError("curve does not match the quadruple")
-    primes = _primes_of_2n(n, f or factor_2n(quad))
+    primes = factorization_of_2n(n, f, quad).distinct_primes()
     p, q = abs(quad.p), abs(quad.q)
     gens = [
         Point.affine(0, 0),
@@ -182,7 +172,7 @@ def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = No
     if E_dual.b != 4 * n:
         raise ValueError("expected the dual curve with coefficient 4n")
     p, q = abs(quad.p), abs(quad.q)
-    primes = _primes_of_2n(n, f or factor_2n(quad))
+    primes = factorization_of_2n(n, f, quad).distinct_primes()
     s = p + q
     gens = (Point.affine(0, 0), Point.affine(2 * s * s, 4 * s * (p * p + p * q + q * q)))
     return DescentImage("psi", E_dual.b, primes, gens)
@@ -201,4 +191,4 @@ def yoshida_upper_bound(n: int, f: Factorization | None = None) -> int:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return 2 * len(_primes_of_2n(n, f)) - 1
+    return 2 * len(factorization_of_2n(n, f).distinct_primes()) - 1

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import Factorization, factor, jacobi
-from .biquadrate import BiquadQuadruple, PropertyViolation
+from .arith import Factorization, jacobi
+from .biquadrate import BiquadQuadruple, PropertyViolation, factorization_of_2n
 
 _EPS_MINUS = frozenset({1, 3, 11, 13})
 _EPS_PLUS = frozenset({2, 5, 6, 7, 9, 10, 14, 15})
@@ -77,15 +77,6 @@ def _has_coprime_pair(quad: BiquadQuadruple) -> bool:
     return gcd(quad.p, quad.q) == 1 or gcd(quad.r, quad.s) == 1
 
 
-def _of_2n(n: int, f: Factorization | None) -> Factorization:
-    """f, checked to be the factorization of 2n, or factor(2n) when f is None."""
-    if f is None:
-        return factor(2 * n)
-    if f.value != 2 * n:
-        raise ValueError("factorization is not of 2n")
-    return f
-
-
 def root_number(
     n: int,
     f: Factorization | None = None,
@@ -106,7 +97,7 @@ def root_number(
         raise ValueError("quadruple does not match n")
     coprime = quad is not None and _has_coprime_pair(quad)
     if f is not None or not coprime:
-        f = _of_2n(n, f)
+        f = factorization_of_2n(n, f, quad)
     if coprime:
         return RootNumber(1, n % 16, "coprime-representation")
 
@@ -134,7 +125,7 @@ def prime_divisor_law(
             raise ValueError("quadruple does not match n")
         if not quad.primitive:
             raise ValueError("law applies to primitive quadruples")
-    for p in _of_2n(n, f).distinct_primes():
+    for p in factorization_of_2n(n, f, quad).distinct_primes():
         if p != 2 and p % 8 != 1:
             raise PropertyViolation(
                 f"odd prime {p} | {n} with {p} = {p % 8} (mod 8); "

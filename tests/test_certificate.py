@@ -62,6 +62,14 @@ class TestAnalyzeEntryPoints:
         cert = analyze(n=635318657, skip_heights=True)
         assert cert.quadruples[0].pairs() == ((59, 158), (133, 134))
 
+    def test_coarse_precision_certifies_no_independence(self):
+        # heights within 1000 bound the Gram entries only within 4500, far
+        # above the determinant of about 5,636: only the descent count stays
+        cert = analyze(ab=(2, 1), precision=1000.0)
+        assert cert.independence == 0
+        assert cert.unconditional_lower == 3
+        assert reverify(cert)
+
     def test_single_representation_needs_opt_in(self):
         with pytest.raises(NoRepresentation):
             analyze(n=17)
@@ -462,9 +470,9 @@ class TestTamperDetection:
 
     def test_missing_field_caught_on_parse(self):
         def mutate(d):
-            del d["tol"]
+            del d["precision"]
 
-        with pytest.raises(CertificateInvalid, match="tol"):
+        with pytest.raises(CertificateInvalid, match="precision"):
             parse_certificate(self.tampered(mutate))
 
     @pytest.mark.parametrize("mutate", [
@@ -494,10 +502,10 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match="malformed"):
             parse_certificate(self.tampered(mutate))
 
-    @pytest.mark.parametrize("changes", [{"precision": math.inf}, {"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0}])
-    def test_precision_and_tol_must_be_finite_and_positive(self, changes):
+    @pytest.mark.parametrize("precision", [math.inf, math.nan, 0.0, -1e-8])
+    def test_precision_must_be_finite_and_positive(self, precision):
         with pytest.raises(ValueError, match="positive and finite"):
-            dataclasses.replace(CERT21, **changes)
+            dataclasses.replace(CERT21, precision=precision)
 
     def test_unknown_field_caught_on_parse(self):
         def mutate(d):
@@ -520,6 +528,17 @@ class TestTamperDetection:
             d["gram"]["entries"] = [[10 * v for v in row] for row in d["gram"]["entries"]]
 
         with pytest.raises(CertificateInvalid, match=r"gram entry \(0, 0\) does not match"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_coarse_record_claims_no_independence(self):
+        # the same heights re-recorded at precision 1000, ten times larger:
+        # every entry is within its bound of the points, but entries known
+        # within 4500 certify no subset, so the recorded independence 4 fails
+        def mutate(d):
+            d["precision"] = 1000.0
+            d["gram"]["entries"] = [[10 * v for v in row] for row in d["gram"]["entries"]]
+
+        with pytest.raises(CertificateInvalid, match="independence does not match"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     @pytest.mark.parametrize("i, j, delta", [(1, 1, 2.5e-8), (0, 1, 3.5e-8)], ids=["diagonal", "pairing"])

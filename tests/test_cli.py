@@ -4,10 +4,13 @@ Everything drives main(argv) in-process; argparse-level usage errors
 surface as SystemExit(64) and handler-level errors as return codes.
 """
 
+import argparse
 import copy
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from biquadrank.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 from biquadrank.reference import load_reference
@@ -46,6 +50,21 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of the README's subcommand table lists the flags its parser
+    # defines, in order, with the choices of each flag that has them
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(encoding="utf-8"), re.M))
+    (subs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert rows.keys() == subs.choices.keys()
+    for name, sub in subs.choices.items():
+        defined = [(opt, ",".join(a.choices or ())) for a in sub._actions if a.dest != "help"
+                   for opt in a.option_strings]
+        assert re.findall(r"(--[a-z-]+)(?: \{([^}]*)\})?", rows[name]) == defined, name
 
 
 class TestUsage:
@@ -93,6 +112,13 @@ class TestUsage:
         ["analyze", "--n", "635318657", "--max-base", "100"],
         ["analyze", "--ab", "2", "1", "--seed", "1"],
         ["report", "--max-base", "200", "--seed", "1"],
+        # deleted flags: independence takes its margin from --precision, and
+        # the search its windows from the CPU count
+        ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
+        ["analyze", "--ab", "2", "1", "--tol", "inf", "--skip-heights"],
+        ["search", "--max-base", "200", "--shards", "0"],
+        ["report", "--max-base", "200", "--tol", "0.001"],
+        ["report", "--max-base", "200", "--shards", "4"],
     ])
     def test_flags_a_subcommand_does_not_read(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -102,11 +128,11 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--ab", "2", "1", "--precision", "0"],
         ["analyze", "--ab", "2", "1", "--precision", "-1", "--skip-heights"],
-        ["search", "--max-base", "200", "--shards", "0"],
-        ["analyze", "--n", "17", "--allow-single", "--tol", "-1"],
+        ["report", "--max-base", "200", "--precision", "0"],
+        ["verify-paper", "--precision", "-1"],
         ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
         ["analyze", "--ab", "2", "1", "--precision", "inf"],
-        ["analyze", "--ab", "2", "1", "--tol", "inf", "--skip-heights"],
+        ["report", "--max-base", "200", "--factor-effort", "-1"],
         ["analyze", "--ab", "0", "1"],
         ["analyze", "--ab", "2", "0"],
         ["analyze", "--pqrs", "0", "1", "1", "0", "--skip-heights"],

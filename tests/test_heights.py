@@ -26,7 +26,6 @@ from biquadrank.heights import (
     GramMatrix,
     HeightValue,
     Heights,
-    Inconclusive,
     PrecisionUnreachable,
     canonical_height,
     gram_matrix,
@@ -671,6 +670,39 @@ class TestIndependenceRank:
         # {P, 2P} spans rank 1; the 2x2 determinant is 0 up to rounding
         assert independence_rank(E17, [P17, P2]) == 1
 
-    def test_gray_zone_raises(self):
-        with pytest.raises(Inconclusive):
-            independence_rank(E17, [P17, Q17], tol=100.0)
+    def test_entries_known_too_coarsely_certify_nothing(self):
+        # entries within 100 of the truth: no determinant clears its margin
+        assert independence_rank(E17, [P17, Q17], tol=100.0) == 0
+
+
+def _cofactor_det(m) -> Fraction:
+    """det by cofactor expansion over Fractions: the oracle for the exact determinant."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * Fraction(m[0][j]) * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+@st.composite
+def perturbed(draw):
+    """A symmetric G, an eps and an E with |E_ij| <= eps, drawn at the
+    corners of that box (where det(G - E) is extreme) or inside it."""
+    k, eps = draw(st.integers(1, 4)), draw(st.floats(1e-9, 1.0))
+    upper = {(i, j): draw(st.floats(-20.0, 20.0)) for i in range(k) for j in range(i, k)}
+    scale = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+    E = [[eps * draw(scale) for _ in range(k)] for _ in range(k)]
+    return [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)], eps, E
+
+
+class TestDeterminantMargin:
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed())
+    # det(G) = 0.0337 and det(G - E) < 0: a margin of (a + eps)^2 - a^2 =
+    # 0.0281 would certify G, and the sqrt(2) eps of E's columns makes it 0.0398
+    @example(case=([[1.0, 0.983], [0.983, 1.0]], 0.01, [[0.01, -0.01], [-0.01, 0.01]]))
+    def test_a_determinant_above_its_margin_stays_positive(self, case):
+        G, eps, E = case
+        det = heights._exact_det(G)
+        assert det == _cofactor_det(G)
+        if det > heights._det_margin(G, eps):
+            assert _cofactor_det([[Fraction(g) - Fraction(e) for g, e in zip(*rows)] for rows in zip(G, E)]) > 0
