@@ -6,7 +6,8 @@ number at hand.  Factoring is trial division by the primes below 10^6, then
 gcd splits against any known parts of the number (for a family quadruple,
 the quartic factors A, B, C, D of its raw n), then one stage of Pollard's
 p - 1 method on the first composite piece large enough to be worth it, then
-Brent's variant of Pollard rho on the composite pieces left; primality is
+Brent's variant of Pollard rho on the composite pieces left (a prime, once
+found, takes its whole power out of the other pieces); primality is
 Miller-Rabin, deterministic below the published 3.3e24 threshold and with
 enough random rounds above it that the error probability is below 2**-128.
 
@@ -17,6 +18,8 @@ prime, so m is 1 or a prime.  A block reads m mod p as the sum of
 l_i * (2^(40 i) mod p) over the 40-bit limbs l_i of m, one modulo per 15 limbs
 (the chunk above carries in times 2^600 mod p; with p < 2^20 a sum stays below
 15 * 2^60 + 2^40 < 2^64), from a uint32 table built row by row on first need.
+The last sum needs no modulo: a multiplication by 1/p mod 2^64 tells whether p
+divides it.
 
 The p - 1 stage (Pollard, Proc. Cambridge Philos. Soc. 76 (1974), stage 1
 only) raises x = 2 mod c to E, the product of the largest power of each
@@ -54,6 +57,7 @@ _FIRST_BLOCK = 1 << 11  # primes in the first block of trial division
 _BLOCK = 1 << 14  # the most primes in one block; each block doubles up to it
 _sieve_primes: np.ndarray | None = None
 _weights: list[np.ndarray] = []
+_inverses = (np.empty((2, 0), np.uint64), 0)  # rows 1/p mod 2^64 and (2^64 - 1) // p, and how many p are done
 _PM1_BOUND = 10_000  # B1 of the p - 1 stage
 _PM1_SQUARINGS = 14_447  # bit length of its exponent: the stage's cost and gate
 _PM1_BATCH = 64  # prime powers between two gcd checkpoints: 20 batches up to B1
@@ -140,8 +144,34 @@ def _trial_divisors(m: int, lo: int, hi: int) -> list[int]:
         r += chunk[0]
         for limb, row in zip(chunk[1:], rows):
             r += np.multiply(row[lo:hi], limb, out=t, dtype=np.uint64)  # numpy 1 would pick uint32
-        np.remainder(r, block, out=r)
-    return block[r == 0].tolist()
+        if k < len(chunks) - 1:
+            np.remainder(r, block, out=r)
+    inverses, bounds = _divisibility(lo, hi)
+    return block[np.multiply(r, inverses, out=r) <= bounds].tolist()
+
+
+def _divisibility(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """1/p mod 2^64 and (2^64 - 1) // p for the sieve primes p in primes[lo:hi], made on first
+    need: r < 2^64 is a multiple of p exactly when r/p mod 2^64 is at most (2^64 - 1) // p
+    (Granlund and Montgomery, PLDI 1994).  For p = 2 they are 2^63 and 0: 2^63 r = 0 mod 2^64.
+    The table for every sieve prime is allocated once and filled from the first prime up; the
+    table and the count filled are published together, after the fill, so every caller reads
+    final values even while another thread extends the fill."""
+    global _inverses
+    tables, done = _inverses
+    if done < hi:
+        primes = _primes_below_bound()
+        if done == 0:
+            tables = np.empty((2, len(primes)), np.uint64)
+        p = primes[done:hi]
+        x, bound = p.copy(), np.floor_divide(np.uint64(2**64 - 1), p)
+        for _ in range(5):  # p * p = 1 mod 8; each Newton step x (2 - p x) doubles the bits of 1/p
+            x *= np.uint64(2) - p * x
+        if done == 0:
+            x[0], bound[0] = 1 << 63, 0
+        tables[:, done:hi] = x, bound
+        _inverses = (tables, hi)
+    return tables[0, lo:hi], tables[1, lo:hi]
 
 
 def jacobi(a: int, m: int) -> int:
@@ -359,8 +389,10 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         stack = [piece for c in stack for piece in _split(c, part)]
     while stack:
         c = stack.pop()
-        if is_probable_prime(c):
-            found[c] = found.get(c, 0) + 1
+        if is_probable_prime(c):  # with its whole power in the pieces left, so no rho meets it again
+            powers = [valuation(other, c) for other in stack]
+            found[c] = found.get(c, 0) + 1 + sum(powers)
+            stack = [other // c**e for other, e in zip(stack, powers) if other != c**e]
             continue
         # perfect powers make rho degenerate; peel them first
         peeled = False
@@ -388,7 +420,7 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
                 else:
                     residual *= other
             raise EffortExceeded(n, tuple(sorted(found.items())), residual)
-        stack.extend([g, c // g])
+        stack.extend([c // g, g])  # g, more often a prime, is popped first
 
     primes = tuple(sorted(found.items()))
     return Factorization(value=n, primes=primes)

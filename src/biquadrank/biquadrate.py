@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations, pairwise, product, starmap
@@ -37,14 +36,14 @@ MAX_SEARCH_BASE = 46_340
 SIEVE_PRIMES = (2, 3, 5, 7)
 
 # Search settings; none of them changes the output.  A search cuts its sums
-# into value windows of at most about WINDOW_SUMS sums (16 MB as int64) and
-# builds, sorts and scans each whole on one thread, up to one per CPU; each
-# thread reuses one buffer.  Slices of fewer than SHORT_SLICE sums are built
-# in groups, and sorted sums are compared with their successors, about CHUNK
-# at a time, so no temporary grows with the window.
+# into value windows of at most about WINDOW_SUMS sums (8 MB as int64) and
+# builds, sorts and scans each whole on one thread, up to one per CPU, in a
+# buffer the search made for it.  Slices of fewer than SHORT_SLICE sums are
+# built in groups, and sorted sums are compared with their successors, about
+# CHUNK at a time, so no temporary grows with the window.
 CHUNK = 1 << 13
 SHORT_SLICE = 256
-WINDOW_SUMS = 1 << 21
+WINDOW_SUMS = 1 << 20
 
 
 class NotEqual(ValueError):
@@ -205,22 +204,23 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
 
     Returns one quadruple per unordered pair of representations, sorted by
     (n, pairs); deterministic.  Sums go into value windows [L, U) of about
-    equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one
-    slice, so each sum is built once.  There are at least `shards` windows
-    (only benchmarks and tests set it), and a multiple of the thread count
-    large enough that no window holds much more than WINDOW_SUMS sums; a
-    search uses one thread per WINDOW_SUMS sums, up to one per CPU the
-    process may use.  Equal sums share a window, so each window is built,
-    sorted and scanned for repeats whole, on a thread pool made once per
-    search (or in the caller if one thread suffices), into its thread's one
-    buffer.  Neither the windows nor the CPU count change the output, and
+    equal size (Bernstein, Math. Comp. 70 (2001)): each q's p form one slice,
+    so each sum is built once, and a window reads only the q with q^4 + 1 < U
+    and 2 q^4 >= L.  There are at least `shards` windows (only benchmarks and
+    tests set it), and a multiple of the thread count large enough that no
+    window holds much more than WINDOW_SUMS sums (8 MB): one thread per
+    WINDOW_SUMS sums, up to one per CPU the process may use, or the caller
+    alone when the windows average under WINDOW_SUMS/16 sums.  Equal sums
+    share a window, so each is built, sorted and scanned for repeats whole,
+    in one of the buffers, one a thread, that the search makes before any
+    window runs.  Neither the windows nor the CPU count change the output;
     peak memory is about 8*WINDOW_SUMS bytes a thread plus arrays of about
-    400*max_base bytes.
+    400*max_base bytes: at the cap, on 2 CPUs, about 68 MB resident and 5.5 s.
 
     A window edge is a value v whose count of built sums below it is within
-    1% of a window of its target.  Below max_base^4 that count grows like
-    sqrt(v), so an edge is found by false position in sqrt(v), with a
-    bisection every third step: about two count evaluations per edge.
+    1% of a window of its target, found by false position in sqrt(v) (the
+    count grows like sqrt(v) below max_base^4), bisecting every third step:
+    about two counts an edge, each over the q with q^4 + 1 < v <= 2 q^4 only.
 
     Only sums a primitive quadruple can use are built.  Let l be a prime
     with l != 1 (mod 8) dividing p and q.  For odd l, -1 is not a fourth
@@ -232,26 +232,21 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     if max_base < 2:
         raise ValueError("max_base must be at least 2")
     if max_base > MAX_SEARCH_BASE:
-        raise ValueError(
-            f"max_base beyond {MAX_SEARCH_BASE}: 2 * max_base^4 overflows the int64 search"
-        )
+        raise ValueError(f"max_base beyond {MAX_SEARCH_BASE}: 2 * max_base^4 overflows the int64 search")
     if shards < 1:
         raise ValueError("shards must be positive")
     # imported here, not with the package: it loads logging too (about 12 ms)
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
     fourth = np.arange(max_base + 1, dtype=np.int64) ** 4
-    q4, past = fourth[1:], np.arange(2, max_base + 2)  # for q = 1..max_base
-
-    def first_p(v: int) -> np.ndarray:  # per q: least p >= 1 with p^4 + q^4 >= v, or q + 1
-        # keys in ascending order (q descending) let each search start from the last
-        p = np.searchsorted(fourth[1:], v - q4[::-1])[::-1] + 1
-        return np.minimum(p, past, out=p)
+    q4 = fourth[1:]  # for q = 1..max_base
 
     # The class of x has bit i set when SIEVE_PRIMES[i] divides x.  Row g of
     # `usable` marks the p in 1..max_base that share no such prime with class
     # g; `kept` holds their p^4, class after class, and rank at (g, p) is
-    # where the usable p' >= p of class g start in it.
+    # where the usable p' >= p of class g start in it.  Each q's slice of kept,
+    # its p <= q, runs from begin to end; `built` counts the sums of the q before.
     x = np.arange(max_base + 2)
     cls = sum((x % ell == 0) << i for i, ell in enumerate(SIEVE_PRIMES))
     usable = (np.arange(1 << len(SIEVE_PRIMES))[:, None] & cls) == 0
@@ -259,79 +254,84 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     kept = fourth[usable.nonzero()[1]]
     rank = np.cumsum(usable) - usable.ravel()  # flat: rank[g * (max_base + 2) + p]
     row = cls[1:-1] * (max_base + 2)  # per q: where the row of its class starts
+    begin, end = rank.take(row + 1), rank.take(row + x[2:])
+    built = np.concatenate(([0], np.cumsum(end - begin)))
 
-    def mark(v: int) -> tuple[int, np.ndarray, int]:
-        """v, the index into kept of each q's first sum >= v, and their total:
-        the sums built below v differ from that total by a constant."""
-        start = rank.take(row + first_p(v))
-        return v, start, int(start.sum())
+    def mark(v: int) -> tuple[int, int, int, int, np.ndarray]:
+        """v, the count of sums built below v, the q index range [i, j) of q^4 + 1 < v <= 2 q^4 and
+        each such q's index into kept of its first sum >= v: q before i have all sums below v, from j none."""
+        i, j = np.searchsorted(q4, [-(-v // 2), v - 1]).tolist()
+        part = rank.take(row[i:j] + np.searchsorted(q4, v - q4[i:j][::-1])[::-1] + 1)  # keys ascend: q descends
+        return v, int(built[i] + (part - begin[i:j]).sum()), i, j, part
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     first, last = mark(0), mark(2 * max_base**4 + 1)
-    total = last[2] - first[2]
+    total = last[1]
     threads = min(cpus, -(-total // WINDOW_SUMS))
-    windows = max(shards, -(-total // (threads * WINDOW_SUMS)) * threads)
-    windows = min(windows, max_base * (max_base + 1) // 2)
+    windows = min(max(shards, -(-total // (threads * WINDOW_SUMS)) * threads), max_base * (max_base + 1) // 2)
+    threads = 1 if total < windows * (WINDOW_SUMS >> 4) else threads  # small windows do not pay for a pool
     tol = total // (100 * windows)
     width = total // windows + 1 + 2 * tol  # the longest window edges within tol make
-    local = threading.local()  # a thread's buffer, for all its windows
+    buffers = SimpleQueue()  # one buffer a thread, passed from window to window
+    for _ in range(threads):
+        buffers.put(np.empty(width, dtype=np.int64))
 
     def cut(lo: tuple, target: int, hi: tuple = last) -> tuple:
-        """A mark from lo to hi whose total is within tol of target."""
-        for end in (lo, hi):
-            if abs(end[2] - target) <= tol:
-                return end
+        """A mark from lo to hi whose count is within tol of target."""
+        for edge in (lo, hi):
+            if abs(edge[1] - target) <= tol:
+                return edge
         step = 0
-        while hi[0] - lo[0] > 1:  # lo[2] < target - tol and hi[2] > target + tol
+        while hi[0] - lo[0] > 1:  # lo[1] < target - tol and hi[1] > target + tol
             step += 1
             if step % 3:
                 a, b = math.sqrt(lo[0]), math.sqrt(hi[0])
-                s = a + (b - a) * (target - lo[2]) / (hi[2] - lo[2])
+                s = a + (b - a) * (target - lo[1]) / (hi[1] - lo[1])
                 v = min(max(int(s * s), lo[0] + 1), hi[0] - 1)
             else:
                 v = (lo[0] + hi[0]) // 2
             mid = mark(v)
-            if abs(mid[2] - target) <= tol:
+            if abs(mid[1] - target) <= tol:
                 return mid
-            lo, hi = (mid, hi) if mid[2] < target else (lo, mid)
+            lo, hi = (mid, hi) if mid[1] < target else (lo, mid)
         return hi
 
     # consecutive marks (a, b) that cut the built sums into `windows` windows, made lazily
-    targets = (first[2] + k * total // windows for k in range(1, windows))
+    targets = (k * total // windows for k in range(1, windows))
     edges = pairwise(chain(accumulate(targets, cut, initial=first), [last]))
 
     def window(a: tuple, b: tuple) -> list[int]:
-        """Build the sums from the kept p^4 between marks a and b of each q,
-        sort them, and return those built twice or more, ascending."""
-        start, stop, out = a[1], b[1], getattr(local, "out", None)
-        if out is None or len(out) < b[2] - a[2]:  # once a thread, unless an edge overshot
-            out = local.out = np.empty(max(b[2] - a[2], width), dtype=np.int64)
-        out, size, pos = out[: b[2] - a[2]], stop - start, 0
-        long = np.flatnonzero(size >= SHORT_SLICE)
-        for i, lo, hi in zip(long.tolist(), start[long].tolist(), stop[long].tolist()):
-            np.add(kept[lo:hi], q4[i], out=out[pos : pos + hi - lo])  # one add per long slice
-            pos += hi - lo
-        # Short slices go in groups of about CHUNK sums, one gather a group:
-        # each sum's index into kept is its slice's start plus its place in it.
-        short = np.flatnonzero((size > 0) & (size < SHORT_SLICE))
-        ends = np.cumsum(size[short])
-        groups = np.searchsorted(ends, np.arange(CHUNK, len(out) - pos, CHUNK)).tolist()
-        for lo, hi in zip([0, *groups], [*groups, len(short)]):
-            qs = short[lo:hi]
-            n = size[qs]
-            part = out[pos : pos + int(n.sum())]
-            at = np.repeat(start[qs] - np.cumsum(n) + n, n)
-            at += np.arange(len(part))
-            np.take(kept, at, out=part)
-            del at
-            part += np.repeat(q4[qs], n)
-            pos += len(part)
-        out.sort()
-        repeats = set()
-        for i in range(0, len(out) - 1, CHUNK):
-            left, right = out[i : i + CHUNK], out[i + 1 : i + CHUNK + 1]
-            repeats.update(right[left[: len(right)] == right].tolist())
-        return sorted(repeats)
+        """Build the sums from the kept p^4 between marks a and b of each q that
+        reaches [a, b), sort them, and return those built twice or more, ascending."""
+        buffer, count = buffers.get(), b[1] - a[1]
+        try:  # per q from a[2] to b[3], its first sums >= a's v and b's v: from a mark, else a slice end
+            start, stop = np.concatenate((a[4], begin[a[3] : b[3]])), np.concatenate((end[a[2] : b[2]], b[4]))
+            out = buffer[:count] if len(buffer) >= count else np.empty(count, np.int64)  # an edge overshot width
+            size, pos, qs4 = stop - start, 0, q4[a[2] : b[3]]
+            long = np.flatnonzero(size >= SHORT_SLICE)
+            for i, lo, hi in zip(long.tolist(), start[long].tolist(), stop[long].tolist()):
+                np.add(kept[lo:hi], qs4[i], out=out[pos : pos + hi - lo])  # one add per long slice
+                pos += hi - lo
+            # Short slices go in groups of about CHUNK sums, one gather a group:
+            # each sum's index into kept is its slice's start plus its place in it.
+            short = np.flatnonzero((size > 0) & (size < SHORT_SLICE))
+            ends = np.cumsum(size[short])
+            groups = np.searchsorted(ends, np.arange(CHUNK, len(out) - pos, CHUNK)).tolist()
+            for lo, hi in zip([0, *groups], [*groups, len(short)]):
+                qs = short[lo:hi]
+                n = size[qs]
+                part = out[pos : pos + int(n.sum())]
+                np.take(kept, np.repeat(start[qs] - np.cumsum(n) + n, n) + np.arange(len(part)), out=part)
+                part += np.repeat(qs4[qs], n)
+                pos += len(part)
+            out.sort()
+            repeats = set()
+            for i in range(0, len(out) - 1, CHUNK):
+                left, right = out[i : i + CHUNK], out[i + 1 : i + CHUNK + 1]
+                repeats.update(right[left[: len(right)] == right].tolist())
+            return sorted(repeats)
+        finally:
+            buffers.put(buffer)
 
     results: list[BiquadQuadruple] = []
     with ThreadPoolExecutor(threads) as pool:  # starts no thread until used

@@ -7,8 +7,10 @@ fast code must agree with them everywhere they can reach.
 
 import dataclasses
 import math
+import sys
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -287,6 +289,20 @@ class TestFactor:
         assert expected.primes == ((p, 2), (q, 2))
         assert calls == []
 
+    def test_a_repeated_prime_reaches_rho_once(self, monkeypatch):
+        # the order of 2 mod each of these primes has a prime factor above
+        # 10^4, so the p - 1 stage parts none of them and rho must; a prime
+        # it finds leaves the pieces still on the stack with its whole power
+        p, q, r = 1000003, 1000039, 2000029
+        calls = []
+        real_rho = arith._brent_rho
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: calls.append(a) or real_rho(*a))
+        assert factor(p * p * r).primes == ((p, 2), (r, 1))
+        assert len(calls) == 1
+        calls.clear()
+        assert factor(q * q * p * r).primes == ((p, 1), (q, 2), (r, 1))
+        assert len(calls) == 2
+
 
 # primes p whose p - 1 is a product of prime powers up to 10^4, so that the
 # order of 2 mod p divides the p - 1 stage's exponent and the stage finds p,
@@ -491,6 +507,56 @@ class TestTrialDivision:
         m *= math.prod(picks)
         lo, hi = bounds
         assert _trial_divisors(m, lo, hi) == [p for p in SIEVE[lo:hi] if m % p == 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=len(SIEVE) - 1)),
+        st.booleans(),
+    )
+    @example(0, 0, False)
+    @example(2**64 - 1, 0, False)
+    @example(2**64 - 2, 0, False)
+    @example(arith._CHUNK * 2**60 + 2**40, len(SIEVE) - 1, True)  # the largest sum the last chunk leaves
+    def test_a_product_with_the_inverse_tests_divisibility(self, r, i, multiple):
+        # the last chunk's sum r < 2^64 is a multiple of p exactly when
+        # r / p mod 2^64 is at most (2^64 - 1) // p; for p = 2 the inverse
+        # and the bound are 2^63 and 0
+        p = int(SIEVE[i])
+        r -= r % p if multiple else 0
+        inverses, bounds = arith._divisibility(i, i + 1)
+        assert (int(inverses[0]) * p) % 2**64 == (0 if p == 2 else 1)
+        quotient = np.multiply(np.array([r], np.uint64), inverses)
+        assert bool(quotient[0] <= bounds[0]) == (r % p == 0)
+
+    def test_divisibility_tables_are_filled_on_first_need(self, monkeypatch):
+        monkeypatch.setattr(arith, "_inverses", (np.empty((2, 0), np.uint64), 0))
+        _trial_divisors(2**100 + 1, 0, 10)
+        tables, done = arith._inverses
+        assert tables.shape == (2, len(SIEVE)) and done == 10
+        _trial_divisors(2**100 + 1, 5, 10)  # already done: nothing is filled
+        assert arith._inverses[0] is tables and arith._inverses[1] == 10
+        _trial_divisors(2**100 + 1, BLOCK, BLOCK + 5)  # filled from the first prime up
+        assert arith._inverses[0] is tables and arith._inverses[1] == BLOCK + 5
+        assert [int(x) for x in tables[0, :2]] == [2**63, pow(3, -1, 2**64)]
+        assert [int(x) for x in tables[1, :2]] == [0, (2**64 - 1) // 3]
+
+    def test_threads_filling_the_tables_at_once_agree(self, monkeypatch):
+        # eight threads, switching every 10 microseconds, fill the tables from
+        # empty over overlapping slices while they divide: a thread that used
+        # an entry before its fill ended would miss or invent a divisor
+        ms = [math.prod(SIEVE[k :: 4999]) * (2**61 - 1) for k in range(8)]
+        slices = [(0, len(SIEVE) >> k) for k in range(8)] + [(len(SIEVE) >> k, len(SIEVE)) for k in range(8)]
+        expected = [[p for p in SIEVE[lo:hi] if m % p == 0] for m in ms for lo, hi in slices]
+        monkeypatch.setattr(arith, "_inverses", (np.empty((2, 0), np.uint64), 0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda job: _trial_divisors(job[0], *job[1]), product(ms, slices)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
     def test_table_rows_are_built_on_first_need(self, monkeypatch):
         monkeypatch.setattr(arith, "_weights", [])

@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -266,7 +267,7 @@ def use_cpus(monkeypatch, cpus: int, window_sums: int = 1 << 15) -> None:
     monkeypatch.setattr(biquadrate, "WINDOW_SUMS", window_sums)
 
 
-# Sums built up to base 2000: 0.63 of the 2,001,000, one window at the real
+# Sums built up to base 2000: 0.63 of the 2,001,000, two windows at the real
 # cap.  Counted in test_sums_built_to_2000.
 SUMS_TO_2000 = 1_254_532
 
@@ -302,10 +303,11 @@ class TestSearch:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("shards, limit_mb", [(1, 14), (4, 4)])
     def test_peak_memory_follows_the_window(self, monkeypatch, shards, limit_mb, cpus):
-        # at the real cap the SUMS_TO_2000 sums (10 MB as int64) fit one
-        # window, so `shards` windows in the caller cut memory; with windows
-        # of at most 2^18 sums each thread holds one 2 MB buffer, so the peak
-        # follows neither the base (5 million sums at 4000) nor `shards`
+        # at the real cap the 1,015,779 sums up to base 1800 (8 MB as int64)
+        # fit one window, so `shards` windows in the caller cut memory; with
+        # windows of at most 2^18 sums the search makes one 2 MB buffer a
+        # thread, so the peak follows neither the base (5 million sums at
+        # 4000) nor `shards`
         def peak(base: int) -> int:
             tracemalloc.start()
             try:
@@ -315,7 +317,7 @@ class TestSearch:
                 tracemalloc.stop()
 
         use_cpus(monkeypatch, cpus, biquadrate.WINDOW_SUMS)
-        assert peak(2000) < limit_mb * 2**20
+        assert peak(1800) < limit_mb * 2**20
         use_cpus(monkeypatch, cpus, 1 << 18)
         for base in (2000, 4000):
             assert peak(base) < cpus * (1 << 18) * 8 + 5 * 2**19
@@ -347,14 +349,17 @@ class TestSearch:
 
     @pytest.mark.parametrize("shards, cpus, window_sums, threads, windows", [
         (1, 3, 1 << 15, 3, 39), (1, 5, 1 << 15, 5, 40), (1, 2, 500_000, 2, 4),
-        (1000, 3, 1 << 15, 3, 1000), (1, 3, None, 0, 1), (4, 3, None, 0, 4),
+        (1000, 3, 1 << 15, 0, 1000), (1, 3, None, 0, 1), (4, 3, None, 0, 4),
     ])
     def test_one_pool_thread_per_cpu(self, monkeypatch, shards, cpus, window_sums, threads, windows):
         # base 2000 builds SUMS_TO_2000 sums: one thread per window_sums of
         # them, up to one per CPU, and a multiple of the thread count of
-        # windows, or `shards` if more.  Under the real cap the windows run
-        # in the caller.  The executor may reuse an idle thread, so fewer
-        # threads may run windows; each allocates one buffer for all of them
+        # windows, or `shards` if more; windows of under window_sums / 16
+        # sums on average run in the caller.  So do the windows of base 1800
+        # (1,015,779 sums) under the real cap.  The executor may reuse an
+        # idle thread, so fewer threads may run windows; the caller allocates
+        # one buffer a thread before any window runs
+        base = 2000 if window_sums else 1800
         use_cpus(monkeypatch, cpus, window_sums or biquadrate.WINDOW_SUMS)
         ran, allocated = [], []  # the thread that ran each window, or allocated a buffer
 
@@ -378,13 +383,13 @@ class TestSearch:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda pool, fn, *a: submit(pool, recording(fn), *a))
         monkeypatch.setattr(biquadrate, "starmap", lambda fn, its: starmap(recording(fn), its))
         monkeypatch.setattr(biquadrate, "np", Recording())
-        got = search_double_representations(2000, shards=shards)
-        assert len(got) == len(brute_force_search(2000))
+        got = search_double_representations(base, shards=shards)
+        assert len(got) == len(brute_force_search(base))
         assert len(ran) == windows and (shards > 1 or windows % max(threads, 1) == 0)
         pool_threads = {thread for thread in ran if thread is not threading.main_thread()}
         assert 1 <= len(pool_threads) <= threads if threads else not pool_threads
         assert not any(thread.is_alive() for thread in pool_threads)
-        assert sorted(map(id, allocated)) == sorted(map(id, set(ran)))
+        assert allocated == [threading.main_thread()] * max(threads, 1)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_repeats_across_chunk_edges(self, monkeypatch, chunk):
@@ -410,6 +415,38 @@ class TestSearch:
             brute_force_search(2000), key=lambda t: (t[4], t[:4])
         )
 
+    def test_two_searches_at_once_keep_their_own_buffers(self, monkeypatch):
+        # each search makes its own buffers, so two searches running at once
+        # from two threads, each on a pool of three, never share one
+        use_cpus(monkeypatch, 3)
+        expected = sorted(brute_force_search(2000), key=lambda t: (t[4], t[:4]))
+        with ThreadPoolExecutor(2) as callers:
+            got = list(callers.map(lambda _: search_double_representations(2000), range(2)))
+        assert [[(t.p, t.q, t.r, t.s, t.n) for t in quads] for quads in got] == [expected, expected]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+    def test_resident_memory_stays_flat_over_repeated_searches(self):
+        # five passes of bases 1000 to 8000 in one process: the caller makes
+        # every buffer, so each search reuses the memory of the one before;
+        # buffers made and freed on pool threads stayed in their threads'
+        # malloc arenas, and the peak grew from pass to pass
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = (
+            "import resource\n"
+            "from biquadrank.biquadrate import search_double_representations as search\n"
+            "peaks = []\n"
+            "for _ in range(5):\n"
+            "    for base, shards in [(1000, 1), (2000, 1), (4000, 1), (8000, 1), (8000, 4)]:\n"
+            "        search(base, shards=shards)\n"
+            "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(peaks[0], peaks[-1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, last = map(int, proc.stdout.split())
+        assert last - first <= 2 * 1024, (first, last)
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         use_cpus(monkeypatch, 3)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -419,8 +456,8 @@ class TestSearch:
         assert [t.n for t in three] == [t[4] for t in brute_force_search(2000)]
 
     def test_real_segment_size_splits_a_large_window(self, monkeypatch):
-        # base 3500 builds about 3.8 million sums: two windows of the real
-        # cap, run in the caller at one CPU and on two threads at five
+        # base 3500 builds about 3.8 million sums: four windows of the real
+        # cap, run in the caller at one CPU and on four threads at five
         use_cpus(monkeypatch, 1, biquadrate.WINDOW_SUMS)
         one = search_double_representations(3500)
         use_cpus(monkeypatch, 5, biquadrate.WINDOW_SUMS)
