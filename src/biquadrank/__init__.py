@@ -13,7 +13,7 @@ the layer functions are imported from their modules (biquadrank.arith,
 """
 
 from ._version import VERSION as __version__
-from .arith import EffortExceeded, FactorEffort
+from .arith import EffortExceeded
 from .biquadrate import NotEqual, PropertyViolation, ZeroBase, euler_quadruple, search_double_representations
 from .heights import PrecisionUnreachable
 from .parity import OutOfDomain
@@ -31,7 +31,7 @@ from .reference import run_claims
 __all__ = [
     "__version__",
     "analyze", "reverify", "parse_certificate", "to_json_line", "RankCertificate",
-    "search_double_representations", "euler_quadruple", "run_claims", "FactorEffort",
+    "search_double_representations", "euler_quadruple", "run_claims",
     "CertificateInvalid", "NoRepresentation", "EffortExceeded", "OutOfDomain",
     "PrecisionUnreachable", "PropertyViolation", "NotEqual", "ZeroBase",
 ]

@@ -2,14 +2,16 @@
 
 Everything here works on plain Python ints (arbitrary precision) and is
 deterministic: every random choice is seeded from DEFAULT_SEED and the
-number at hand.  Factoring is trial division by the primes below 10^6, then
-gcd splits against any known parts of the number (for a family quadruple,
-the quartic factors A, B, C, D of its raw n), then one stage of Pollard's
-p - 1 method on the first composite piece large enough to be worth it, then
-Brent's variant of Pollard rho on the composite pieces left (a prime, once
-found, takes its whole power out of the other pieces); primality is
-Miller-Rabin, deterministic below the published 3.3e24 threshold and with
-enough random rounds above it that the error probability is below 2**-128.
+number at hand, so the one setting is factor's budget, a plain int of
+squarings (DEFAULT_EFFORT unless given).  Factoring is trial division by
+the primes below 10^6, then gcd splits against any known parts of the
+number (for a family quadruple, the quartic factors A, B, C, D of its raw
+n), then one stage of Pollard's p - 1 method on the first composite piece
+large enough to be worth it, then Brent's variant of Pollard rho on the
+composite pieces left (a prime, once found, takes its whole power out of
+the other pieces); primality is Miller-Rabin, deterministic below the
+published 3.3e24 threshold and with enough random rounds above it that the
+error probability is below 2**-128.
 
 Trial division runs on what is left of m in blocks of 2048, 4096, 8192, then
 16384 sieve primes, and stops when the next block starts past the primes up to
@@ -80,16 +82,7 @@ class EffortExceeded(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class FactorEffort:
-    """Budget of factor(): rho_iterations counts squarings mod n, those of
-    the p - 1 stage (14,447, charged only when the budget left covers them;
-    the replay of a batch whose checkpoint splits is free) and those of rho."""
-
-    rho_iterations: int = 8_000_000
-
-
-DEFAULT_EFFORT = FactorEffort()
+DEFAULT_EFFORT = 8_000_000  # squarings per factor call: see factor
 
 
 @dataclass(frozen=True)
@@ -348,8 +341,15 @@ def _split(c: int, part: int) -> list[int]:
     return pieces + [c]
 
 
-def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...] = ()) -> Factorization:
+def factor(n: int, effort: int = DEFAULT_EFFORT, parts: tuple[int, ...] = ()) -> Factorization:
     """Complete factorization of n != 0.
+
+    `effort` is the budget of squarings mod a piece of n that the p - 1
+    stage and rho spend (the replay of a batch whose checkpoint splits is
+    free); trial division and the gcd splits spend none, so a budget of 0
+    still factors every n whose pieces they settle.  The default,
+    DEFAULT_EFFORT = 8,000,000, lets rho (about sqrt(p) squarings for the
+    least prime p of a piece) split off primes up to about 10^13.
 
     `parts` are integers that may share factors with n, such as known
     factors of a multiple of n: after trial division each piece of n is
@@ -381,7 +381,6 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
         found[m] = found.get(m, 0) + 1
         m = 1
 
-    budget = effort.rho_iterations
     rng = random.Random(DEFAULT_SEED ^ (abs(n) & 0xFFFFFFFFFFFF))
     stack = [m] if m > 1 else []
     pm1_left = True
@@ -404,14 +403,14 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
                 break
         if peeled:
             continue
-        if pm1_left and budget >= _PM1_SQUARINGS and iroot(c, 4) > _PM1_SQUARINGS:
-            pm1_left, budget = False, budget - _PM1_SQUARINGS
+        if pm1_left and effort >= _PM1_SQUARINGS and iroot(c, 4) > _PM1_SQUARINGS:
+            pm1_left, effort = False, effort - _PM1_SQUARINGS
             pieces = _pm1(c)
             if len(pieces) > 1:
                 stack.extend(pieces)
                 continue
-        g, used = _brent_rho(c, rng, budget)
-        budget -= used
+        g, used = _brent_rho(c, rng, effort)
+        effort -= used
         if g is None:
             residual = c
             for other in stack:
@@ -426,11 +425,11 @@ def factor(n: int, effort: FactorEffort = DEFAULT_EFFORT, parts: tuple[int, ...]
     return Factorization(value=n, primes=primes)
 
 
-def fourth_power_free_part(n: int, effort: FactorEffort = DEFAULT_EFFORT) -> tuple[int, int]:
+def fourth_power_free_part(n: int) -> tuple[int, int]:
     """(m, k) with n = m * k**4, m fourth-power-free, sign(m) = sign(n)."""
     if n == 0:
         raise ValueError("0 has no fourth-power-free part")
-    f = factor(n, effort)
+    f = factor(n)
     m, k = f.sign, 1
     for p, e in f.primes:
         m *= p ** (e % 4)

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, combinations, pairwise, product, starma
 
 import numpy as np
 
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, iroot, is_square
+from .arith import DEFAULT_EFFORT, Factorization, factor, iroot, is_square
 
 # Largest base whose sums p^4 + q^4 <= 2 * base^4 stay below 2^63: from
 # 46341 on they wrap to negative int64 values and hits are lost.
@@ -399,7 +399,7 @@ def quartic_factors(a: int, b: int) -> QuarticFactors:
     return QuarticFactors(A=A, B=B, C=C, D=D, b1=B * D, b2=-A * C, n_raw=n_raw)
 
 
-def factor_2n(quad: BiquadQuadruple, effort: FactorEffort = DEFAULT_EFFORT) -> Factorization:
+def factor_2n(quad: BiquadQuadruple, effort: int = DEFAULT_EFFORT) -> Factorization:
     """The factorization of 2n, split through the quartic factors A, B, C, D
     of the raw n = n * reduction^4 when the quadruple has family parameters.
 

@@ -40,7 +40,7 @@ from types import MappingProxyType, UnionType
 from typing import Mapping, get_args, get_origin, get_type_hints
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, FactorEffort, Factorization, factor, is_probable_prime, valuation
+from .arith import DEFAULT_EFFORT, Factorization, factor, is_probable_prime, valuation
 from .biquadrate import (
     BiquadQuadruple,
     PropertyViolation,
@@ -116,7 +116,7 @@ def _resolve_quadruples(
     pqrs: tuple[int, int, int, int] | None,
     ab: tuple[int, int] | None,
     allow_single: bool,
-    effort: FactorEffort,
+    effort: int,
     notes: list[str],
 ) -> tuple[tuple[BiquadQuadruple, ...], BiquadQuadruple, Factorization]:
     """The input's quadruples, the one analyzed, and the factorization of 2n."""
@@ -207,7 +207,7 @@ def analyze(
     pqrs: tuple[int, int, int, int] | None = None,
     ab: tuple[int, int] | None = None,
     precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
+    effort: int = DEFAULT_EFFORT,
     allow_single: bool = False,
     skip_heights: bool = False,
 ) -> RankCertificate:

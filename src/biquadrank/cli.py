@@ -16,7 +16,7 @@ import math
 import sys
 
 from ._version import VERSION
-from .arith import DEFAULT_EFFORT, EffortExceeded, FactorEffort
+from .arith import DEFAULT_EFFORT, EffortExceeded
 from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, ZeroBase, search_double_representations
 from .certificate import (
     CSV_HEADER,
@@ -101,7 +101,7 @@ FORMATS = ["table", "json-lines", "csv"]
 
 def _add_effort(sub: argparse.ArgumentParser):
     sub.add_argument("--factor-effort", type=_positive(int, zero_ok=True),
-                     default=DEFAULT_EFFORT.rho_iterations, metavar="N",
+                     default=DEFAULT_EFFORT, metavar="N",
                      help="squaring budget of p-1 and rho per factorization")
 
 
@@ -195,7 +195,7 @@ def _run_analysis(args, *, n=None, pqrs=None, ab=None):
         pqrs=pqrs,
         ab=ab,
         precision=args.precision,
-        effort=FactorEffort(rho_iterations=args.factor_effort),
+        effort=args.factor_effort,
         allow_single=getattr(args, "allow_single", False),
         skip_heights=args.skip_heights,
     )
@@ -231,10 +231,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     try:
-        ref = load_reference(args.fixtures)
-    except (OSError, ValueError) as exc:
+        claims = run_claims(load_reference(args.fixtures), precision=args.precision)
+    except (OSError, LookupError, TypeError, ValueError, AttributeError) as exc:  # a missing or malformed file
         raise Unreadable(f"fixtures: {exc}") from exc
-    claims = run_claims(ref, precision=args.precision)
     failures = [c for c in claims if not c.passed]
     if args.format == "json-lines":
         for c in claims:

@@ -8,10 +8,11 @@ is one of Z/2, Z/2 x Z/2, Z/4 depending only on b.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_fourth_power, is_square
+from .arith import factor, is_fourth_power, is_square
 
 
 class OffCurve(ValueError):
@@ -20,18 +21,28 @@ class OffCurve(ValueError):
 
 @dataclass(frozen=True)
 class Curve:
-    """y^2 = x^3 + b*x with integer b != 0."""
+    """y^2 = x^3 + b*x with integer b != 0.
+
+    The facts its heights need are cached properties, made on first read and
+    outside the fields, __eq__, __hash__ and repr: the primes of 2b and, per
+    precision, the memos of heights and pairings that heights.Heights fills.
+    """
 
     b: int
 
     def __post_init__(self):
         if self.b == 0:
             raise ValueError("b = 0 is singular")
-        # the height facts heights._heights keeps: the primes of 2b, then per
-        # precision the memos of heights and pairings; plain attributes, so
-        # outside fields, __eq__, __hash__ and repr
-        object.__setattr__(self, "_bad_primes", None)
-        object.__setattr__(self, "_height_memos", {})
+
+    @functools.cached_property
+    def bad_primes(self) -> tuple[int, ...]:
+        """The primes dividing 2b; an EffortExceeded from factoring caches nothing."""
+        return factor(2 * abs(self.b)).distinct_primes()
+
+    @functools.cached_property
+    def height_memos(self) -> dict:
+        """precision -> (height by point, pairing by pair of points)."""
+        return {}
 
     @property
     def n(self) -> int:

@@ -78,12 +78,13 @@ first term log max(|u_0|, |w_0|)):
   mod p, so such a tracker retires, and one settled at (u_0, w_0) is never
   built.
 
-The trackers need the primes of 2b.  The public functions factor 2b once
-per Curve object, with the effort of the first call that needs the primes,
-and let EffortExceeded propagate when that fails; once 2b is factored,
-`effort` no longer matters.  The curve also keeps, per precision, the height
-of each distinct point and each pairing, so heights live as long as the
-curve does and a new Curve object starts empty.
+The trackers need the primes of 2b.  The public functions read them from
+the curve (Curve.bad_primes), which factors 2b once per Curve object and
+lets an EffortExceeded propagate, caching nothing.  Every Heights fills the
+memos its curve keeps for its precision (Curve.height_memos): the height of
+each distinct point and each pairing, so heights live as long as the curve
+does, a new Curve object starts empty, and no height depends on which call
+came first.
 
 GramMatrix.independence counts the points whose Gram determinant clears the
 margin that the error bound of its entries allows.
@@ -96,7 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import DEFAULT_EFFORT, FactorEffort, factor, valuation
+from .arith import valuation
 from .biquadrate import PropertyViolation
 from .curve import Curve, Point, _add_unchecked, _require_on_curve
 
@@ -137,7 +138,7 @@ class GramMatrix:
         """1.0 for the empty matrix."""
         return float(_exact_det(self.entries)) if self.entries else 1.0
 
-    def independence(self, tol: float = 1e-3) -> int:
+    def independence(self, tol: float) -> int:
         """Largest k such that some k-subset of the points is certified
         independent, or 0, when every entry is within tol of the true pairing:
         its determinant, exact over the floats, exceeds _det_margin."""
@@ -178,7 +179,10 @@ def _det_margin(m: list[list[float]], eps: float) -> float:
     k = len(m)
     a = math.sqrt(max(sum(x * x for x in col) for col in zip(*m)))
     e = math.sqrt(k) * eps
-    return sum(math.comb(k, i) * a ** (k - i) * e**i for i in range(1, k + 1)) * (1 + 1e-12)
+    try:
+        return sum(math.comb(k, i) * a ** (k - i) * e**i for i in range(1, k + 1)) * (1 + 1e-12)
+    except OverflowError:  # a margin beyond the floats: nothing clears it
+        return math.inf
 
 
 def _is_torsion(E: Curve, P: Point) -> bool:
@@ -257,9 +261,10 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     A = E.b
     u0, w0 = P.x.numerator, P.x.denominator
     c_tail = _tail_constant(A)
-    K = max(8, math.ceil(math.log(2 * c_tail / (3 * precision), 4)) + 1)
+    # below a precision of about 1e-307 the quotient overflows to inf: clamp before ceil
+    K = max(8, math.ceil(min(math.log(2 * c_tail / (3 * precision), 4), _MAX_SERIES_TERMS)) + 1)
     if K > _MAX_SERIES_TERMS:
-        raise PrecisionUnreachable(f"precision {precision} needs {K} terms")
+        raise PrecisionUnreachable(f"precision {precision} needs more than {_MAX_SERIES_TERMS} terms")
     from mpmath import mp  # loaded by the first height, not by the package import
 
     root = math.isqrt(abs(A) - 1) + 1  # a+ of the module docstring
@@ -280,17 +285,17 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
 class Heights:
     """Canonical heights on E at one precision, each distinct point and pairing computed once.
 
-    bad_primes are the primes dividing 2b; memos, when given, are the height
-    and pairing dicts to fill (those a Curve keeps, see _heights).
+    bad_primes are the primes dividing 2b.  The height and pairing memos are
+    those E keeps for the precision, shared by every Heights on E there.
     """
 
-    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...], memos=None):
+    def __init__(self, E: Curve, precision: float, bad_primes: tuple[int, ...]):
         if not 0 < precision < math.inf:  # NaN included
             raise ValueError("precision must be positive and finite")
         self.E = E
         self.precision = precision
         self.bad_primes = bad_primes
-        self._memo, self._pairs = memos if memos is not None else ({}, {})
+        self._memo, self._pairs = E.height_memos.setdefault(precision, ({}, {}))
 
     def height(self, P: Point) -> HeightValue:
         """Torsion points (including O) get an exact 0."""
@@ -326,47 +331,20 @@ class Heights:
         return GramMatrix(tuple(tuple(row) for row in entries))
 
 
-def _heights(E: Curve, precision: float, effort: FactorEffort) -> Heights:
-    """Heights on the facts E keeps: the first call that needs the primes of
-    2b factors it with its `effort` (an EffortExceeded keeps nothing), and
-    each precision fills its own memos."""
-    if E._bad_primes is None:
-        object.__setattr__(E, "_bad_primes", factor(2 * abs(E.b), effort).distinct_primes())
-    H = Heights(E, precision, E._bad_primes, E._height_memos.get(precision))
-    E._height_memos[precision] = H._memo, H._pairs
-    return H
-
-
-def canonical_height(
-    E: Curve,
-    P: Point,
-    precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> HeightValue:
+def canonical_height(E: Curve, P: Point, precision: float = 1e-8) -> HeightValue:
     """Canonical height of P on E, accurate to within `precision`.
 
     The series needs the primes dividing 2b: raises EffortExceeded when
-    factoring 2b exceeds `effort`, and PrecisionUnreachable when `precision`
-    needs more than the series' term budget.
+    2b does not factor within the default budget, and PrecisionUnreachable
+    when `precision` needs more than the series' term budget.
     """
-    return _heights(E, precision, effort).height(P)
+    return Heights(E, precision, E.bad_primes).height(P)
 
 
-def gram_matrix(
-    E: Curve,
-    points: list[Point],
-    precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> GramMatrix:
-    return _heights(E, precision, effort).gram(points)
+def gram_matrix(E: Curve, points: list[Point], precision: float = 1e-8) -> GramMatrix:
+    return Heights(E, precision, E.bad_primes).gram(points)
 
 
-def independence_rank(
-    E: Curve,
-    points: list[Point],
-    tol: float = 1e-3,
-    precision: float = 1e-8,
-    effort: FactorEffort = DEFAULT_EFFORT,
-) -> int:
+def independence_rank(E: Curve, points: list[Point], tol: float = 1e-3, precision: float = 1e-8) -> int:
     """GramMatrix.independence(tol) at precision: certified for tol >= 1.5 * precision."""
-    return gram_matrix(E, points, precision, effort).independence(tol)
+    return gram_matrix(E, points, precision).independence(tol)

@@ -5,7 +5,6 @@ for the Jacobi symbol, trial division for factoring and primality.  The
 fast code must agree with them everywhere they can reach.
 """
 
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -19,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from biquadrank import arith
 from biquadrank.arith import (
     EffortExceeded,
-    FactorEffort,
     Factorization,
     _primes_below_bound,
     _trial_divisors,
@@ -185,26 +183,20 @@ class TestFactor:
         f = factor(p * q)
         assert f.primes == ((p, 1), (q, 1))
 
-    def test_budget_is_the_only_knob(self):
-        # every rho walk and Miller-Rabin base is seeded from DEFAULT_SEED
-        assert [f.name for f in dataclasses.fields(FactorEffort)] == ["rho_iterations"]
-
     def test_budget_exhaustion_raises_with_partial(self):
         # product of two ~2^110 primes is far beyond a tiny rho budget
         p = 2**107 - 1
         q = 2**127 - 1
-        tiny = FactorEffort(rho_iterations=500)
         with pytest.raises(EffortExceeded) as exc:
-            factor(4 * p * q, tiny)
+            factor(4 * p * q, 500)
         assert exc.value.residual > 1
         assert exc.value.value == 4 * p * q
 
     def test_budget_exhaustion_moves_waiting_primes_into_partial(self):
         # the parts split off the two primes before rho runs out on p * q
         p, q, r, s = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
-        tiny = FactorEffort(rho_iterations=0)
         with pytest.raises(EffortExceeded) as exc:
-            factor(p * q * r * s, tiny, parts=(p, q))
+            factor(p * q * r * s, 0, parts=(p, q))
         assert exc.value.partial == ((p, 1), (q, 1))
         assert exc.value.residual == r * s
 
@@ -225,9 +217,8 @@ class TestFactor:
     # settles every value below 10^12, so no budget, not even 0, changes it
     @pytest.mark.parametrize("bound", [0, 1, 2, 3, 10, 100, 10**6, 10**7])
     def test_small_values_match_trial_division_at_any_bound(self, bound):
-        effort = FactorEffort(rho_iterations=bound)
         for n in [*range(-300, 0), *range(1, 300), 2**20, -(3**12), 7**9, 999983**2]:
-            f = factor(n, effort)
+            f = factor(n, bound)
             assert f.value == n
             assert list(f.primes) == trial_factor(n), (n, bound)
 
@@ -235,10 +226,9 @@ class TestFactor:
     # is left to rho, and every budget here suffices for it
     @pytest.mark.parametrize("bound", [999_983, 10**6, 10**6 + 1, 10**7])
     def test_products_of_two_primes_near_the_sieve_bound(self, bound):
-        effort = FactorEffort(rho_iterations=bound)
         for p, q in combinations_with_replacement(NEAR_MILLION, 2):
             expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
-            assert factor(p * q, effort).primes == expected, (p, q, bound)
+            assert factor(p * q, bound).primes == expected, (p, q, bound)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -354,7 +344,7 @@ class TestPm1Stage:
         # one squaring for s * t, whose split takes it 1,022
         p, s, t = SMOOTH_13, 1000003, 1000039
         with pytest.raises(EffortExceeded) as exc:
-            factor(12 * p * s * t, FactorEffort(rho_iterations=arith._PM1_SQUARINGS + 1))
+            factor(12 * p * s * t, arith._PM1_SQUARINGS + 1)
         assert exc.value.partial == ((2, 2), (3, 1), (p, 1))
         assert exc.value.residual == s * t
 
@@ -362,7 +352,7 @@ class TestPm1Stage:
     def test_a_budget_below_the_cost_skips_the_stage(self, budget, pm1_calls):
         p, (q, r) = SMOOTH_13, ROUGH_13
         with pytest.raises(EffortExceeded) as exc:
-            factor(12 * p * q * r, FactorEffort(rho_iterations=budget))
+            factor(12 * p * q * r, budget)
         assert (exc.value.partial, exc.value.residual) == (((2, 2), (3, 1)), p * q * r)
         assert pm1_calls == []
 

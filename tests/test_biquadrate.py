@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biquadrank import biquadrate
-from biquadrank.arith import EffortExceeded, FactorEffort, factor, is_probable_prime, is_square
+from biquadrank.arith import EffortExceeded, factor, is_probable_prime, is_square
 from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
     SIEVE_PRIMES,
@@ -201,7 +201,7 @@ class TestFactor2n:
         # one piece of 2n at (43, 50) stays composite after the gcd splits
         quad = euler_quadruple(43, 50)
         with pytest.raises(EffortExceeded) as exc:
-            factor_2n(quad, FactorEffort(rho_iterations=0))
+            factor_2n(quad, 0)
         assert exc.value.value == 2 * quad.n
         assert exc.value.residual > 1
         assert math.prod(p**e for p, e in exc.value.partial) * exc.value.residual == 2 * quad.n

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrank.arith import FactorEffort, factor
+from biquadrank.arith import factor
 from biquadrank.curve import Point, curve_from_n
 from biquadrank.heights import GramMatrix, HeightValue, Heights
 from biquadrank import biquadrate, certificate
@@ -109,7 +109,7 @@ class TestAnalyzeEntryPoints:
     def test_budget_that_factors_2n_suffices(self):
         # 2n factors within 5000 rho iterations and n is never factored on
         # its own, so the small budget gives the default-effort certificate
-        low = analyze(ab=(1, 10), skip_heights=True, effort=FactorEffort(rho_iterations=5000))
+        low = analyze(ab=(1, 10), skip_heights=True, effort=5000)
         assert low.n == 10399290953968403530629990401
         assert to_json_line(low) == to_json_line(analyze(ab=(1, 10), skip_heights=True))
 
@@ -539,6 +539,17 @@ class TestTamperDetection:
             d["gram"]["entries"] = [[10 * v for v in row] for row in d["gram"]["entries"]]
 
         with pytest.raises(CertificateInvalid, match="independence does not match"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    @pytest.mark.parametrize("precision, match", [
+        (1e300, "independence does not match"),  # the margin overflows: no subset certified
+        (5e-324, "recorded precision is unreachable"),  # the term count overflows
+    ], ids=["huge", "subnormal"])
+    def test_precision_beyond_the_floats_caught(self, precision, match):
+        def mutate(d):
+            d["precision"] = precision
+
+        with pytest.raises(CertificateInvalid, match=match):
             reverify(parse_certificate(self.tampered(mutate)))
 
     @pytest.mark.parametrize("i, j, delta", [(1, 1, 2.5e-8), (0, 1, 3.5e-8)], ids=["diagonal", "pairing"])

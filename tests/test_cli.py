@@ -31,6 +31,10 @@ from biquadrank.cli import (
 from biquadrank.reference import load_reference
 
 SEARCH_LINE = "59^4 + 158^4 = 133^4 + 134^4 = 635318657"
+REFERENCE = load_reference()
+# fixture files with the wrong structure: no determinants, and a table row
+# whose p is not an integer
+BAD_FIXTURES = [{"tables": []}, {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": "59.5"}]}]
 
 
 @pytest.fixture
@@ -268,6 +272,16 @@ class TestAnalyze:
         assert rc == EXIT_USAGE
         assert "divisible by 4" in err
 
+    @pytest.mark.parametrize("precision", ["1e77", "1e300"])
+    def test_precision_beyond_the_floats_certifies_nothing(self, capsys, precision):
+        # the determinant margin overflows a float, so no subset clears it
+        rc, out, err = run(capsys, "analyze", "--ab", "2", "1", "--precision", precision)
+        assert (rc, err) == (EXIT_OK, "")
+        assert "independent points certified: 0" in out
+        rc, out, err = run(capsys, "report", "--max-base", "200", "--precision", precision, "--format", "csv")
+        assert (rc, err) == (EXIT_OK, "")
+        assert out.splitlines()[1] == "59,158,635318657,3,4,+1"
+
     def test_factoring_budget_exhaustion(self, capsys):
         # the quartic factors of (43, 50) leave a composite piece of 2n
         # that only rho splits
@@ -326,6 +340,30 @@ def test_tracker_cap_failure_is_a_verification_failure(capsys, tracker_cap_of_on
     rc, _, err = run(capsys, *argv)
     assert rc == EXIT_VERIFY
     assert err.count("\n") == 1 and "above resultant cap" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["analyze", "--ab", "2", "1", "--precision", "1e-308"], EXIT_USAGE, "precision unreachable"),
+    (["analyze", "--ab", "2", "1", "--precision", "5e-324"], EXIT_USAGE, "precision unreachable"),
+    (["report", "--max-base", "200", "--precision", "1e-308"], EXIT_USAGE, "precision unreachable"),
+    (["verify-paper", "--fixtures", BAD_FIXTURES[0]], EXIT_IO, "cannot read fixtures"),
+    (["verify-paper", "--fixtures", BAD_FIXTURES[1]], EXIT_IO, "cannot read fixtures"),
+    (["analyze", "--pqrs", "1", "2", "3", "4"], EXIT_USAGE, "not a double representation"),
+    (["analyze", "--n", str(16 * 635318657)], EXIT_USAGE, "divisible by 4"),
+    (["analyze", "--ab", "43", "50", "--skip-heights", "--factor-effort", "0"], EXIT_BUDGET, "budget exhausted"),
+    (["analyze", "--n", "17"], EXIT_NO_REPRESENTATION, "single representation"),
+], ids=["analyze-tiny-precision", "analyze-subnormal-precision", "report-tiny-precision", "fixtures-no-determinants",
+        "fixtures-row-p-not-an-integer", "not-a-double-representation", "out-of-domain", "budget",
+        "no-representation"])
+def test_a_documented_failure_prints_one_line(capsys, tmp_path, argv, code, message):
+    if isinstance(argv[-1], dict):  # a fixture file to write first
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
+    rc, _, err = run(capsys, *argv)
+    assert rc == code
+    assert err.count("\n") == 1 and err.startswith(f"biquadrank {argv[0]}: ") and message in err
     assert "Traceback" not in err
 
 

@@ -7,7 +7,6 @@ cross-checked against the published four-decimal figures.
 import dataclasses
 import gc
 import math
-import time
 import weakref
 from fractions import Fraction
 
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from biquadrank import heights
-from biquadrank.arith import EffortExceeded, FactorEffort, factor
+from biquadrank import curve, heights
+from biquadrank.arith import EffortExceeded, factor
 from biquadrank.biquadrate import PropertyViolation, euler_quadruple
 from biquadrank.curve import (
     INFINITY, Curve, OffCurve, Point, add, curve_from_n, dual_curve, is_on_curve, negate, scalar_mul,
@@ -64,7 +63,13 @@ PTS21 = constructed_points(QUAD21)
 
 
 def heights_on(E, precision):
-    return Heights(E, precision, factor(2 * abs(E.b)).distinct_primes())
+    """Heights on a new curve object equal to E, so every height it gives
+    runs its series, whatever E's memos already hold."""
+    return Heights(Curve(E.b), precision, factor(2 * abs(E.b)).distinct_primes())
+
+
+def exhausted(n, *args):
+    raise EffortExceeded(n, (), n)
 
 
 def series_budget(E: Curve, precision: float) -> tuple[int, int]:
@@ -225,15 +230,23 @@ class TestCanonicalHeight:
         with pytest.raises(PrecisionUnreachable):
             canonical_height(E17, P17, precision=1e-40)
 
-    def test_unfactorable_2b_propagates(self):
-        # 2n of the 27-digit (2, 9) curve needs rho; with no rho budget the
-        # height cannot be computed and must fail at once
-        quad = euler_quadruple(2, 9)
-        E = curve_from_n(quad.n)
-        start = time.perf_counter()
-        with pytest.raises(EffortExceeded):
-            canonical_height(E, constructed_points(quad)[0], effort=FactorEffort(rho_iterations=0))
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("precision", [1e-308, 5e-324])
+    def test_precision_below_the_floats_is_unreachable(self, precision):
+        # the tail's term count overflows to inf: no finite count suffices
+        with pytest.raises(PrecisionUnreachable, match="needs more than 60 terms"):
+            canonical_height(E17, P17, precision=precision)
+
+    def test_unfactorable_2b_propagates(self, monkeypatch, series_calls):
+        # without the primes of 2b the height cannot be computed: the
+        # failure propagates before any series, and the next call factors 2b
+        E = curve_from_n(QUAD21.n)
+        with monkeypatch.context() as patched:
+            patched.setattr(curve, "factor", exhausted)
+            with pytest.raises(EffortExceeded):
+                canonical_height(E, PTS21[0])
+        assert series_calls == []
+        assert canonical_height(E, PTS21[0]).value.hex() == PINNED_HEIGHTS[(2, 1), 1e-8][0]
+        assert E.bad_primes == factor(2 * abs(E.b)).distinct_primes()
 
 
 class TestWorkingPrecision:
@@ -324,7 +337,8 @@ class TestWorkingPrecision:
         # most, so no orbit integer of the (1, 11) series at 1e-8 is wider than
         # D_0 + digits(a+) + 2 = 96 digits; the older budget of
         # 30 + K (2 digits(b) + 4) digits started near 1,150
-        E, quad = E111, euler_quadruple(1, 11)
+        quad = euler_quadruple(1, 11)
+        E = curve_from_n(quad.n)  # a new curve object: every height runs its series
         root, d0 = orbit_start_digits(E, 1e-8)
         assert d0 == 80
         pairs = []
@@ -568,7 +582,7 @@ class TestCurveKeepsHeightFacts:
         gram_matrix(again, PTS21)
         assert factor_calls == [2 * abs(E.b)] * 2
         assert len(series_calls) == 20 and len(set(series_calls)) == 10
-        # the facts are plain attributes, outside the dataclass
+        # the facts are cached properties, outside the dataclass fields
         assert E == again and hash(E) == hash(again) and repr(E) == repr(again)
         assert [f.name for f in dataclasses.fields(E)] == ["b"]
 
@@ -586,25 +600,29 @@ class TestCurveKeepsHeightFacts:
             gc.enable()
 
     def test_values_match_a_fresh_heights(self):
-        # both precisions on one curve object, each with its own memos
+        # both precisions on one curve object, each with its own memos, and
+        # the same values from a new curve object, whose memos start empty
         E = curve_from_n(QUAD21.n)
         primes = factor(2 * abs(E.b)).distinct_primes()
         for precision in (1e-4, 1e-8):
             kept = [canonical_height(E, P, precision).value.hex() for P in PTS21]
             gram = gram_matrix(E, PTS21, precision).entries
-            fresh = Heights(E, precision, primes)
+            fresh = Heights(curve_from_n(QUAD21.n), precision, primes)
             assert kept == [fresh.height(P).value.hex() for P in PTS21] == list(PINNED_HEIGHTS[(2, 1), precision])
             assert [v.hex() for row in gram for v in row] == [v.hex() for row in fresh.gram(PTS21).entries for v in row]
 
-    def test_effort_exceeded_keeps_nothing(self):
-        quad = euler_quadruple(2, 9)
-        E, P = curve_from_n(quad.n), constructed_points(quad)[0]
-        with pytest.raises(EffortExceeded):
-            canonical_height(E, P, effort=FactorEffort(rho_iterations=0))
+    def test_effort_exceeded_keeps_nothing(self, monkeypatch, factor_calls, series_calls):
+        # a failed factorization of 2b caches no primes, so the next call
+        # factors 2b again, and only then do the memos fill
+        E, P = curve_from_n(QUAD21.n), PTS21[0]
+        with monkeypatch.context() as patched:
+            patched.setattr(curve, "factor", exhausted)
+            with pytest.raises(EffortExceeded):
+                gram_matrix(E, PTS21)
+        assert "bad_primes" not in vars(E) and E.height_memos == {}
         h = canonical_height(E, P)
-        assert h == Heights(E, 1e-8, factor(2 * abs(E.b)).distinct_primes()).height(P)
-        # once 2b is factored, effort no longer matters
-        assert canonical_height(E, P, effort=FactorEffort(rho_iterations=0)) == h
+        assert factor_calls == [2 * abs(E.b)] and len(series_calls) == 1
+        assert h.value.hex() == PINNED_HEIGHTS[(2, 1), 1e-8][0]
 
 
 class TestGramDeterminants:
@@ -673,6 +691,12 @@ class TestIndependenceRank:
     def test_entries_known_too_coarsely_certify_nothing(self):
         # entries within 100 of the truth: no determinant clears its margin
         assert independence_rank(E17, [P17, Q17], tol=100.0) == 0
+
+    def test_a_margin_beyond_the_floats_certifies_nothing(self):
+        # (sqrt(4) * 4.5e77)^4 overflows a float: the margin is infinite
+        g = heights_on(E21, 1e-8).gram(PTS21)
+        assert heights._det_margin(g.entries, 4.5e77) == math.inf
+        assert g.independence(4.5e77) == 0 and g.independence(4.5e-8) == 4
 
 
 def _cofactor_det(m) -> Fraction:
