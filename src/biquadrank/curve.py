@@ -168,12 +168,9 @@ def pair_points(p: int, q: int) -> tuple[Point, Point]:
 
 
 def constructed_points(quad) -> list[Point]:
-    """The four ready-made points on y^2 = x^3 - n*x for a double representation."""
-    E = curve_from_n(quad.n)
-    pts = [*pair_points(quad.p, quad.q), *pair_points(quad.r, quad.s)]
-    for P in pts:
-        _require_on_curve(E, P)
-    return pts
+    """The four ready-made points on y^2 = x^3 - n*x for a double
+    representation; pair_points' identity puts them on the curve."""
+    return [*pair_points(quad.p, quad.q), *pair_points(quad.r, quad.s)]
 
 
 class TorsionShape(enum.Enum):

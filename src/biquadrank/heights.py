@@ -17,10 +17,11 @@ Telescoping gives
     h^(P) = log max(|u_0|, |w_0|) + sum_k 4^{-(k+1)} (D_k - gamma_k).
 
 The gcd divides Res(F, G) = 4096 b^6, so gamma_k is supported on the primes
-dividing 2b and is recovered exactly from fixed-precision p-adic trackers;
-no exact big-integer orbit is ever needed.  The tail after K terms is at
-most C * 4^{-K} / 3 with the explicit constant below (cofactor identities
-bound |D_k| on the unit box), so the series is truncated rigorously.
+dividing 2b and is recovered exactly from the orbit kept modulo a power of
+each such prime; no exact big-integer orbit is ever needed.  The tail after
+K terms is at most C * 4^{-K} / 3 with the explicit constant below
+(cofactor identities bound |D_k| on the unit box), so the series is
+truncated rigorously.
 
 Each part runs at the precision it needs (C the tail constant, h_0 the
 first term log max(|u_0|, |w_0|)):
@@ -67,18 +68,19 @@ first term log max(|u_0|, |w_0|)):
   D_k holds digits(a+) once.  Over all steps log m_K + S log 2 is within
   2 * 10^-30 / 0.6 < 10^-29 of log m(v*_K), so the orbit adds under
   4^-K 10^-29 to the error.
-* The trackers: a cancellation c_k <= r is read exactly while the modulus
-  exceeds p^r, and each step loses c_k digits, so after a step the residues
-  are kept mod p^min(M - c_k, (left+2)r + 8) with `left` steps to run: the
-  lower bound that the starting p^((K+2)r + 8) guarantees.  If p does not
-  divide u_k but divides b w_k, then F_k = u_k^4 mod p, so c_k = 0, and
-  u_{k+1} ~ F_k, w_{k+1} ~ G_k = 4 u_k w_k (...) keep both properties: every
-  later c at p is 0 (only singular reduction contributes at a bad prime;
-  Silverman, Math. Comp. 51, 1988).  This is read exactly from the residues
-  mod p, so such a tracker retires, and one settled at (u_0, w_0) is never
-  built.
+* The residues: at each prime p of 2b, (u_k, w_k) are kept mod p^M.  A
+  cancellation c_k <= r = v_p(4096 b^6) is read exactly while the modulus
+  exceeds p^r, and each step loses c_k digits, so after step k the residues
+  are kept mod p^min(M - c_k, (K-k+1)r + 8): the lower bound that the
+  starting p^((K+2)r + 8) guarantees.  If p does not divide u_k but divides
+  b w_k, then F_k = u_k^4 mod p, so c_k = 0, and u_{k+1} ~ F_k,
+  w_{k+1} ~ G_k = 4 u_k w_k (...) keep both properties: every later c at p
+  is 0 (only singular reduction contributes at a bad prime; Silverman,
+  Math. Comp. 51, 1988).  This is read exactly from the residues mod p, so
+  p is followed only until it is settled, and not at all when it is
+  settled at (u_0, w_0).
 
-The trackers need the primes of 2b.  The public functions read them from
+The residues need the primes of 2b.  The public functions read them from
 the curve (Curve.bad_primes), which factors 2b once per Curve object and
 lets an EffortExceeded propagate, caching nothing.  Every Heights fills the
 memos its curve keeps for its precision (Curve.height_memos): the height of
@@ -203,47 +205,34 @@ def _settled(p: int, A: int, u: int, w: int) -> bool:
     return u % p != 0 and A * w % p == 0
 
 
-class _PadicTracker:
-    """Tracks (u_k, w_k) mod p^M just closely enough to read off the
-    cancellation min(v_p(F), v_p(G)) at every step."""
-
-    def __init__(self, p: int, A: int, u0: int, w0: int, steps: int):
-        self.p = p
-        r = (12 if p == 2 else 0) + 6 * valuation(abs(A), p)
-        self.cap = r
-        self.left = steps
-        self.M = (steps + 2) * r + 8
-        self.mod = p**self.M
-        self.u = u0 % self.mod
-        self.w = w0 % self.mod
-        self.A = A % self.mod
-
-    def step(self) -> int:
-        mod = self.mod
-        t = (self.u * self.u - self.A * self.w * self.w) % mod
-        fu = t * t % mod
-        gw = 4 * self.u * self.w % mod * ((self.u * self.u + self.A * self.w * self.w) % mod) % mod
-        c = valuation(math.gcd(fu, gw, mod), self.p)  # min(v_p(fu), v_p(gw), M)
-        if c > self.cap:
-            raise PropertyViolation(f"cancellation {c} above resultant cap at p={self.p}")
-        pc = self.p**c
-        self.left -= 1
-        self.M = min(self.M - c, (self.left + 2) * self.cap + 8)
-        self.mod = self.p**self.M
-        self.u = (fu // pc) % self.mod
-        self.w = (gw // pc) % self.mod
-        self.A %= self.mod
-        return c
+def _padic_step(p: int, A: int, u: int, w: int, M: int, cap: int) -> tuple[int, int, int]:
+    """(F, G) of (u, w) mod p^M, both divided by p^c for the cancellation
+    c = min(v_p(F), v_p(G), M), and c; PropertyViolation when c > cap."""
+    mod = p**M
+    t = (u * u - A * w * w) % mod
+    f = t * t % mod
+    g = 4 * u * w % mod * ((u * u + A * w * w) % mod) % mod
+    c = valuation(math.gcd(f, g, mod), p)
+    if c > cap:
+        raise PropertyViolation(f"cancellation {c} above resultant cap at p={p}")
+    pc = p**c
+    return f // pc, g // pc, c
 
 
 def _cancellations(A: int, u0: int, w0: int, bad: tuple[int, ...], steps: int) -> list[dict[int, int]]:
-    """{p: c_k} for the nonzero cancellations at step k < steps; a tracker
-    leaves once it is settled, and one settled at (u0, w0) is never built."""
-    live = [_PadicTracker(p, A, u0, w0, steps) for p in bad if not _settled(p, A, u0, w0)]
-    out = []
-    for _ in range(steps):
-        out.append({tr.p: c for tr in live if (c := tr.step())})
-        live = [tr for tr in live if not _settled(tr.p, tr.A, tr.u, tr.w)]
+    """{p: c_k} for the nonzero cancellations at step k < steps, each prime
+    followed mod p^M until it is settled (module docstring)."""
+    out = [{} for _ in range(steps)]
+    for p in bad:
+        cap = (12 if p == 2 else 0) + 6 * valuation(abs(A), p)  # v_p of the resultant 4096 b^6
+        u, w, M = u0, w0, (steps + 2) * cap + 8
+        for k in range(steps):
+            if _settled(p, A, u, w):
+                break
+            u, w, c = _padic_step(p, A, u, w, M, cap)
+            if c:
+                out[k][p] = c
+            M = min(M - c, (steps - k + 1) * cap + 8)
     return out
 
 

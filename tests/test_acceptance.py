@@ -45,7 +45,12 @@ from biquadrank.heights import canonical_height, gram_matrix
 from biquadrank.parity import parity_adjusted_bound, prime_divisor_law, root_number
 from biquadrank.reference import load_reference
 
-GRID = 50  # identity criteria sweep 1 <= a, b <= GRID
+# Identity criteria sweep 1 <= a, b <= GRID, and so prove their identities:
+# a polynomial of degree <= d in a that vanishes at d + 1 values of a is 0,
+# so one of degree <= d in each of a and b that vanishes on a grid with at
+# least d + 1 values of a in each of d + 1 rows of b is 0.  The code does
+# not check these identities again at run time.
+GRID = 50
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +64,7 @@ def hits_to_1000():
 
 
 def test_criterion_01_parametrized_identity(criteria):
+    # p^4 + q^4 - r^4 - s^4 has degree <= 28 in each of a and b: 50 >= 29
     def run():
         for a in range(1, GRID + 1):
             for b in range(1, GRID + 1):
@@ -69,6 +75,8 @@ def test_criterion_01_parametrized_identity(criteria):
 
 
 def test_criterion_02_quartic_product_identity(criteria):
+    # A*B*C*D - (p^4 + q^4) has degree <= 28 in each of a and b; skipping
+    # a = b leaves 49 >= 29 values of a in each of the 50 rows of b
     def run():
         for a in range(1, GRID + 1):
             for b in range(1, GRID + 1):
@@ -86,6 +94,7 @@ def test_criterion_02_quartic_product_identity(criteria):
 
 
 def test_criterion_03_fourth_power_witness(criteria):
+    # B*D - b^4*A*C - a^4 * inner^2 has degree <= 16 in each of a and b: 50 >= 17
     def run():
         for a in range(1, GRID + 1):
             for b in range(1, GRID + 1):

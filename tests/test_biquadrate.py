@@ -28,7 +28,6 @@ from biquadrank.biquadrate import (
     MAX_SEARCH_BASE,
     SIEVE_PRIMES,
     BiquadQuadruple,
-    NotASquare,
     NotEqual,
     euler_quadruple,
     euler_raw_quadruple,

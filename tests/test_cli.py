@@ -32,22 +32,22 @@ from biquadrank.reference import load_reference
 
 SEARCH_LINE = "59^4 + 158^4 = 133^4 + 134^4 = 635318657"
 REFERENCE = load_reference()
-# fixture files with the wrong structure: no determinants, and a table row
-# whose p is not an integer
-BAD_FIXTURES = [{"tables": []}, {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": "59.5"}]}]
+# fixture files with the wrong structure, or a record that is malformed
+BAD_FIXTURES = {
+    "fixtures-no-determinants": {"tables": []},
+    "fixtures-row-p-not-an-integer": {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": "59.5"}]},
+    "fixtures-zero-determinant": {**REFERENCE, "determinants": [{**REFERENCE["determinants"][0], "value": "0"}]},
+    "fixtures-zero-denominator": {**REFERENCE, "exact_square": {**REFERENCE["exact_square"], "v": "0"}},
+    "fixtures-zero-erratum-parameter": {**REFERENCE, "erratum": {**REFERENCE["erratum"], "params": ["0", "1"]}},
+}
 
 
 @pytest.fixture
-def tracker_cap_of_one(monkeypatch):
-    """Lower every p-adic tracker's resultant cap to 1: the constructed
+def cancellation_cap_of_one(monkeypatch):
+    """Lower the resultant cap of every p-adic step to 1: the constructed
     points of (2, 1) cancel 2 digits at p = 2 in their first step."""
-    init = heights._PadicTracker.__init__
-
-    def lowered(self, *args):
-        init(self, *args)
-        self.cap = 1
-
-    monkeypatch.setattr(heights._PadicTracker, "__init__", lowered)
+    step = heights._padic_step
+    monkeypatch.setattr(heights, "_padic_step", lambda p, A, u, w, M, cap: step(p, A, u, w, M, 1))
 
 
 def run(capsys, *argv):
@@ -123,6 +123,8 @@ class TestUsage:
         ["search", "--max-base", "200", "--shards", "0"],
         ["report", "--max-base", "200", "--tol", "0.001"],
         ["report", "--max-base", "200", "--shards", "4"],
+        # the claim suite runs at one precision
+        ["verify-paper", "--precision", "-1"],
     ])
     def test_flags_a_subcommand_does_not_read(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -133,7 +135,6 @@ class TestUsage:
         ["analyze", "--ab", "2", "1", "--precision", "0"],
         ["analyze", "--ab", "2", "1", "--precision", "-1", "--skip-heights"],
         ["report", "--max-base", "200", "--precision", "0"],
-        ["verify-paper", "--precision", "-1"],
         ["analyze", "--ab", "2", "1", "--factor-effort", "-1"],
         ["analyze", "--ab", "2", "1", "--precision", "inf"],
         ["report", "--max-base", "200", "--factor-effort", "-1"],
@@ -151,7 +152,6 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--ab", "2", "1", "--precision", "1e-40"],
         ["report", "--max-base", "200", "--precision", "1e-40"],
-        ["verify-paper", "--precision", "1e-40"],
     ])
     def test_unreachable_precision(self, capsys, argv):
         rc, _, err = run(capsys, *argv)
@@ -336,7 +336,7 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize("argv", [("analyze", "--ab", "2", "1"), ("verify-paper",)], ids=str)
-def test_tracker_cap_failure_is_a_verification_failure(capsys, tracker_cap_of_one, argv):
+def test_tracker_cap_failure_is_a_verification_failure(capsys, cancellation_cap_of_one, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == EXIT_VERIFY
     assert err.count("\n") == 1 and "above resultant cap" in err
@@ -347,15 +347,13 @@ def test_tracker_cap_failure_is_a_verification_failure(capsys, tracker_cap_of_on
     (["analyze", "--ab", "2", "1", "--precision", "1e-308"], EXIT_USAGE, "precision unreachable"),
     (["analyze", "--ab", "2", "1", "--precision", "5e-324"], EXIT_USAGE, "precision unreachable"),
     (["report", "--max-base", "200", "--precision", "1e-308"], EXIT_USAGE, "precision unreachable"),
-    (["verify-paper", "--fixtures", BAD_FIXTURES[0]], EXIT_IO, "cannot read fixtures"),
-    (["verify-paper", "--fixtures", BAD_FIXTURES[1]], EXIT_IO, "cannot read fixtures"),
+    *((["verify-paper", "--fixtures", bad], EXIT_IO, "cannot read fixtures") for bad in BAD_FIXTURES.values()),
     (["analyze", "--pqrs", "1", "2", "3", "4"], EXIT_USAGE, "not a double representation"),
     (["analyze", "--n", str(16 * 635318657)], EXIT_USAGE, "divisible by 4"),
     (["analyze", "--ab", "43", "50", "--skip-heights", "--factor-effort", "0"], EXIT_BUDGET, "budget exhausted"),
     (["analyze", "--n", "17"], EXIT_NO_REPRESENTATION, "single representation"),
-], ids=["analyze-tiny-precision", "analyze-subnormal-precision", "report-tiny-precision", "fixtures-no-determinants",
-        "fixtures-row-p-not-an-integer", "not-a-double-representation", "out-of-domain", "budget",
-        "no-representation"])
+], ids=["analyze-tiny-precision", "analyze-subnormal-precision", "report-tiny-precision", *BAD_FIXTURES,
+        "not-a-double-representation", "out-of-domain", "budget", "no-representation"])
 def test_a_documented_failure_prints_one_line(capsys, tmp_path, argv, code, message):
     if isinstance(argv[-1], dict):  # a fixture file to write first
         path = tmp_path / "fixtures.json"

@@ -137,6 +137,17 @@ class TestPairPoints:
         E = curve_from_n(635318657)
         assert is_on_curve(E, P) and is_on_curve(E, Q)
 
+    def test_point_identity_is_proved_on_a_grid(self):
+        # (-p^2)^3 + b (-p^2) - (p q^2)^2 with b = -(p^4 + q^4) is a polynomial
+        # of degree <= 6 in p and <= 4 in q: vanishing at 7 values of p for
+        # each of 5 values of q, it is 0, so constructed_points need not check
+        for p in range(1, 8):
+            for q in range(1, 6):
+                b = -(p**4 + q**4)
+                assert (-p * p) ** 3 + b * (-p * p) == (p * q * q) ** 2, (p, q)
+                P, Q = pair_points(p, q)
+                assert (P.x, P.y) == (-p * p, p * q * q) and Q == pair_points(q, p)[0]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=-30, max_value=30).filter(bool),

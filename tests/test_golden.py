@@ -19,6 +19,7 @@ INPUTS = [
     {"n": 635318657},
     {"pqrs": (177, 474, 399, 402), "skip_heights": True},
     {"n": 2, "allow_single": True},
+    {"pqrs": (177, 474, 399, 402)},  # gcd 3: its series read cancellations at p = 3 as well as at 2
 ]
 
 

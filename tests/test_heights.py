@@ -47,7 +47,7 @@ PINNED_HEIGHTS = {
     ((1, 11), 1e-20): ("0x1.fdc17dcf59fa3p+4", "0x1.04604fce2fa10p+5", "0x1.019e69f09eb9dp+5", "0x1.019a91f3c8eb2p+5"),
 }
 # points whose orbits cancel 16 digits at p = 2 and 8 at p = 3, where the
-# family curves above cancel at most 2: these pin the p-adic trackers
+# family curves above cancel at most 2: these pin the p-adic cancellations
 PINNED_CANCELLING = {
     (1280, 80, 640): ("0x1.45640508655b7p-1", "0x1.456405086aa1ap-1"),
     (2997, -9, 162): ("0x1.87a587f43a652p+0", "0x1.87a587f43f71ap+0"),
@@ -432,7 +432,7 @@ TWO_CASES = [(2, case, 1) for case in ("b odd", "b even, u0 even", "b even, u0 o
 
 
 class TestSettledTrackers:
-    """A tracker leaves the series once p does not divide u_k but divides
+    """A prime leaves the series once p does not divide u_k but divides
     b w_k; from there every cancellation at p is 0 (module docstring)."""
 
     @pytest.mark.parametrize("p, case, v", ODD_CASES + TWO_CASES, ids=str)
@@ -463,14 +463,14 @@ class TestSettledTrackers:
         # settled at the 9 odd primes of 2b and settle at 2 within two
         # steps; without retirement the Gram matrix ran 1,900 steps
         steps = 0
-        step = heights._PadicTracker.step
+        step = heights._padic_step
 
-        def counting(self):
+        def counting(*args):
             nonlocal steps
             steps += 1
-            return step(self)
+            return step(*args)
 
-        monkeypatch.setattr(heights._PadicTracker, "step", counting)
+        monkeypatch.setattr(heights, "_padic_step", counting)
         quad = euler_quadruple(1, 11)
         g = gram_matrix(curve_from_n(quad.n), constructed_points(quad), precision=1e-8)
         assert g.determinant > 0
@@ -479,13 +479,8 @@ class TestSettledTrackers:
     def test_cancellation_above_the_cap_is_a_property_violation(self, monkeypatch):
         # the first step of this point cancels 16 digits at 2 and 2 at 5,
         # within the resultant caps 18 and 6, and above a cap lowered to 1
-        init = heights._PadicTracker.__init__
-
-        def lowered(self, *args):
-            init(self, *args)
-            self.cap = 1
-
-        monkeypatch.setattr(heights._PadicTracker, "__init__", lowered)
+        step = heights._padic_step
+        monkeypatch.setattr(heights, "_padic_step", lambda p, A, u, w, M, cap: step(p, A, u, w, M, 1))
         with pytest.raises(PropertyViolation, match="above resultant cap"):
             canonical_height(curve_from_n(1280), Point.affine(80, 640))
 
