@@ -11,7 +11,7 @@ from biquadrank.biquadrate import quartic_factors
 
 f = quartic_factors(2, 1)
 print(f"(a, b) = (2, 1): A = {f.A}, B = {f.B}, C = {f.C}, D = {f.D}")
-print(f"  b1 = B*D = {f.b1}, b2 = -A*C = {f.b2}, product -n = {f.b1 * f.b2}")
+print(f"  b1 = B*D = {f.b1}, b2 = -A*C = {-f.A * f.C}, product -n = {f.b1 * -f.A * f.C}")
 
 # B*D - b^4 * A*C is a perfect square: the square of a^2 times a sextic
 # witness polynomial in a, b
@@ -42,8 +42,8 @@ phi = phi_image(E, quad)
 psi = psi_image(dual_curve(E), quad)
 
 print()
-for img in (phi, psi):
-    print(f"{img.side} image, rank {img.rank}, order {img.order}:")
+for side, img in (("phi", phi), ("psi", psi)):
+    print(f"{side} image, rank {img.rank}, order {img.order}:")
     for P, c in zip(img.generators, img.classes):
         print(f"  class {c:>12d}  from ({P.x}, {P.y})")
 

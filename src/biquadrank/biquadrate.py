@@ -205,8 +205,7 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     and 2 q^4 >= L.  There are at least `shards` windows (only benchmarks and
     tests set it), and a multiple of the thread count large enough that no
     window holds much more than WINDOW_SUMS sums (8 MB): one thread per
-    WINDOW_SUMS sums, up to one per CPU the process may use, or the caller
-    alone when the windows average under WINDOW_SUMS/16 sums.  Equal sums
+    WINDOW_SUMS sums, up to one per CPU the process may use.  Equal sums
     share a window, so each is built, sorted and scanned for repeats whole,
     in one of the buffers, one a thread, that the search makes before any
     window runs.  Neither the windows nor the CPU count change the output;
@@ -265,7 +264,6 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
     total = last[1]
     threads = min(cpus, -(-total // WINDOW_SUMS))
     windows = min(max(shards, -(-total // (threads * WINDOW_SUMS)) * threads), max_base * (max_base + 1) // 2)
-    threads = 1 if total < windows * (WINDOW_SUMS >> 4) else threads  # small windows do not pay for a pool
     tol = total // (100 * windows)
     width = total // windows + 1 + 2 * tol  # the longest window edges within tol make
     buffers = SimpleQueue()  # one buffer a thread, passed from window to window
@@ -356,8 +354,8 @@ def search_double_representations(max_base: int, shards: int = 1) -> list[Biquad
 class QuarticFactors:
     """The four quartic forms whose product is the raw parametrized n.
 
-    b1 = B*D and b2 = -A*C multiply to -n and are the torsor coefficients
-    used by the descent step.
+    b1 = B*D and -A*C multiply to -n and are the torsor coefficients used
+    by the descent step, which reads b1.
     """
 
     A: int
@@ -365,16 +363,14 @@ class QuarticFactors:
     C: int
     D: int
     b1: int
-    b2: int
-    n_raw: int
 
 
 def quartic_factors(a: int, b: int) -> QuarticFactors:
     """A, B, C, D with A*B*C*D = p^4+q^4 for the raw quadruple at (a, b);
     requires a*b != 0.
 
-    The product is a polynomial identity, proved by the acceptance tests, so
-    n_raw is read off as A*B*C*D.  Checks the side conditions A != C and A, D
+    The product is a polynomial identity, proved by the acceptance tests,
+    so nothing checks it here.  Checks the side conditions A != C and A, D
     nonsquare; a failure raises PropertyViolation since these hold for all
     valid parameters.  B != D needs no check: B - D = 2a^2 b^2 A > 0.
     """
@@ -392,7 +388,7 @@ def quartic_factors(a: int, b: int) -> QuarticFactors:
         # quadruple is degenerate and D collapses to a fourth power.
         if is_square(A) or is_square(D):
             raise PropertyViolation(f"unexpected square factor at ({a}, {b})")
-    return QuarticFactors(A=A, B=B, C=C, D=D, b1=B * D, b2=-A * C, n_raw=A * B * C * D)
+    return QuarticFactors(A=A, B=B, C=C, D=D, b1=B * D)
 
 
 def factor_2n(quad: BiquadQuadruple, effort: int = DEFAULT_EFFORT) -> Factorization:

@@ -23,9 +23,11 @@ names, every exact integer and fraction is a decimal string, and JSON
 floats, always finite, appear only for Gram entries and precision.
 Records keep evidence only: what it determines (a quadruple's n and flags,
 omega, the Gram determinant and the heights on its diagonal) is a property,
-never stored.  parse_certificate rebuilds the full object through the
-constructors, re-running every check of the evidence on the way in.
-reverify never factors: it checks that the images list the primes of 2n.
+and which map an image belongs to is the field that holds it.  A stored
+value is evidence, or a value _bounds derives and reverify compares.
+parse_certificate rebuilds the full object through the constructors,
+re-running every check of the evidence on the way in.  reverify never
+factors: it checks that the images list the primes of 2n.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class RankCertificate:
     root: RootNumber
     tool_version: str
     precision: float
-    notes: tuple[str, ...] = ()
     # volatile measurements: read-only, kept off the wire and out of ==
     timings: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
@@ -102,12 +103,11 @@ class RankCertificate:
                      for i, (P, row) in enumerate(zip(self.points, self.gram.entries)))
 
 
-def _with_params(quad: BiquadQuadruple, notes: list[str]) -> BiquadQuadruple:
+def _with_params(quad: BiquadQuadruple) -> BiquadQuadruple:
     """Attach the family parameters (a, b) when the quadruple has them."""
     found = recover_euler_quadruple(quad)
     if found is None:
         return quad
-    notes.append(f"matched parametrization (a, b) = {found.euler_params}")
     return replace(quad, euler_params=found.euler_params, reduction=found.reduction)
 
 
@@ -117,7 +117,6 @@ def _resolve_quadruples(
     ab: tuple[int, int] | None,
     allow_single: bool,
     effort: int,
-    notes: list[str],
 ) -> tuple[tuple[BiquadQuadruple, ...], BiquadQuadruple, Factorization]:
     """The input's quadruples, the one analyzed, and the factorization of 2n."""
     given = sum(x is not None for x in (n, pqrs, ab))
@@ -125,12 +124,7 @@ def _resolve_quadruples(
         raise ValueError("exactly one of n, pqrs, ab must be given")
 
     if n is None:
-        if ab is not None:
-            quad = euler_quadruple(*ab)
-            if quad.reduction > 1:
-                notes.append(f"parametrized quadruple reduced by common factor {quad.reduction}")
-        else:
-            quad = _with_params(validate_double_representation(*pqrs), notes)
+        quad = euler_quadruple(*ab) if ab is not None else _with_params(validate_double_representation(*pqrs))
         _check_domain(quad.n)
         if quad.degenerate and not allow_single:
             raise _single(quad.n, quad.pairs()[0])
@@ -142,7 +136,7 @@ def _resolve_quadruples(
     combos = [validate_double_representation(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2)]
     combos = [quad for quad in combos if quad.primitive]
     if combos:
-        combos[0] = _with_params(combos[0], notes)
+        combos[0] = _with_params(combos[0])
         return tuple(combos), combos[0], f2n
     if len(pairs) >= 2:
         raise NoRepresentation(
@@ -153,7 +147,6 @@ def _resolve_quadruples(
         if not allow_single:
             raise _single(n, pairs[0])
         quad = validate_double_representation(*pairs[0], *pairs[0])
-        notes.append("single representation: two-point certificate only")
         return (quad,), quad, f2n
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4")
 
@@ -218,11 +211,10 @@ def analyze(
     (twist-normalize first), EffortExceeded when 2n does not factor within
     effort, and PropertyViolation if the assembled bounds are inconsistent.
     """
-    notes: list[str] = []
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    quadruples, quad, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort, notes)
+    quadruples, quad, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort)
     n = quad.n
     E = curve_from_n(n)
     points = tuple(dict.fromkeys(constructed_points(quad)))  # distinct, in order
@@ -230,9 +222,7 @@ def analyze(
 
     gram: GramMatrix | None = None
     t0 = time.perf_counter()
-    if skip_heights:
-        notes.append("heights skipped by request")
-    else:
+    if not skip_heights:
         gram = Heights(E, precision, f2n.distinct_primes()).gram(points)
     timings["heights"] = time.perf_counter() - t0
 
@@ -254,7 +244,6 @@ def analyze(
         psi=psi,
         tool_version=TOOL_VERSION,
         precision=precision,
-        notes=tuple(notes),
         timings=MappingProxyType(timings),
         **bounds,
     )
@@ -316,6 +305,10 @@ def to_json_line(cert: RankCertificate) -> str:
     return json.dumps(certificate_record(cert), sort_keys=True, separators=(",", ":"))
 
 
+# what reading a malformed value raises: int(inf), of a JSON 1e400, raises OverflowError
+MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError)
+
+
 def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
@@ -334,7 +327,7 @@ def parse_certificate(line: str) -> RankCertificate:
         if d["tool_version"] != TOOL_VERSION:
             raise CertificateInvalid(f"tool_version {d['tool_version']!r} is not {TOOL_VERSION}")
         return _decode(RankCertificate, d)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except MALFORMED as exc:
         raise CertificateInvalid(f"malformed certificate record: {type(exc).__name__}: {exc}") from exc
 
 
@@ -438,6 +431,7 @@ def render_table(cert: RankCertificate) -> str:
     for q in cert.quadruples:
         tag = " (single)" if q.degenerate else ""
         src = f"  from (a,b) = {q.euler_params}" if q.euler_params else ""
+        src += f", reduced by {q.reduction}" if q.reduction > 1 else ""
         add(f"  {abs(q.p)}^4 + {abs(q.q)}^4 = {abs(q.r)}^4 + {abs(q.s)}^4{tag}{src}")
     if cert.points:
         add("points and canonical heights:")
@@ -447,8 +441,8 @@ def render_table(cert: RankCertificate) -> str:
     if cert.gram is not None:
         add(f"independent points certified: {cert.independence} (gram determinant "
             f"{cert.gram.determinant:.8g}, entries within {ENTRY_ERROR * cert.precision:.1e})")
-    for img in (cert.phi, cert.psi):
-        add(f"{img.side} image of order {img.order}, generators {list(img.classes)}")
+    for side, img in (("phi", cert.phi), ("psi", cert.psi)):
+        add(f"{side} image of order {img.order}, generators {list(img.classes)}")
     w = cert.root
     add(
         f"root number: omega = {w.omega:+d} "
@@ -459,8 +453,6 @@ def render_table(cert: RankCertificate) -> str:
         f"(descent {cert.descent_lower}, independence {cert.independence})")
     add(f"rank >= {cert.conditional_lower} assuming the parity conjecture")
     add(f"heuristic upper bound: {cert.heuristic_upper}")
-    for note in cert.notes:
-        add(f"note: {note}")
     if cert.timings:
         total = sum(cert.timings.values())
         add("timings: " + ", ".join(f"{k} {v:.3f}s" for k, v in cert.timings.items()) + f" (total {total:.3f}s)")

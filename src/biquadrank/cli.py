@@ -20,6 +20,7 @@ from .arith import DEFAULT_EFFORT, EffortExceeded
 from .biquadrate import MAX_SEARCH_BASE, NotEqual, PropertyViolation, ZeroBase, search_double_representations
 from .certificate import (
     CSV_HEADER,
+    MALFORMED,
     CertificateInvalid,
     NoRepresentation,
     analyze,
@@ -231,7 +232,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify_paper(args) -> int:
     try:  # a missing or malformed file, a record that divides by zero included
         claims = run_claims(load_reference(args.fixtures))
-    except (OSError, LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (OSError, *MALFORMED) as exc:
         raise Unreadable(f"fixtures: {exc}") from exc
     failures = [c for c in claims if not c.passed]
     if args.format == "json-lines":
@@ -261,7 +262,7 @@ def cmd_report(args) -> int:
                 for rec in records
                 if rec.get("record") == "quadruple"
             ]
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, *MALFORMED) as exc:
             raise Unreadable(f"input: {exc}") from exc
         for (p, q, _, _), n in inputs:
             if n is not None and n != p**4 + q**4:

@@ -84,16 +84,13 @@ class DescentImage:
     y^2 = x^3 + curve_b x inside one descent image, read as F2 vectors over
     (-1, primes).  The rank counts that subgroup only when primes are
     distinct primes; certificate.reverify checks that they are the primes
-    of 2n."""
+    of 2n, and curve_b against the field, phi or psi, that holds the image."""
 
-    side: str
     curve_b: int
     primes: tuple[int, ...]
     generators: tuple[Point, ...]
 
     def __post_init__(self):
-        if self.side not in ("phi", "psi"):
-            raise ValueError("side must be phi or psi")
         self.reverify()
 
     def reverify(self) -> None:
@@ -156,7 +153,7 @@ def phi_image(E: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -
         nwit = a * a * abs(witness_root_polynomial(a, b))  # checked on the curve below
         bg = b * quad.reduction
         gens.append(Point.affine(Fraction(bd, bg * bg), Fraction(bd * nwit, bg**3)))
-    return DescentImage("phi", E.b, primes, tuple(gens))
+    return DescentImage(E.b, primes, tuple(gens))
 
 
 def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = None) -> DescentImage:
@@ -175,7 +172,7 @@ def psi_image(E_dual: Curve, quad: BiquadQuadruple, f: Factorization | None = No
     primes = factorization_of_2n(n, f, quad).distinct_primes()
     s = p + q
     gens = (Point.affine(0, 0), Point.affine(2 * s * s, 4 * s * (p * p + p * q + q * q)))
-    return DescentImage("psi", E_dual.b, primes, gens)
+    return DescentImage(E_dual.b, primes, gens)
 
 
 def rank_lower_bound(phi: DescentImage, psi: DescentImage) -> int:

@@ -149,21 +149,20 @@ class TestQuarticFactors:
     def test_values_at_2_1(self):
         f = quartic_factors(2, 1)
         assert (f.A, f.B, f.C, f.D) == (41, 569, 113, 241)
-        assert (f.b1, f.b2) == (137129, -4633)
-        assert f.n_raw == 635318657
-        assert f.A * f.B * f.C * f.D == f.n_raw
+        assert f.b1 == 137129
+        assert f.A * f.B * f.C * f.D == 635318657
 
     def test_values_at_1_1(self):
         f = quartic_factors(1, 1)
         assert (f.A, f.B, f.C, f.D) == (8, 17, 2, 1)
-        assert f.n_raw == 272  # 16 * 17: the reduction fourth power shows up here
+        assert f.A * f.B * f.C * f.D == 272  # 16 * 17: the reduction fourth power shows up here
 
     def test_values_at_3_1(self):
         f = quartic_factors(3, 1)
         assert (f.A, f.B, f.C, f.D) == (136, 8929, 4258, 6481)
         assert f.b1 == 57868849
         quad = euler_quadruple(3, 1)
-        assert f.n_raw == quad.n * quad.reduction**4
+        assert f.A * f.B * f.C * f.D == quad.n * quad.reduction**4
 
     @settings(max_examples=120, deadline=None)
     @given(nonzero_param, nonzero_param)
@@ -171,7 +170,6 @@ class TestQuarticFactors:
         f = quartic_factors(a, b)
         p, q, _, _ = euler_raw_quadruple(a, b)
         assert f.A * f.B * f.C * f.D == p**4 + q**4
-        assert f.b1 * f.b2 == -f.n_raw
 
     @settings(max_examples=80, deadline=None)
     @given(nonzero_param, nonzero_param)
@@ -218,7 +216,7 @@ class TestFourthPowerWitness:
         K, N = fourth_power_witness(a, b)
         assert N * N == K
         f = quartic_factors(a, b)
-        assert K == f.b1 + f.b2 * b**4
+        assert K == f.B * f.D - f.A * f.C * b**4
 
     def test_root_polynomial_exponent(self):
         # the quadratic (not cubic) exponent on the middle term is what makes
@@ -348,14 +346,14 @@ class TestSearch:
 
     @pytest.mark.parametrize("shards, cpus, window_sums, threads, windows", [
         (1, 3, 1 << 15, 3, 39), (1, 5, 1 << 15, 5, 40), (1, 2, 500_000, 2, 4),
-        (1000, 3, 1 << 15, 0, 1000), (1, 3, None, 0, 1), (4, 3, None, 0, 4),
+        (1000, 3, 1 << 15, 3, 1000), (1, 3, None, 0, 1), (4, 3, None, 0, 4),
     ])
     def test_one_pool_thread_per_cpu(self, monkeypatch, shards, cpus, window_sums, threads, windows):
         # base 2000 builds SUMS_TO_2000 sums: one thread per window_sums of
         # them, up to one per CPU, and a multiple of the thread count of
-        # windows, or `shards` if more; windows of under window_sums / 16
-        # sums on average run in the caller.  So do the windows of base 1800
-        # (1,015,779 sums) under the real cap.  The executor may reuse an
+        # windows, or `shards` if more.  Base 1800 (1,015,779 sums) needs one
+        # thread under the real cap, so its windows run in the caller, however
+        # many `shards` asks for.  The executor may reuse an
         # idle thread, so fewer threads may run windows; the caller allocates
         # one buffer a thread before any window runs
         base = 2000 if window_sums else 1800

@@ -55,8 +55,7 @@ class TestAnalyzeEntryPoints:
         # no heights: unconditional falls back to the descent count
         assert cert.unconditional_lower == 3
         assert cert.conditional_lower == 4  # omega = +1 wants even rank
-        assert cert.independence is None
-        assert "heights skipped by request" in cert.notes
+        assert cert.independence is None and cert.gram is None
 
     def test_from_n_finds_both_pairs(self):
         cert = analyze(n=635318657, skip_heights=True)
@@ -79,7 +78,7 @@ class TestAnalyzeEntryPoints:
         assert cert.unconditional_lower == 2
         assert cert.conditional_lower == 2
         assert cert.heuristic_upper == 3
-        assert any("single representation" in note for note in cert.notes)
+        assert cert.quadruples[0].degenerate
 
     @pytest.mark.parametrize("given", [{"pqrs": (1, 2, 2, 1)}, {"pqrs": (1, 2, 1, 2)}, {"ab": (1, 1)}],
                              ids=["pqrs-1-2-2-1", "pqrs-1-2-1-2", "ab-1-1"])
@@ -117,8 +116,8 @@ class TestAnalyzeEntryPoints:
         cert = analyze(ab=(3, 1), skip_heights=True)
         assert cert.n == 2094447251857
         assert cert.quadruples[0].reduction == 2
+        assert cert.quadruples[0].euler_params == (3, 1)
         assert cert.descent_lower == 3
-        assert any("reduced by common factor 2" in note for note in cert.notes)
 
 
 class TestOnePass:
@@ -200,7 +199,6 @@ class TestSerialization:
         assert back.points == CERT21.points
         assert back.heights == CERT21.heights
         assert back.root == CERT21.root
-        assert back.notes == CERT21.notes
         assert reverify(back)
         # timings stay off the wire and out of equality
         assert back == CERT21
@@ -219,6 +217,11 @@ class TestSerialization:
 
     def test_records_keep_evidence_only(self):
         record = certificate_record(CERT21)
+        assert set(record) == {
+            "record", "n", "quadruples", "torsion", "points", "gram", "independence", "phi", "psi",
+            "descent_lower", "unconditional_lower", "conditional_lower", "heuristic_upper", "root",
+            "tool_version", "precision",
+        }
         assert set(record["quadruples"][0]) == {"p", "q", "r", "s", "reduction", "euler_params"}
         assert set(record["root"]) == {"square_part_product", "residue", "justification"}
         assert set(record["gram"]) == {"entries"}
@@ -241,9 +244,21 @@ class TestSerialization:
 
     def test_images_list_only_generators(self):
         record = certificate_record(CERT21)
-        assert set(record["phi"]) == {"side", "curve_b", "primes", "generators"}
+        # which map an image belongs to is the field that holds it
+        assert set(record["phi"]) == set(record["psi"]) == {"curve_b", "primes", "generators"}
         # a generator is a point; its class is derived, never stored
         assert all(set(g) == {"x", "y"} for side in ("phi", "psi") for g in record[side]["generators"])
+
+    def test_every_stored_field_is_checked(self):
+        # a field on the wire is evidence that parse or reverify checks, or
+        # a value _bounds derives from it and reverify compares; a new field
+        # that is neither fails here before it reaches the wire
+        evidence = {"n", "quadruples", "points", "gram", "phi", "psi", "tool_version", "precision"}
+        derived = certificate._bounds(CERT21.n, CERT21.quadruples[0], CERT21.gram, CERT21.phi, CERT21.psi,
+                                      factor(2 * CERT21.n), CERT21.precision)
+        wire = {f.name for f in dataclasses.fields(RankCertificate) if f.compare}
+        assert wire == set(certificate_record(CERT21)) - {"record"}
+        assert wire == evidence | set(derived) and not evidence & set(derived)
 
     def test_timings_not_serialized(self):
         record = certificate_record(CERT21)
@@ -343,10 +358,17 @@ class TestTamperDetection:
     @pytest.mark.parametrize("name, value", [
         ("seed", "24301"),
         ("heights", [{"error_bound": 1e-08, "value": 10.47878552440583}]),
-    ], ids=["seed", "heights"])
+        ("notes", ["rank = 10, proven unconditionally"]),  # stored free text until 0.8.0
+    ], ids=["seed", "heights", "notes"])
     def test_fields_that_are_not_evidence_caught_on_parse(self, name, value):
         with pytest.raises(CertificateInvalid, match=rf"unknown RankCertificate fields \['{name}'\]"):
             parse_certificate(self.tampered(lambda d: d.update({name: value})))
+
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_image_side_caught_on_parse(self, side):
+        # images carried a side label until 0.8.0; the field holding one says it
+        with pytest.raises(CertificateInvalid, match=r"unknown DescentImage fields \['side'\]"):
+            parse_certificate(self.tampered(lambda d: d[side].update(side=side)))
 
     def test_inflated_descent_bound_caught(self):
         def mutate(d):
@@ -592,3 +614,11 @@ class TestRendering:
         assert "heuristic upper bound: 9" in text
         assert "phi image of order 8, generators [-635318657, -1, 635318657, 137129]" in text
         assert "psi image of order 4, generators [635318657, 2]" in text
+
+    def test_render_table_reads_the_evidence(self):
+        # the reduction, a degenerate quadruple and skipped heights show
+        # from the recorded evidence
+        reduced = render_table(analyze(ab=(3, 1), skip_heights=True))
+        assert "from (a,b) = (3, 1), reduced by 2" in reduced and "independence None" in reduced
+        assert "(2, 1), reduced" not in render_table(CERT21)
+        assert "1^4 + 2^4 = 1^4 + 2^4 (single)" in render_table(analyze(n=17, allow_single=True))

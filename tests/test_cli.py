@@ -36,6 +36,7 @@ REFERENCE = load_reference()
 BAD_FIXTURES = {
     "fixtures-no-determinants": {"tables": []},
     "fixtures-row-p-not-an-integer": {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": "59.5"}]},
+    "fixtures-row-p-infinite": {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": math.inf}]},
     "fixtures-zero-determinant": {**REFERENCE, "determinants": [{**REFERENCE["determinants"][0], "value": "0"}]},
     "fixtures-zero-denominator": {**REFERENCE, "exact_square": {**REFERENCE["exact_square"], "v": "0"}},
     "fixtures-zero-erratum-parameter": {**REFERENCE, "erratum": {**REFERENCE["erratum"], "params": ["0", "1"]}},
@@ -487,6 +488,17 @@ class TestReport:
         assert rc == code
         assert out == ""
         assert err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["1e400", "Infinity"])
+    def test_number_beyond_the_floats_exits_with_one_line(self, capsys, tmp_path, p):
+        # JSON reads both as the float inf, which no int can hold
+        src = tmp_path / "hits.jsonl"
+        src.write_text(f'{{"record":"quadruple","p":{p},"q":158,"r":133,"s":134}}\n')
+        rc, out, err = run(capsys, "report", "--input", str(src), "--skip-heights")
+        assert rc == EXIT_IO
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("biquadrank report: cannot read input")
         assert "Traceback" not in err
 
     def test_heights_change_unconditional_bound(self, capsys):
