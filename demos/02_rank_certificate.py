@@ -34,7 +34,7 @@ print(f"phi image order {cert.phi.order}, psi image order {cert.psi.order}")
 print(f"descent lower bound      {cert.descent_lower}")
 print(f"unconditional lower bound {cert.unconditional_lower}")
 print(f"conditional lower bound   {cert.conditional_lower}")
-print(f"heuristic upper bound     {cert.heuristic_upper}")
+print(f"proven upper bound        {cert.heuristic_upper}")
 print(f"root number {cert.root.omega:+d} ({cert.root.justification})")
 
 # the certificate serializes to one JSON line; parsing re-runs every

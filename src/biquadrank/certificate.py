@@ -1,10 +1,9 @@
 """Rank certificates: everything one analysis establishes about E_n,
 bundled with enough evidence to re-verify it offline.
 
-A certificate records the double representation(s) of n, the constructed
-points with their Gram matrix of height pairings (its diagonal holds the
-canonical heights), the descent images with their generator points, the root
-number with its justification, and three bounds:
+A certificate records the double representation(s) of n, the primes of 2n,
+the Gram matrix of height pairings of the constructed points (its diagonal
+holds the canonical heights), the root number and three bounds:
 
   unconditional_lower   max(descent count, Gram-certified independent points)
   conditional_lower     parity-adjusted (assumes the parity conjecture)
@@ -19,24 +18,25 @@ ENTRY_ERROR * precision of the true pairings, the most reverify lets an
 entry stray (heights.GramMatrix.independence): no threshold is chosen.
 Serialization is line-delimited JSON written and read by one codec
 driven by the dataclasses: each dataclass is an object keyed by its field
-names, every exact integer and fraction is a decimal string, and JSON
-floats, always finite, appear only for Gram entries and precision.
-Records keep evidence only: what it determines (a quadruple's n and flags,
-omega, the Gram determinant and the heights on its diagonal) is a property,
-and which map an image belongs to is the field that holds it.  A stored
+names, every integer is a canonical decimal string, and JSON floats,
+always finite, appear only for Gram entries and precision.  Records keep
+evidence only: what it determines (a quadruple's n and flags, omega, the
+Gram determinant and its diagonal, and the points and descent images that
+the first quadruple and the primes of 2n fix) is a property.  A stored
 value is evidence, or a value _bounds derives and reverify compares.
 parse_certificate rebuilds the full object through the constructors,
 re-running every check of the evidence on the way in.  reverify never
-factors: it checks that the images list the primes of 2n.
+factors: it checks that the recorded primes are those of 2n.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType, UnionType
 from typing import Mapping, get_args, get_origin, get_type_hints
@@ -52,9 +52,9 @@ from .biquadrate import (
     representations,
     validate_double_representation,
 )
-from .curve import Curve, Point, curve_from_n, dual_curve, constructed_points, is_on_curve, torsion_shape
+from .curve import Point, curve_from_n, dual_curve, constructed_points, torsion_shape
 from .descent import DescentImage, phi_image, psi_image, rank_lower_bound, yoshida_upper_bound
-from .heights import GramMatrix, HeightValue, Heights, PrecisionUnreachable, _is_torsion
+from .heights import GramMatrix, HeightValue, Heights, PrecisionUnreachable
 from .parity import OutOfDomain, RootNumber, parity_adjusted_bound, root_number
 
 TOOL_VERSION = VERSION
@@ -73,12 +73,10 @@ class CertificateInvalid(RuntimeError):
 class RankCertificate:
     n: int
     quadruples: tuple[BiquadQuadruple, ...]
+    primes: tuple[int, ...]  # of 2n, ascending
     torsion: str
-    points: tuple[Point, ...]
     gram: GramMatrix | None
     independence: int | None
-    phi: DescentImage
-    psi: DescentImage
     descent_lower: int
     unconditional_lower: int
     conditional_lower: int
@@ -93,14 +91,39 @@ class RankCertificate:
         if not 0 < self.precision < math.inf:
             raise ValueError("precision must be positive and finite")
 
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The points the Gram matrix pairs: those the first quadruple constructs."""
+        return _distinct_points(self.quadruples[0])
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        """2n from the primes and their valuations, never factored; ValueError
+        unless each is a prime of 2n and their powers multiply back to it, ascending."""
+        m = 2 * self.n
+        for p in self.primes:  # tested before m is divided by it: dividing out 1 never stops
+            if not is_probable_prime(p) or m % p:
+                raise ValueError(f"listed {p} is not a prime of 2n")
+        return Factorization(m, tuple((p, valuation(m, p)) for p in self.primes))
+
+    @cached_property
+    def phi(self) -> DescentImage:
+        return phi_image(curve_from_n(self.n), self.quadruples[0], self.factorization)
+
+    @cached_property
+    def psi(self) -> DescentImage:
+        return psi_image(dual_curve(curve_from_n(self.n)), self.quadruples[0], self.factorization)
+
     @property
     def heights(self) -> tuple[HeightValue, ...]:
-        """The Gram diagonal <P, P> = h(P), exact on torsion as Heights.height gives it."""
+        """The Gram diagonal <P, P> = h(P); no constructed point is torsion (y != 0, x^2 != -n)."""
         if self.gram is None:
             return ()
-        E = curve_from_n(self.n)
-        return tuple(HeightValue(row[i], 0.0 if _is_torsion(E, P) else self.precision)
-                     for i, (P, row) in enumerate(zip(self.points, self.gram.entries)))
+        return tuple(HeightValue(row[i], self.precision) for i, row in enumerate(self.gram.entries))
+
+
+def _distinct_points(quad: BiquadQuadruple) -> tuple[Point, ...]:
+    return tuple(dict.fromkeys(constructed_points(quad)))  # in order
 
 
 def _with_params(quad: BiquadQuadruple) -> BiquadQuadruple:
@@ -217,7 +240,7 @@ def analyze(
     quadruples, quad, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort)
     n = quad.n
     E = curve_from_n(n)
-    points = tuple(dict.fromkeys(constructed_points(quad)))  # distinct, in order
+    points = _distinct_points(quad)
     timings["resolve"] = time.perf_counter() - t0
 
     gram: GramMatrix | None = None
@@ -238,10 +261,8 @@ def analyze(
     return RankCertificate(
         n=n,
         quadruples=quadruples,
-        points=points,
+        primes=f2n.distinct_primes(),
         gram=gram,
-        phi=phi,
-        psi=psi,
         tool_version=TOOL_VERSION,
         precision=precision,
         timings=MappingProxyType(timings),
@@ -254,20 +275,20 @@ def analyze(
 
 
 def _encode(value):
-    """The JSON form of a certificate value: ints and Fractions as decimal
-    strings, tuples as lists, a dataclass as an object keyed by its field
+    """The JSON form of a certificate value: ints as decimal strings,
+    tuples as lists, a dataclass as an object keyed by its field
     names (fields with compare=False stay off the wire)."""
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value) if f.compare}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
-    if type(value) in (int, Fraction):
+    if type(value) is int:
         return str(value)
     return value
 
 
 # declared type -> JSON types it may arrive as; tp(value) then rebuilds it
-_WIRE = {int: (str,), Fraction: (str,), float: (int, float), bool: (bool,), str: (str,)}
+_WIRE = {int: (str,), float: (int, float), str: (str,)}
 
 
 def _decode(tp, value):
@@ -293,7 +314,7 @@ def _decode(tp, value):
         return tp(**{name: _decode(hints[name], value[name]) for name in names})
     if type(value) not in _WIRE[tp]:
         raise TypeError(f"{value!r} is not the wire form of {tp.__name__}")
-    return tp(value)
+    return strict_int(value) if tp is int else tp(value)
 
 
 def certificate_record(cert: RankCertificate) -> dict:
@@ -307,18 +328,25 @@ def to_json_line(cert: RankCertificate) -> str:
 
 # what reading a malformed value raises: int(inf), of a JSON 1e400, raises OverflowError
 MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError)
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # ASCII; no plus sign, space, underscore or leading zero
+
+
+def strict_int(value) -> int:
+    """An input integer: a canonical decimal string, or a JSON int that is not a bool; else ValueError."""
+    if type(value) is not int and not (type(value) is str and _DECIMAL.fullmatch(value)):
+        raise ValueError(f"{value!r} is not a decimal integer")
+    return int(value)
 
 
 def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
     Every record re-runs its checks during construction (the quadruples,
-    the Gram matrix, the descent images with their generator points and
-    classes, and a finite positive precision), so a tampered line
+    the Gram matrix and a finite positive precision), so a tampered line
     fails here rather than at reverify time.  A line that is not JSON,
-    lacks a field, has an unknown one or one of the wrong wire type, was
-    written by another tool_version, or holds a generator off its curve or
-    with a class off its image's primes, raises CertificateInvalid.
+    lacks a field, has an unknown one or one of the wrong wire type (an
+    integer that is not a canonical decimal string among them), or was
+    written by another tool_version raises CertificateInvalid.
     """
     try:
         d = json.loads(line)
@@ -335,42 +363,31 @@ def reverify(cert: RankCertificate) -> bool:
     """Full offline audit of a certificate; True or CertificateInvalid.
 
     First the exact evidence: n positive and not divisible by 4, each
-    quadruple (checked when built) representing n, the points on the
-    curve, the primes of 2n the images list and their generators, and the
-    Gram matrix within its error bounds.  Then every derived field is
-    rebuilt by _bounds, the one derivation analyze records, and compared
-    with the certificate.  Nothing is factored.
+    quadruple (checked when built) representing n, the recorded primes
+    those of 2n, and the Gram matrix within its error bounds of the points.
+    The points and the descent images are derived from the first quadruple
+    and the primes, never read from the line, so the Gram matrix pairs at
+    most 4 points and the subset loop of independence sees at most 4.
+    Then every derived field is rebuilt by _bounds, the one derivation
+    analyze records, and compared with the certificate.  Nothing is factored.
     """
     n = cert.n
     if n <= 0 or n % 4 == 0:
         raise CertificateInvalid(f"n = {n} is not positive or is divisible by 4")
-    E = curve_from_n(n)
     if not cert.quadruples:
         raise CertificateInvalid("no quadruple recorded")
     for q in cert.quadruples:
         if q.n != n:
             raise CertificateInvalid(f"quadruple {q.components()} does not represent {n}")
-    for P in cert.points:
-        if not is_on_curve(E, P):
-            raise CertificateInvalid(f"point {P} is off the curve")
-    if cert.phi.curve_b != E.b:
-        raise CertificateInvalid("phi image bound to the wrong curve")
-    if cert.psi.curve_b != 4 * n:
-        raise CertificateInvalid("psi image bound to the wrong curve")
-    if cert.psi.primes != cert.phi.primes:
-        raise CertificateInvalid("phi and psi images list different primes")
-    for p in cert.phi.primes:  # tested before 2n is divided by it: dividing out 1 never stops
-        if not is_probable_prime(p) or 2 * n % p:
-            raise CertificateInvalid(f"listed {p} is not a prime of 2n")
-    try:  # their powers in 2n multiply back to it, in ascending order
-        f2n = Factorization(2 * n, tuple((p, valuation(2 * n, p)) for p in cert.phi.primes))
+    try:
+        f2n = cert.factorization
     except ValueError as exc:
-        raise CertificateInvalid(f"image primes are not the primes of 2n: {exc}") from exc
+        raise CertificateInvalid(f"primes are not the primes of 2n: {exc}") from exc
     if cert.gram is None:
         if cert.independence is not None:
             raise CertificateInvalid("independence recorded without a Gram matrix")
     else:
-        _reverify_heights(cert, E, f2n.distinct_primes())
+        _reverify_heights(cert)
 
     try:
         derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.precision)
@@ -382,7 +399,7 @@ def reverify(cert: RankCertificate) -> bool:
     return True
 
 
-def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) -> None:
+def _reverify_heights(cert: RankCertificate) -> None:
     """Recompute the Gram matrix from the points at the recorded precision
     and check the recorded one against it: the recorded and the recomputed
     height each lie within its error bound of the true one, and a pairing
@@ -390,7 +407,7 @@ def _reverify_heights(cert: RankCertificate, E: Curve, primes: tuple[int, ...]) 
     recorded = cert.gram.entries
     if len(recorded) != len(cert.points):
         raise CertificateInvalid("Gram matrix does not match the points")
-    H = Heights(E, cert.precision, primes)
+    H = Heights(curve_from_n(cert.n), cert.precision, cert.primes)
     try:
         fresh = H.gram(cert.points)
     except PrecisionUnreachable as exc:
@@ -410,16 +427,7 @@ CSV_HEADER = "p,q,n,unconditional_lower,conditional_lower,omega"
 
 def csv_row(cert: RankCertificate) -> str:
     q = cert.quadruples[0]
-    return ",".join(
-        [
-            str(abs(q.p)),
-            str(abs(q.q)),
-            str(cert.n),
-            str(cert.unconditional_lower),
-            str(cert.conditional_lower),
-            f"{cert.root.omega:+d}",
-        ]
-    )
+    return f"{abs(q.p)},{abs(q.q)},{cert.n},{cert.unconditional_lower},{cert.conditional_lower},{cert.root.omega:+d}"
 
 
 def render_table(cert: RankCertificate) -> str:
@@ -452,7 +460,7 @@ def render_table(cert: RankCertificate) -> str:
     add(f"rank >= {cert.unconditional_lower} unconditionally "
         f"(descent {cert.descent_lower}, independence {cert.independence})")
     add(f"rank >= {cert.conditional_lower} assuming the parity conjecture")
-    add(f"heuristic upper bound: {cert.heuristic_upper}")
+    add(f"rank <= {cert.heuristic_upper}, proven (2 omega(2n) - 1, Silverman AEC X.6.2)")
     if cert.timings:
         total = sum(cert.timings.values())
         add("timings: " + ", ".join(f"{k} {v:.3f}s" for k, v in cert.timings.items()) + f" (total {total:.3f}s)")

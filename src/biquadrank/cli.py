@@ -26,6 +26,7 @@ from .certificate import (
     analyze,
     csv_row,
     render_table,
+    strict_int,
     to_json_line,
 )
 from .heights import PrecisionUnreachable
@@ -158,18 +159,8 @@ def _emit(text: str, path: str | None) -> int:
 
 
 def _quad_line(q) -> str:
-    return json.dumps(
-        {
-            "record": "quadruple",
-            "p": str(q.p),
-            "q": str(q.q),
-            "r": str(q.r),
-            "s": str(q.s),
-            "n": str(q.n),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    record = {"record": "quadruple", **{k: str(getattr(q, k)) for k in "pqrsn"}}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_search(args) -> int:
@@ -258,7 +249,7 @@ def cmd_report(args) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh if line.strip()]
             inputs = [
-                (tuple(int(rec[k]) for k in "pqrs"), int(rec["n"]) if "n" in rec else None)
+                (tuple(strict_int(rec[k]) for k in "pqrs"), strict_int(rec["n"]) if "n" in rec else None)
                 for rec in records
                 if rec.get("record") == "quadruple"
             ]

@@ -83,8 +83,8 @@ class DescentImage:
     """The subgroup of Q*/Q*^2 spanned by the classes of rational points on
     y^2 = x^3 + curve_b x inside one descent image, read as F2 vectors over
     (-1, primes).  The rank counts that subgroup only when primes are
-    distinct primes; certificate.reverify checks that they are the primes
-    of 2n, and curve_b against the field, phi or psi, that holds the image."""
+    distinct primes: a certificate builds its images by phi_image and
+    psi_image from the primes of 2n that certificate.reverify checks."""
 
     curve_b: int
     primes: tuple[int, ...]

@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .biquadrate import BiquadQuadruple, fourth_power_witness
+from .certificate import strict_int
 from .curve import Point, curve_from_n
 from .heights import gram_matrix
 from .parity import root_number
@@ -40,7 +41,7 @@ def load_reference(path: str | None = None) -> dict:
 
 
 def _table_claim(row: dict) -> Claim:
-    p, q, n, rank = int(row["p"]), int(row["q"]), int(row["n"]), int(row["rank"])
+    p, q, n, rank = (strict_int(row[k]) for k in ("p", "q", "n", "rank"))
     name = f"table-row n={n}"
     if p**4 + q**4 != n:
         return Claim(name, False, f"{p}^4 + {q}^4 != n")
@@ -58,7 +59,7 @@ def _table_claim(row: dict) -> Claim:
 
 
 def _determinant_claim(spec: dict) -> Claim:
-    n = int(spec["n"])
+    n = strict_int(spec["n"])
     pts = [Point(Fraction(x), Fraction(y)) for x, y in spec["points"]]
     target = float(spec["value"])
     rel_tol = float(spec["rel_tol"])
@@ -73,8 +74,8 @@ def _determinant_claim(spec: dict) -> Claim:
 
 
 def _exact_square_claim(spec: dict) -> Claim:
-    c = int(spec["coefficient"])
-    u, v = int(spec["u"]), int(spec["v"])
+    c = strict_int(spec["coefficient"])
+    u, v = strict_int(spec["u"]), strict_int(spec["v"])
     x = Fraction(u, v) ** 2
     w = x**3 + c * x
     num, den = w.numerator, w.denominator
@@ -89,7 +90,7 @@ def _exact_square_claim(spec: dict) -> Claim:
     # defective value indeed fails, so the fixture can't silently regress
     printed = spec.get("v_printed")
     if printed is not None and ok:
-        vp = int(printed)
+        vp = strict_int(printed)
         wrong = u**4 + c * vp**4
         from math import isqrt
 
@@ -102,9 +103,9 @@ def _exact_square_claim(spec: dict) -> Claim:
 
 
 def _erratum_claim(spec: dict) -> Claim:
-    a, b = int(spec["params"][0]), int(spec["params"][1])
-    printed = int(spec["printed_value"])
-    corrected = int(spec["corrected_value"])
+    a, b = (strict_int(x) for x in spec["params"])
+    printed = strict_int(spec["printed_value"])
+    corrected = strict_int(spec["corrected_value"])
     k, nwit = fourth_power_witness(a, b)
     # the form in circulation reads a^3 where the identity needs a^2 b^4
     printed_poly = a**6 + b**2 * a**4 + 4 * b**4 * a**3 - 5 * b**6

@@ -41,6 +41,12 @@ BAD_FIXTURES = {
     "fixtures-zero-denominator": {**REFERENCE, "exact_square": {**REFERENCE["exact_square"], "v": "0"}},
     "fixtures-zero-erratum-parameter": {**REFERENCE, "erratum": {**REFERENCE["erratum"], "params": ["0", "1"]}},
 }
+# integers that int() would truncate, read as 1, read as 1000 or parse in base 16
+NOT_DECIMAL = {"59.7": 59.7, "true": True, "1e3": 1e3, "0x10": "0x10"}
+BAD_FIXTURES.update({f"fixtures-row-p-{k}": {**REFERENCE, "tables": [{**REFERENCE["tables"][0], "p": v}]}
+                     for k, v in NOT_DECIMAL.items()})
+BAD_INPUTS = {f"input-p-{k}": {"record": "quadruple", "p": v, "q": 158, "r": 133, "s": 134}
+              for k, v in NOT_DECIMAL.items()}
 
 
 @pytest.fixture
@@ -349,14 +355,15 @@ def test_tracker_cap_failure_is_a_verification_failure(capsys, cancellation_cap_
     (["analyze", "--ab", "2", "1", "--precision", "5e-324"], EXIT_USAGE, "precision unreachable"),
     (["report", "--max-base", "200", "--precision", "1e-308"], EXIT_USAGE, "precision unreachable"),
     *((["verify-paper", "--fixtures", bad], EXIT_IO, "cannot read fixtures") for bad in BAD_FIXTURES.values()),
+    *((["report", "--skip-heights", "--input", bad], EXIT_IO, "cannot read input") for bad in BAD_INPUTS.values()),
     (["analyze", "--pqrs", "1", "2", "3", "4"], EXIT_USAGE, "not a double representation"),
     (["analyze", "--n", str(16 * 635318657)], EXIT_USAGE, "divisible by 4"),
     (["analyze", "--ab", "43", "50", "--skip-heights", "--factor-effort", "0"], EXIT_BUDGET, "budget exhausted"),
     (["analyze", "--n", "17"], EXIT_NO_REPRESENTATION, "single representation"),
 ], ids=["analyze-tiny-precision", "analyze-subnormal-precision", "report-tiny-precision", *BAD_FIXTURES,
-        "not-a-double-representation", "out-of-domain", "budget", "no-representation"])
+        *BAD_INPUTS, "not-a-double-representation", "out-of-domain", "budget", "no-representation"])
 def test_a_documented_failure_prints_one_line(capsys, tmp_path, argv, code, message):
-    if isinstance(argv[-1], dict):  # a fixture file to write first
+    if isinstance(argv[-1], dict):  # a fixture file or a one-record input to write first
         path = tmp_path / "fixtures.json"
         path.write_text(json.dumps(argv[-1]))
         argv = [*argv[:-1], str(path)]

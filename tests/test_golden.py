@@ -34,10 +34,12 @@ def test_certificates_match_the_golden_file():
 
 
 def test_golden_lines_reverify():
+    # and each line is the one wire form of its certificate
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert len(lines) == len(INPUTS)
     assert all(reverify(parse_certificate(line)) for line in lines)
+    assert [to_json_line(parse_certificate(line)) for line in lines] == lines
 
 
 if __name__ == "__main__":

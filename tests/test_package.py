@@ -1,6 +1,9 @@
-"""The public API list, the package version and what importing loads."""
+"""The public API list, the package version, what importing loads and
+what the code may import at all."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -74,3 +77,33 @@ def test_import_builds_no_trial_division_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["True [] None", "[] 4792 46337 46349 None"]
+
+
+def _top_level_imports(root: Path) -> set[str]:
+    """The top-level module of every absolute import in root's .py files,
+    imports nested in functions and branches included."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_imports_stay_within_the_declared_dependencies():
+    # no run-time or tier-1 path may rely on a package pyproject does not
+    # declare (sympy and scipy among them); each distribution declared here
+    # installs a module of its own name
+    tomllib = pytest.importorskip("tomllib")
+    repo = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((repo / "pyproject.toml").read_text())["project"]
+
+    def modules(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+    allowed = set(sys.stdlib_module_names) | {"biquadrank"} | modules(project["dependencies"])
+    assert _top_level_imports(repo / "src") - allowed == set()
+    allowed |= modules(project["optional-dependencies"]["test"])
+    assert _top_level_imports(repo / "tests") - allowed == set()
