@@ -27,13 +27,14 @@ The p - 1 stage (Pollard, Proc. Cambridge Philos. Soc. 76 (1974), stage 1
 only) raises x = 2 mod c to E, the product of the largest power of each
 prime up to B1 = 10^4 within B1 (14,447 bits), in 20 batches of 64 prime
 powers with a checkpoint gcd(x - 1, c) after each (Montgomery, Math. Comp.
-48 (1987)); a hit replays its batch one prime power at a time.  So it splits
-off every prime p of c whose order of 2 divides E (p - 1 a product of prime
-powers up to B1), and parts two such primes unless their orders complete at
-the same prime power.  The stage costs about 14,447 squarings mod c and rho
-about sqrt(p) <= c^(1/4) steps for the least prime p of c, so it runs at
-most once per factor call, and only on a piece c with c^(1/4) above that
-cost.  A gcd only splits, so the stage changes the work and never the result.
+48 (1987)); a hit replays its batch one prime power at a time, and a replay
+that leaves 1 or a base-2 probable prime ends the stage with the same pieces,
+as a prime never splits again.  So it splits off every prime p of c whose order
+of 2 divides E (p - 1 a product of prime powers up to B1), and parts two such
+primes unless their orders complete at the same prime power.  The stage costs
+14,447 squarings mod c and rho about sqrt(p) <= c^(1/4) for the least prime p
+of c, so it runs at most once per factor call, and only when c^(1/4) is above
+that.  A gcd only splits: the stage changes the work, never the result.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def is_fourth_power(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24, error < 2**-128 above."""
+    """Miller-Rabin; deterministic below 3.3e24, error < 2**-128 above (bases drawn lazily)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -257,7 +258,7 @@ def is_probable_prime(n: int) -> bool:
         bases = _MR_BASES
     else:
         rng = random.Random(DEFAULT_SEED ^ (n & 0xFFFFFFFF))
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
+        bases = (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return not any(witness(a) for a in bases)
 
 
@@ -306,8 +307,9 @@ def _pm1(c: int) -> list[int]:
     """c in pieces > 1 by the p - 1 stage, each prime of c in one piece (one
     piece when nothing splits): a checkpoint gcd(x - 1, c) after each batch,
     and on a hit an uncharged replay of that batch prime power by prime power
-    that divides each nontrivial gcd out of c.  The first call builds the
-    batches from the sieve."""
+    that divides each nontrivial gcd out of c.  A replay that leaves 1 or a
+    base-2 probable prime ends the stage, with the same pieces and charge.  The
+    first call builds the batches from the sieve."""
     global _pm1_batches
     if _pm1_batches is None:
         small = _primes_below_bound()
@@ -325,6 +327,8 @@ def _pm1(c: int) -> list[int]:
                         g *= h
                     pieces.append(g)
                     c //= g
+            if c == 1 or pow(2, c - 1, c) == 1:  # a prime never splits again
+                break
         x = y % c  # 2^(E so far) mod what is left of c
     return pieces + [c] if c > 1 else pieces
 
@@ -376,10 +380,8 @@ def factor(n: int, effort: int = DEFAULT_EFFORT, parts: tuple[int, ...] = ()) ->
             found[p] = valuation(m, p)
             m //= p ** found[p]
         lo, size = hi, min(2 * size, _BLOCK)
-    if m > 1 and (m < _SIEVE_BOUND**2 or is_probable_prime(m)):
-        # below 10^12 any survivor of trial division is prime
-        found[m] = found.get(m, 0) + 1
-        m = 1
+    if 1 < m < _SIEVE_BOUND**2:  # any survivor of trial division is prime; above, the stack tests it
+        found[m], m = 1, 1
 
     rng = random.Random(DEFAULT_SEED ^ (abs(n) & 0xFFFFFFFFFFFF))
     stack = [m] if m > 1 else []

@@ -6,6 +6,7 @@ fast code must agree with them everywhere they can reach.
 """
 
 import math
+import random
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -142,6 +143,18 @@ class TestPrimality:
         assert not is_probable_prime(p * p)
         assert not is_probable_prime((10**18 + 9) * (10**18 + 31))
 
+    def test_random_bases_are_drawn_until_one_witnesses(self, monkeypatch):
+        # psi_12, a strong pseudoprime to all 12 fixed bases, takes the random-base path
+        draws, real = [], random.Random.randrange
+        monkeypatch.setattr(random.Random, "randrange", lambda rng, *a: draws.append(a) or real(rng, *a))
+        psi_12 = 3317044064679887385961981
+        assert psi_12 == arith._MR_DETERMINISTIC_BOUND
+        assert not is_probable_prime(psi_12)
+        assert len(draws) == 2
+        draws.clear()
+        assert is_probable_prime(2**89 - 1)
+        assert len(draws) == arith._MR_RANDOM_ROUNDS
+
 
 PRIME_POOL = [
     2, 3, 5, 7, 11, 13, 10007, 65537, 999983,
@@ -177,6 +190,16 @@ class TestFactor:
         assert math.prod(p**e for p, e in f.primes) == n
         expected = sorted(set(picks))
         assert list(f.distinct_primes()) == expected
+
+    def test_the_cofactor_of_trial_division_is_tested_once(self, monkeypatch):
+        tested, real = [], arith.is_probable_prime
+        monkeypatch.setattr(arith, "is_probable_prime", lambda c: tested.append(c) or real(c))
+        p, q = 1000003, 1000039  # above the sieve; rho splits p * q in about 1,000 squarings
+        assert factor(p * q).primes == ((p, 1), (q, 1))
+        assert Counter(tested)[p * q] == 1
+        # a prime cofactor of 10^12 or more is found by the stack's test alone
+        monkeypatch.setattr(arith, "_brent_rho", lambda *a: pytest.fail("rho ran"))
+        assert factor(2 * (10**18 + 9)).primes == ((2, 1), (10**18 + 9, 1))
 
     def test_semiprime_near_word_size(self):
         p, q = 2**31 - 1, 2305843009213693951  # both prime
@@ -317,6 +340,40 @@ def pm1_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def pm1_all_batches(c: int) -> list[int]:
+    """Oracle: the p - 1 stage without the early stop, reading all 20 batches."""
+    pieces, x = [], 2
+    for product, batch in arith._pm1_batches:
+        y = pow(x, product, c)
+        if math.gcd(y - 1, c) > 1:
+            for q in batch:
+                x = pow(x, q, c)
+                if (g := math.gcd(x - 1, c)) > 1:
+                    while (h := math.gcd(g, c // g)) > 1:
+                        g *= h
+                    pieces.append(g)
+                    c //= g
+        x = y % c
+    return pieces + [c] if c > 1 else pieces
+
+
+@pytest.fixture
+def batches_read(monkeypatch) -> list[int]:
+    """How many batches each p - 1 stage from now on reads."""
+    arith._pm1(SMOOTH_13 * ROUGH_13[0])  # builds the batches
+    counts, real = [], arith._pm1_batches
+
+    class Counted:
+        def __iter__(self):
+            counts.append(0)
+            for batch in real:
+                counts[-1] += 1
+                yield batch
+
+    monkeypatch.setattr(arith, "_pm1_batches", Counted())
+    return counts
+
+
 class TestPm1Stage:
     def test_the_pools_are_what_they_claim(self):
         for p in SMOOTH + [SMOOTH_13]:
@@ -401,6 +458,28 @@ class TestPm1Stage:
         assert all(piece > 1 for piece in pieces) and math.prod(pieces) == c
         for p in set(picks):
             assert sum(piece % p == 0 for piece in pieces) == 1, p
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(SMOOTH + ROUGH + list(ROUGH_13)), min_size=2, max_size=5))
+    def test_the_early_stop_gives_the_pieces_of_all_batches(self, picks):
+        # what is left at the stop is 1, a prime or a composite of rough primes
+        c = math.prod(picks)
+        pieces = arith._pm1(c)  # the first call builds the batches the oracle reads
+        assert pieces == pm1_all_batches(c)
+
+    def test_a_prime_left_by_a_replay_ends_the_stage(self, batches_read):
+        p, q = SMOOTH_13, ROUGH_13[0]
+        products = [product for product, _ in arith._pm1_batches]
+        batches_read.clear()  # the line above read them too
+        # the first batch after which the order of 2 mod p divides the exponent
+        hit = next(i + 1 for i in range(len(products)) if pow(2, math.prod(products[:i + 1]), p) == 1)
+        assert arith._pm1(p * q) == [p, q]
+        assert batches_read == [hit] and hit < len(products) == 20
+
+    def test_a_stage_that_never_splits_reads_every_batch(self, batches_read):
+        c = math.prod(ROUGH_13)
+        assert arith._pm1(c) == [c]
+        assert batches_read == [20]
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from(SMOOTH + ROUGH), min_size=1, max_size=3), st.sampled_from([1, -1, 30, -49]))
