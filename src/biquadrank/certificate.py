@@ -140,8 +140,8 @@ def _resolve_quadruples(
     ab: tuple[int, int] | None,
     allow_single: bool,
     effort: int,
-) -> tuple[tuple[BiquadQuadruple, ...], BiquadQuadruple, Factorization]:
-    """The input's quadruples, the one analyzed, and the factorization of 2n."""
+) -> tuple[tuple[BiquadQuadruple, ...], Factorization]:
+    """The input's quadruples, the first of them the one analyzed, and the factorization of 2n."""
     given = sum(x is not None for x in (n, pqrs, ab))
     if given != 1:
         raise ValueError("exactly one of n, pqrs, ab must be given")
@@ -151,7 +151,7 @@ def _resolve_quadruples(
         _check_domain(quad.n)
         if quad.degenerate and not allow_single:
             raise _single(quad.n, quad.pairs()[0])
-        return (quad,), quad, factor_2n(quad, effort)
+        return (quad,), factor_2n(quad, effort)
 
     _check_domain(n)
     f2n = factor(2 * n, effort)
@@ -160,7 +160,7 @@ def _resolve_quadruples(
     combos = [quad for quad in combos if quad.primitive]
     if combos:
         combos[0] = _with_params(combos[0])
-        return tuple(combos), combos[0], f2n
+        return tuple(combos), f2n
     if len(pairs) >= 2:
         raise NoRepresentation(
             f"all double representations of {n} share a common factor; "
@@ -170,7 +170,7 @@ def _resolve_quadruples(
         if not allow_single:
             raise _single(n, pairs[0])
         quad = validate_double_representation(*pairs[0], *pairs[0])
-        return (quad,), quad, f2n
+        return (quad,), f2n
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4")
 
 
@@ -237,7 +237,8 @@ def analyze(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    quadruples, quad, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort)
+    quadruples, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort)
+    quad = quadruples[0]
     n = quad.n
     E = curve_from_n(n)
     points = _distinct_points(quad)

@@ -26,20 +26,20 @@ truncated rigorously.
 Each part runs at the precision it needs (C the tail constant, h_0 the
 first term log max(|u_0|, |w_0|)):
 
-* The sum: d digits, with K * (2C + h_0 + 1) * 10^(1-d) below
+* The sum: d >= 1 digits, with K * (2C + h_0 + 1) * 10^(1-d) below
   precision * 10^-17.  With v*_K = (F, G)^K (u_0, w_0) the exact orbit,
   no gcd removed, and m(u, w) = max(|u|, |w|), the recurrence gives
 
       h^(P) = 4^-K (log m(v*_K) - sum_p C_p log p) + tail,
 
   C_p = sum_k c_{k,p} 4^(K-1-k) exact integers.  The orbit below ends at
-  (U_K, W_K), close to 2^-S v*_K with S = sum_k sh_k 4^(K-1-k) and sh_k
-  the right shift of step k, and the series is evaluated as
-  4^-K (log m_K + S log 2 - sum_p C_p log p), m_K = m(U_K, W_K).
-  The logs of m_K, 2 and each p, the products and the sums are 6 + 4w
-  roundings (w primes with a cancellation), each a relative 10^(1-d) of a
-  value at most 4^K (2C + h_0); after the exact scaling by 4^-K they add
-  at most (1 + w/2) * precision * 10^-17.
+  (U_K, W_K), close to 2^-S v*_K with S = sum_k sh_k 4^(K-1-k) for its
+  right shifts sh_k; with m(U_K, W_K) = 2^e r, 1 <= r < 2, the series is
+  4^-K ((S + e) log 2 + log r - sum_p C_p log p): 3 + 3w roundings (w primes
+  with a cancellation; log 2 and log p are the Decimal specification's
+  correctly rounded ln), each a relative 10^(1-d) of at most 4^K (2C + h_0),
+  and log r in a float, within 2^-52.  Scaled by 4^-K <= 3 precision / (8C),
+  C > 23 and K >= 8, they add under ((3 + 3w)/8 + 0.4) * precision * 10^-17.
 * The orbit: integers (U, W) on one shared power-of-two scale from the
   exact (u_0, w_0), with each rounding measured in the weighted norm
   N(u, w) = max(|u|, a |w|), a = sqrt|b| >= 1.  Put u = N alpha,
@@ -96,7 +96,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .arith import valuation
@@ -246,6 +248,11 @@ def _double(A: int, root: int, U: int, W: int, keep: int) -> tuple[int, int, int
     return F >> shift, G >> shift, shift
 
 
+@lru_cache(maxsize=256)
+def _ln(p: int, digits: int) -> Decimal:
+    return Decimal(p).ln(Context(prec=digits))  # correctly rounded: the Decimal specification's ln
+
+
 def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -> HeightValue:
     A = E.b
     u0, w0 = P.x.numerator, P.x.denominator
@@ -254,8 +261,6 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
     K = max(8, math.ceil(min(math.log(2 * c_tail / (3 * precision), 4), _MAX_SERIES_TERMS)) + 1)
     if K > _MAX_SERIES_TERMS:
         raise PrecisionUnreachable(f"precision {precision} needs more than {_MAX_SERIES_TERMS} terms")
-    from mpmath import mp  # loaded by the first height, not by the package import
-
     root = math.isqrt(abs(A) - 1) + 1  # a+ of the module docstring
     base = 30 + len(str(root))
     U, W, shifts, gammas = u0, w0, 0, {}  # shifts and gammas: S and C_p of the module docstring
@@ -265,10 +270,12 @@ def _series_height(E: Curve, P: Point, bad: tuple[int, ...], precision: float) -
         for p, c in cs.items():
             gammas[p] = gammas.get(p, 0) + (c << 2 * left)
     # digits for the logs and the sum, see the module docstring
-    d = 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(max(abs(u0), abs(w0))) + 1) / precision))
-    with mp.workdps(d):
-        total = mp.log(max(abs(U), abs(W))) + mp.ln2 * shifts - sum(mp.log(p) * c for p, c in gammas.items())
-        return HeightValue(float(mp.ldexp(total, -2 * K)), precision)
+    d = max(1, 18 + math.ceil(math.log10(K * (2 * c_tail + math.log(max(abs(u0), abs(w0))) + 1) / precision)))
+    m = max(abs(U), abs(W))
+    e = m.bit_length() - 1
+    with localcontext(Context(prec=d)):
+        total = _ln(2, d) * (shifts + e) + Decimal(math.log(m / 2**e)) - sum(_ln(p, d) * c for p, c in gammas.items())
+    return HeightValue(math.ldexp(float(total), -2 * K), precision)
 
 
 class Heights:

@@ -5,6 +5,7 @@ cross-checked against the published four-decimal figures.
 """
 
 import dataclasses
+import decimal
 import gc
 import math
 import weakref
@@ -39,6 +40,8 @@ PINNED_HEIGHTS = {
     ((2, 1), 1e-4): ("0x1.4f5235fb768aep+3", "0x1.3b260a716508ap+3", "0x1.4cc115fb28ab4p+3", "0x1.418f58fcafe05p+3"),
     ((2, 1), 1e-8): ("0x1.4f52360523e14p+3", "0x1.3b260a7a4291ap+3", "0x1.4cc115fb519e1p+3", "0x1.418f58fce2d66p+3"),
     ((2, 1), 1e-20): ("0x1.4f5236052400ap+3", "0x1.3b260a7a42a48p+3", "0x1.4cc115fb52441p+3", "0x1.418f58fce2f50p+3"),
+    # the sum at d = 53 digits, past 50, and K = 55 terms, near the cap of 60
+    ((2, 1), 1e-30): ("0x1.4f5236052400ap+3", "0x1.3b260a7a42a48p+3", "0x1.4cc115fb52441p+3", "0x1.418f58fce2f50p+3"),
     ((5, 3), 1e-4): ("0x1.5d4d55a2ea87dp+4", "0x1.5fa8d3148329bp+4", "0x1.6031aa47855d5p+4", "0x1.5d236d7e79491p+4"),
     ((5, 3), 1e-8): ("0x1.5d4d55a2ee805p+4", "0x1.5fa8d314fd1b3p+4", "0x1.6031aa47c25e2p+4", "0x1.5d236d83d5d30p+4"),
     ((5, 3), 1e-20): ("0x1.5d4d55a2ee8bdp+4", "0x1.5fa8d314fd2e3p+4", "0x1.6031aa47c2618p+4", "0x1.5d236d83d5d6fp+4"),
@@ -265,45 +268,48 @@ class TestWorkingPrecision:
 
     def test_logs_run_at_term_precision(self, monkeypatch):
         # the orbit of the 28-digit (1, 11) curve keeps D_0 = 80 digits;
-        # each log only needs the requested 8 digits and the sum's guard digits
-        seen = []
-        log = mp.log
-
-        def recording(x):
-            seen.append(mp.dps)
-            return log(x)
-
-        monkeypatch.setattr(mp, "log", recording)
+        # each log only needs the requested 8 digits and the sum's guard
+        # digits, and is the log of 2 or of a prime of 2b: the last orbit
+        # value's log is taken in a float, once its power of two is split off
         quad = euler_quadruple(1, 11)
-        canonical_height(curve_from_n(quad.n), constructed_points(quad)[0], precision=1e-8)
-        assert seen and max(seen) <= 40
+        E = curve_from_n(quad.n)
+        primes = factor(2 * abs(E.b)).distinct_primes()
+        seen = []
+        ln = heights._ln
+        ln.cache_clear()
+
+        def recording(p, digits):
+            seen.append((p, digits))
+            return ln(p, digits)
+
+        monkeypatch.setattr(heights, "_ln", recording)
+        canonical_height(E, constructed_points(quad)[0], precision=1e-8)
+        assert seen and max(digits for _, digits in seen) <= 40
+        assert {p for p, _ in seen} <= {2, *primes}
 
     def test_orbit_runs_on_integers(self, monkeypatch):
-        # the real orbit needs no mpf: mpmath's precision is never set above
-        # the sum's d digits, so a 1,000-digit mpf orbit fails here; and the
-        # series telescopes to one log of the last orbit value plus one per
-        # prime of 2b, so a log per term (K = 19 of them) fails too
+        # the real orbit needs no Decimal: no decimal context is made above
+        # the sum's d digits, so a 1,000-digit Decimal orbit fails here; and
+        # the series telescopes to one d-digit log of 2 plus one per prime of
+        # 2b, so a log per term (K = 19 of them) fails too
         quad = euler_quadruple(1, 11)
         E = curve_from_n(quad.n)
         primes = factor(2 * abs(E.b)).distinct_primes()
         digits, logs = [], 0
-        ctx = type(mp)
-        for name in ("prec", "dps"):
-            prop = getattr(ctx, name)
+        ln = heights._ln
+        ln.cache_clear()
 
-            def recording(self, value, fset=prop.fset):
-                fset(self, value)
-                digits.append(self.dps)
+        def recording(prec):
+            digits.append(prec)
+            return decimal.Context(prec=prec)
 
-            monkeypatch.setattr(ctx, name, property(prop.fget, recording))
-        log = mp.log
-
-        def counting(x):
+        def counting(p, d):
             nonlocal logs
             logs += 1
-            return log(x)
+            return ln(p, d)
 
-        monkeypatch.setattr(mp, "log", counting)
+        monkeypatch.setattr(heights, "Context", recording)
+        monkeypatch.setattr(heights, "_ln", counting)
         canonical_height(E, constructed_points(quad)[0], precision=1e-8)
         assert digits and max(digits) <= 40
         assert 0 < logs <= 1 + len(primes)

@@ -37,20 +37,41 @@ def test_version_matches_pyproject():
     assert pyproject["project"]["version"] == biquadrank.__version__ == TOOL_VERSION
 
 
-def test_import_leaves_executor_logging_and_mpmath_unloaded():
+def test_import_leaves_executor_and_logging_unloaded():
     # every CLI call pays for the import: the search imports its thread pool
     # from `concurrent.futures`, which pulls in `logging` (about 12 ms), only
-    # when it runs, and the first height series imports `mpmath` (about
-    # 26 ms), so the import itself loads none of them
+    # when it runs, so the import itself loads neither
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = "import sys, biquadrank; print(sorted({'concurrent.futures', 'logging', 'mpmath'} & set(sys.modules)))"
+    probe = "import sys, biquadrank; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_heights_and_reverify_run_without_mpmath():
+    # mpmath is a test dependency only, for the reference series of
+    # test_heights: with its import blocked, analyze with heights writes
+    # its golden line, and every golden line reverifies
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from biquadrank import analyze, parse_certificate, reverify, to_json_line\n"
+        "lines = open(sys.argv[1], encoding='utf-8').read().splitlines()\n"
+        "print(to_json_line(analyze(ab=(2, 1))) in lines, all(reverify(parse_certificate(x)) for x in lines))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(repo / "tests" / "golden_certificates.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True True"
 
 
 def test_import_builds_no_trial_division_table():
