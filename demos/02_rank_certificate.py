@@ -12,8 +12,7 @@ from biquadrank import analyze
 cert = analyze(ab=(2, 1))
 
 print(f"n = {cert.n}, torsion {cert.torsion}")
-for quad in cert.quadruples:
-    print(f"  representation {quad.components()}")
+print(f"  representation {cert.quadruple.components()}")
 
 # each pair (p, q) with p^4 + q^4 = n puts (-p^2, p*q^2) and (-q^2, q*p^2)
 # on the curve; two representations give four points

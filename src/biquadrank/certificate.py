@@ -1,7 +1,7 @@
 """Rank certificates: everything one analysis establishes about E_n,
 bundled with enough evidence to re-verify it offline.
 
-A certificate records the double representation(s) of n, the primes of 2n,
+A certificate records the double representation of n, the primes of 2n,
 the Gram matrix of height pairings of the constructed points (its diagonal
 holds the canonical heights), the root number and three bounds:
 
@@ -22,7 +22,7 @@ names, every integer is a canonical decimal string, and JSON floats,
 always finite, appear only for Gram entries and precision.  Records keep
 evidence only: what it determines (a quadruple's n and flags, omega, the
 Gram determinant and its diagonal, and the points and descent images that
-the first quadruple and the primes of 2n fix) is a property.  A stored
+the quadruple and the primes of 2n fix) is a property.  A stored
 value is evidence, or a value _bounds derives and reverify compares.
 parse_certificate rebuilds the full object through the constructors,
 re-running every check of the evidence on the way in.  reverify never
@@ -72,7 +72,7 @@ class CertificateInvalid(RuntimeError):
 @dataclass(frozen=True)
 class RankCertificate:
     n: int
-    quadruples: tuple[BiquadQuadruple, ...]
+    quadruple: BiquadQuadruple
     primes: tuple[int, ...]  # of 2n, ascending
     torsion: str
     gram: GramMatrix | None
@@ -93,8 +93,8 @@ class RankCertificate:
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
-        """The points the Gram matrix pairs: those the first quadruple constructs."""
-        return _distinct_points(self.quadruples[0])
+        """The points the Gram matrix pairs: those the quadruple constructs."""
+        return _distinct_points(self.quadruple)
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -108,11 +108,11 @@ class RankCertificate:
 
     @cached_property
     def phi(self) -> DescentImage:
-        return phi_image(curve_from_n(self.n), self.quadruples[0], self.factorization)
+        return phi_image(curve_from_n(self.n), self.quadruple, self.factorization)
 
     @cached_property
     def psi(self) -> DescentImage:
-        return psi_image(dual_curve(curve_from_n(self.n)), self.quadruples[0], self.factorization)
+        return psi_image(dual_curve(curve_from_n(self.n)), self.quadruple, self.factorization)
 
     @property
     def heights(self) -> tuple[HeightValue, ...]:
@@ -134,14 +134,14 @@ def _with_params(quad: BiquadQuadruple) -> BiquadQuadruple:
     return replace(quad, euler_params=found.euler_params, reduction=found.reduction)
 
 
-def _resolve_quadruples(
+def _resolve(
     n: int | None,
     pqrs: tuple[int, int, int, int] | None,
     ab: tuple[int, int] | None,
     allow_single: bool,
     effort: int,
-) -> tuple[tuple[BiquadQuadruple, ...], Factorization]:
-    """The input's quadruples, the first of them the one analyzed, and the factorization of 2n."""
+) -> tuple[BiquadQuadruple, Factorization]:
+    """The quadruple to analyze, resolved from the input, and the factorization of 2n."""
     given = sum(x is not None for x in (n, pqrs, ab))
     if given != 1:
         raise ValueError("exactly one of n, pqrs, ab must be given")
@@ -151,16 +151,15 @@ def _resolve_quadruples(
         _check_domain(quad.n)
         if quad.degenerate and not allow_single:
             raise _single(quad.n, quad.pairs()[0])
-        return (quad,), factor_2n(quad, effort)
+        return quad, factor_2n(quad, effort)
 
     _check_domain(n)
     f2n = factor(2 * n, effort)
     pairs = representations(n, f2n)
-    combos = [validate_double_representation(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2)]
-    combos = [quad for quad in combos if quad.primitive]
-    if combos:
-        combos[0] = _with_params(combos[0])
-        return tuple(combos), f2n
+    combos = (validate_double_representation(p, q, r, s) for (p, q), (r, s) in combinations(pairs, 2))
+    quad = next((quad for quad in combos if quad.primitive), None)
+    if quad is not None:
+        return _with_params(quad), f2n
     if len(pairs) >= 2:
         raise NoRepresentation(
             f"all double representations of {n} share a common factor; "
@@ -169,8 +168,7 @@ def _resolve_quadruples(
     if len(pairs) == 1:
         if not allow_single:
             raise _single(n, pairs[0])
-        quad = validate_double_representation(*pairs[0], *pairs[0])
-        return (quad,), f2n
+        return validate_double_representation(*pairs[0], *pairs[0]), f2n
     raise NoRepresentation(f"no representation of {n} as p^4 + q^4")
 
 
@@ -185,7 +183,7 @@ def _check_domain(n: int) -> None:
         raise OutOfDomain(f"n = {n} is divisible by 4; analyze the quartic twist n/16 instead")
 
 
-def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
+def _bounds(quad: BiquadQuadruple, gram: GramMatrix | None, phi: DescentImage, psi: DescentImage,
             f2n: Factorization, precision: float) -> dict:
     """Every certificate field that follows from the evidence, keyed by
     RankCertificate field name: analyze records these, and reverify
@@ -194,6 +192,7 @@ def _bounds(n: int, quad: BiquadQuadruple, gram: GramMatrix | None, phi: Descent
     Independence is None without a Gram matrix.  Raises PropertyViolation
     when the bounds break their chain.
     """
+    n = quad.n
     independence = None if gram is None else gram.independence(ENTRY_ERROR * precision)
     descent = rank_lower_bound(phi, psi)
     unconditional = max(descent, independence or 0)
@@ -237,10 +236,8 @@ def analyze(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    quadruples, f2n = _resolve_quadruples(n, pqrs, ab, allow_single, effort)
-    quad = quadruples[0]
-    n = quad.n
-    E = curve_from_n(n)
+    quad, f2n = _resolve(n, pqrs, ab, allow_single, effort)
+    E = curve_from_n(quad.n)
     points = _distinct_points(quad)
     timings["resolve"] = time.perf_counter() - t0
 
@@ -256,12 +253,12 @@ def analyze(
     timings["descent"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bounds = _bounds(n, quad, gram, phi, psi, f2n, precision)
+    bounds = _bounds(quad, gram, phi, psi, f2n, precision)
     timings["bounds"] = time.perf_counter() - t0
 
     return RankCertificate(
-        n=n,
-        quadruples=quadruples,
+        n=quad.n,
+        quadruple=quad,
         primes=f2n.distinct_primes(),
         gram=gram,
         tool_version=TOOL_VERSION,
@@ -342,7 +339,7 @@ def strict_int(value) -> int:
 def parse_certificate(line: str) -> RankCertificate:
     """Rebuild a certificate from its JSON line.
 
-    Every record re-runs its checks during construction (the quadruples,
+    Every record re-runs its checks during construction (the quadruple,
     the Gram matrix and a finite positive precision), so a tampered line
     fails here rather than at reverify time.  A line that is not JSON,
     lacks a field, has an unknown one or one of the wrong wire type (an
@@ -363,10 +360,10 @@ def parse_certificate(line: str) -> RankCertificate:
 def reverify(cert: RankCertificate) -> bool:
     """Full offline audit of a certificate; True or CertificateInvalid.
 
-    First the exact evidence: n positive and not divisible by 4, each
+    First the exact evidence: n positive and not divisible by 4, the
     quadruple (checked when built) representing n, the recorded primes
     those of 2n, and the Gram matrix within its error bounds of the points.
-    The points and the descent images are derived from the first quadruple
+    The points and the descent images are derived from the quadruple
     and the primes, never read from the line, so the Gram matrix pairs at
     most 4 points and the subset loop of independence sees at most 4.
     Then every derived field is rebuilt by _bounds, the one derivation
@@ -375,23 +372,17 @@ def reverify(cert: RankCertificate) -> bool:
     n = cert.n
     if n <= 0 or n % 4 == 0:
         raise CertificateInvalid(f"n = {n} is not positive or is divisible by 4")
-    if not cert.quadruples:
-        raise CertificateInvalid("no quadruple recorded")
-    for q in cert.quadruples:
-        if q.n != n:
-            raise CertificateInvalid(f"quadruple {q.components()} does not represent {n}")
+    if cert.quadruple.n != n:
+        raise CertificateInvalid(f"quadruple {cert.quadruple.components()} does not represent {n}")
     try:
         f2n = cert.factorization
     except ValueError as exc:
         raise CertificateInvalid(f"primes are not the primes of 2n: {exc}") from exc
-    if cert.gram is None:
-        if cert.independence is not None:
-            raise CertificateInvalid("independence recorded without a Gram matrix")
-    else:
+    if cert.gram is not None:
         _reverify_heights(cert)
 
     try:
-        derived = _bounds(n, cert.quadruples[0], cert.gram, cert.phi, cert.psi, f2n, cert.precision)
+        derived = _bounds(cert.quadruple, cert.gram, cert.phi, cert.psi, f2n, cert.precision)
     except PropertyViolation as exc:
         raise CertificateInvalid(str(exc)) from exc
     for name, value in derived.items():
@@ -427,7 +418,7 @@ CSV_HEADER = "p,q,n,unconditional_lower,conditional_lower,omega"
 
 
 def csv_row(cert: RankCertificate) -> str:
-    q = cert.quadruples[0]
+    q = cert.quadruple
     return f"{abs(q.p)},{abs(q.q)},{cert.n},{cert.unconditional_lower},{cert.conditional_lower},{cert.root.omega:+d}"
 
 
@@ -437,11 +428,11 @@ def render_table(cert: RankCertificate) -> str:
     add = lines.append
     add(f"n = {cert.n}")
     add(f"torsion: {cert.torsion}    tool {cert.tool_version}")
-    for q in cert.quadruples:
-        tag = " (single)" if q.degenerate else ""
-        src = f"  from (a,b) = {q.euler_params}" if q.euler_params else ""
-        src += f", reduced by {q.reduction}" if q.reduction > 1 else ""
-        add(f"  {abs(q.p)}^4 + {abs(q.q)}^4 = {abs(q.r)}^4 + {abs(q.s)}^4{tag}{src}")
+    q = cert.quadruple
+    tag = " (single)" if q.degenerate else ""
+    src = f"  from (a,b) = {q.euler_params}" if q.euler_params else ""
+    src += f", reduced by {q.reduction}" if q.reduction > 1 else ""
+    add(f"  {abs(q.p)}^4 + {abs(q.q)}^4 = {abs(q.r)}^4 + {abs(q.s)}^4{tag}{src}")
     if cert.points:
         add("points and canonical heights:")
         for P, h in zip(cert.points, cert.heights or [None] * len(cert.points)):

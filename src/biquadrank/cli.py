@@ -248,10 +248,11 @@ def cmd_report(args) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh if line.strip()]
+            if any(rec.get("record") != "quadruple" for rec in records):
+                raise ValueError("a line is not a quadruple record")
             inputs = [
                 (tuple(strict_int(rec[k]) for k in "pqrs"), strict_int(rec["n"]) if "n" in rec else None)
                 for rec in records
-                if rec.get("record") == "quadruple"
             ]
         except (OSError, *MALFORMED) as exc:
             raise Unreadable(f"input: {exc}") from exc

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -48,12 +49,12 @@ class TestAnalyzeEntryPoints:
         assert cert.root.omega == 1
         assert cert.torsion == "Z/2Z"
         assert len(cert.points) == 4
-        assert cert.quadruples[0].euler_params == (2, 1)
+        assert cert.quadruple.euler_params == (2, 1)
 
     def test_from_quadruple_recovers_parameters(self):
         cert = analyze(pqrs=(59, 158, 133, 134), skip_heights=True)
         assert cert.n == 635318657
-        quad = cert.quadruples[0]
+        quad = cert.quadruple
         assert quad.euler_params is not None
         assert cert.descent_lower == 3
         # no heights: unconditional falls back to the descent count
@@ -63,7 +64,7 @@ class TestAnalyzeEntryPoints:
 
     def test_from_n_finds_both_pairs(self):
         cert = analyze(n=635318657, skip_heights=True)
-        assert cert.quadruples[0].pairs() == ((59, 158), (133, 134))
+        assert cert.quadruple.pairs() == ((59, 158), (133, 134))
 
     def test_coarse_precision_certifies_no_independence(self):
         # heights within 1000 bound the Gram entries only within 4500, far
@@ -82,7 +83,7 @@ class TestAnalyzeEntryPoints:
         assert cert.unconditional_lower == 2
         assert cert.conditional_lower == 2
         assert cert.heuristic_upper == 3
-        assert cert.quadruples[0].degenerate
+        assert cert.quadruple.degenerate
 
     @pytest.mark.parametrize("given", [{"pqrs": (1, 2, 2, 1)}, {"pqrs": (1, 2, 1, 2)}, {"ab": (1, 1)}],
                              ids=["pqrs-1-2-2-1", "pqrs-1-2-1-2", "ab-1-1"])
@@ -91,7 +92,7 @@ class TestAnalyzeEntryPoints:
         with pytest.raises(NoRepresentation, match=r"17 has a single representation \(1, 2\)"):
             analyze(**given)
         cert = analyze(**given, allow_single=True, skip_heights=True)
-        assert cert.n == 17 and cert.quadruples[0].degenerate
+        assert cert.n == 17 and cert.quadruple.degenerate
         assert cert.unconditional_lower == 2
 
     def test_no_representation_at_all(self):
@@ -116,11 +117,19 @@ class TestAnalyzeEntryPoints:
         assert low.n == 10399290953968403530629990401
         assert to_json_line(low) == to_json_line(analyze(ab=(1, 10), skip_heights=True))
 
+    def test_n_and_its_quadruple_give_one_certificate(self):
+        # analyze --n finds the quadruple that analyze --pqrs is given
+        hits = biquadrate.search_double_representations(4000)
+        assert len(hits) == 15
+        for q in hits:
+            by_n = to_json_line(analyze(n=q.n, skip_heights=True))
+            assert by_n == to_json_line(analyze(pqrs=q.components(), skip_heights=True))
+
     def test_reduced_parameters(self):
         cert = analyze(ab=(3, 1), skip_heights=True)
         assert cert.n == 2094447251857
-        assert cert.quadruples[0].reduction == 2
-        assert cert.quadruples[0].euler_params == (3, 1)
+        assert cert.quadruple.reduction == 2
+        assert cert.quadruple.euler_params == (3, 1)
         assert cert.descent_lower == 3
 
 
@@ -197,7 +206,7 @@ class TestSerialization:
         line = to_json_line(CERT21)
         back = parse_certificate(line)
         assert back.n == CERT21.n
-        assert back.quadruples == CERT21.quadruples
+        assert back.quadruple == CERT21.quadruple
         assert back.phi == CERT21.phi
         assert back.psi == CERT21.psi
         assert back.points == CERT21.points
@@ -213,16 +222,16 @@ class TestSerialization:
     def test_integers_stored_as_decimal_strings(self):
         record = certificate_record(CERT21)
         assert record["n"] == "635318657"
-        assert record["quadruples"][0]["p"] == "158"
+        assert record["quadruple"]["p"] == "158"
         assert record["primes"] == ["2", "41", "113", "241", "569"]
 
     def test_records_keep_evidence_only(self):
         record = certificate_record(CERT21)
         assert set(record) == {
-            "record", "n", "quadruples", "primes", "torsion", "gram", "independence", "descent_lower",
+            "record", "n", "quadruple", "primes", "torsion", "gram", "independence", "descent_lower",
             "unconditional_lower", "conditional_lower", "heuristic_upper", "root", "tool_version", "precision",
         }
-        assert set(record["quadruples"][0]) == {"p", "q", "r", "s", "reduction", "euler_params"}
+        assert set(record["quadruple"]) == {"p", "q", "r", "s", "reduction", "euler_params"}
         assert set(record["root"]) == {"square_part_product", "residue", "justification"}
         assert set(record["gram"]) == {"entries"}
         # heights are the Gram diagonal; the factoring budget is not evidence
@@ -242,8 +251,8 @@ class TestSerialization:
         assert not {"points", "phi", "psi"} & set(certificate_record(CERT21))
 
     def test_points_and_images_are_derived(self):
-        # the first quadruple and the primes of 2n fix them
-        quad, E, f2n = CERT21.quadruples[0], curve_from_n(CERT21.n), factor(2 * CERT21.n)
+        # the quadruple and the primes of 2n fix them
+        quad, E, f2n = CERT21.quadruple, curve_from_n(CERT21.n), factor(2 * CERT21.n)
         assert CERT21.factorization == f2n
         assert CERT21.points == tuple(constructed_points(quad))
         assert CERT21.phi == phi_image(E, quad, f2n) and CERT21.psi == psi_image(dual_curve(E), quad, f2n)
@@ -253,12 +262,19 @@ class TestSerialization:
         # a field on the wire is evidence that parse or reverify checks, or
         # a value _bounds derives from it and reverify compares; a new field
         # that is neither fails here before it reaches the wire
-        evidence = {"n", "quadruples", "primes", "gram", "tool_version", "precision"}
-        derived = certificate._bounds(CERT21.n, CERT21.quadruples[0], CERT21.gram, CERT21.phi, CERT21.psi,
+        evidence = {"n", "quadruple", "primes", "gram", "tool_version", "precision"}
+        derived = certificate._bounds(CERT21.quadruple, CERT21.gram, CERT21.phi, CERT21.psi,
                                       factor(2 * CERT21.n), CERT21.precision)
         wire = {f.name for f in dataclasses.fields(RankCertificate) if f.compare}
         assert wire == set(certificate_record(CERT21)) - {"record"}
         assert wire == evidence | set(derived) and not evidence & set(derived)
+
+    def test_readme_lists_the_stored_fields(self):
+        # the README's sentence on what a certificate stores names the wire fields
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = " ".join(text.split()).split("The certificate itself stores ", 1)[1].split("(lines of", 1)[0]
+        wire = {f.name for f in dataclasses.fields(RankCertificate) if f.compare}
+        assert set(re.findall(r"`([A-Za-z_]\w*)`", listed)) == wire
 
     def test_timings_not_serialized(self):
         record = certificate_record(CERT21)
@@ -371,14 +387,14 @@ class TestTamperDetection:
 
     def test_wrong_euler_params_caught(self):
         def mutate(d):
-            d["quadruples"][0]["euler_params"] = ["3", "1"]
+            d["quadruple"]["euler_params"] = ["3", "1"]
 
         with pytest.raises(CertificateInvalid, match="do not regenerate the quadruple"):
             parse_certificate(self.tampered(mutate))
 
     def test_zero_base_caught(self):
         def mutate(d):
-            d["quadruples"][0].update(p="0", q="1", r="1", s="0", euler_params=None)
+            d["quadruple"].update(p="0", q="1", r="1", s="0", euler_params=None)
 
         with pytest.raises(CertificateInvalid, match="is zero"):
             parse_certificate(self.tampered(mutate))
@@ -415,34 +431,34 @@ class TestTamperDetection:
             unconditional_lower=4,
             conditional_lower=parity_adjusted_bound(4, cert.root),
         )
-        with pytest.raises(CertificateInvalid, match="without a Gram matrix"):
+        with pytest.raises(CertificateInvalid, match="independence does not match"):
             reverify(tampered)
 
     def test_wrong_reduction_caught(self):
         def mutate(d):
-            d["quadruples"][0]["reduction"] = "7"
+            d["quadruple"]["reduction"] = "7"
 
         with pytest.raises(CertificateInvalid, match="reduction 7 is not the parametrized gcd 1"):
             parse_certificate(self.tampered(mutate))
 
     def test_reduction_without_params_caught(self):
         def mutate(d):
-            d["quadruples"][0]["euler_params"] = None
-            d["quadruples"][0]["reduction"] = "3"
+            d["quadruple"]["euler_params"] = None
+            d["quadruple"]["reduction"] = "3"
 
         with pytest.raises(CertificateInvalid, match="reduction 3 recorded without euler parameters"):
             parse_certificate(self.tampered(mutate))
 
     def test_zero_euler_param_caught(self):
         def mutate(d):
-            d["quadruples"][0]["euler_params"] = ["0", "1"]
+            d["quadruple"]["euler_params"] = ["0", "1"]
 
         with pytest.raises(CertificateInvalid, match="parameters must be nonzero"):
             parse_certificate(self.tampered(mutate))
 
     def test_broken_identity_caught_on_parse(self):
         def mutate(d):
-            d["quadruples"][0]["s"] = "132"
+            d["quadruple"]["s"] = "132"
 
         with pytest.raises(CertificateInvalid, match="!="):
             parse_certificate(self.tampered(mutate))
@@ -453,6 +469,13 @@ class TestTamperDetection:
             d["n"] = str(n)
 
         with pytest.raises(CertificateInvalid, match="not positive"):
+            reverify(parse_certificate(self.tampered(mutate)))
+
+    def test_n_the_quadruple_does_not_represent_caught(self):
+        def mutate(d):
+            d["n"] = "635318661"
+
+        with pytest.raises(CertificateInvalid, match=r"quadruple \(158, -59, 134, 133\) does not represent 635318661"):
             reverify(parse_certificate(self.tampered(mutate)))
 
     def test_n_divisible_by_four_caught(self):
@@ -470,7 +493,7 @@ class TestTamperDetection:
             parse_certificate(self.tampered(mutate))
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d["quadruples"][0].update(euler_params=["2"]),
+        lambda d: d["quadruple"].update(euler_params=["2"]),
         lambda d: d.update(precision="abc"),
         lambda d: d["gram"]["entries"][0].__setitem__(0, "10.47878552440583"),
         lambda d: d["root"].update(justification=1),
@@ -478,8 +501,9 @@ class TestTamperDetection:
         lambda d: d.update(n=None),
         lambda d: d.update(precision=math.inf),
         lambda d: d["gram"]["entries"][2].__setitem__(2, -1.0),
+        lambda d: d.update(quadruple=[]),
     ], ids=["short-euler-params", "string-precision", "string-height", "numeric-justification",
-            "numeric-seed", "null-n", "infinite-precision", "negative-height"])
+            "numeric-seed", "null-n", "infinite-precision", "negative-height", "quadruple-list"])
     def test_malformed_field_caught_on_parse(self, mutate):
         with pytest.raises(CertificateInvalid, match="malformed"):
             parse_certificate(self.tampered(mutate))
@@ -489,14 +513,14 @@ class TestTamperDetection:
     def test_noncanonical_integer_caught_on_parse(self, text):
         # int() reads the first five as 158; a line spells each integer one way
         with pytest.raises(CertificateInvalid, match="is not a decimal integer"):
-            parse_certificate(self.tampered(lambda d: d["quadruples"][0].update(p=text)))
+            parse_certificate(self.tampered(lambda d: d["quadruple"].update(p=text)))
 
     def test_forged_gram_of_many_points_caught_fast(self):
         # a 14 x 14 Gram would send independence through 2^14 subsets, but
         # the certificate derives its 4 points, so the size is refused first
         with open(Path(__file__).with_name("golden_certificates.jsonl"), encoding="utf-8") as fh:
             d = json.loads(fh.readline())
-        assert d["quadruples"][0]["euler_params"] == ["2", "1"] and len(d["gram"]["entries"]) == 4
+        assert d["quadruple"]["euler_params"] == ["2", "1"] and len(d["gram"]["entries"]) == 4
         d["gram"]["entries"] = [[10.0 * (i == j) for j in range(14)] for i in range(14)]
         start = time.perf_counter()
         with pytest.raises(CertificateInvalid, match="Gram matrix does not match the points"):
@@ -523,12 +547,13 @@ class TestTamperDetection:
         with pytest.raises(CertificateInvalid, match=r"unknown RankCertificate fields \['root_number'\]"):
             parse_certificate(self.tampered(mutate))
 
-    def test_empty_quadruple_list_caught(self):
+    def test_0_9_0_quadruple_list_caught_on_parse(self):
+        # 0.9.0 stored the one analyzed quadruple in a list, "quadruples"
         def mutate(d):
-            d["quadruples"] = []
+            d["quadruples"] = [d.pop("quadruple")]
 
-        with pytest.raises(CertificateInvalid, match="no quadruple"):
-            reverify(parse_certificate(self.tampered(mutate)))
+        with pytest.raises(CertificateInvalid, match=r"unknown RankCertificate fields \['quadruples'\]"):
+            parse_certificate(self.tampered(mutate))
 
     def test_scaled_heights_caught(self):
         # a self-consistent Gram matrix that the points contradict; its

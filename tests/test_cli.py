@@ -497,6 +497,21 @@ class TestReport:
         assert err.count("\n") == 1 and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["certificate", "untagged-quadruple"])
+    def test_a_line_that_is_not_a_quadruple_record_exits_with_one_line(self, capsys, tmp_path, kind):
+        # a line of analyze's json-lines output, or one without "record", is not a hit to re-analyze
+        if kind == "certificate":
+            rc, line, _ = run(capsys, "analyze", "--ab", "2", "1", "--skip-heights", "--format", "json-lines")
+            assert rc == EXIT_OK
+        else:
+            line = json.dumps(dict(zip("pqrsn", ("59", "158", "133", "134", "635318657")))) + "\n"
+        src = tmp_path / "hits.jsonl"
+        src.write_text(line)
+        rc, out, err = run(capsys, "report", "--input", str(src), "--skip-heights")
+        assert rc == EXIT_IO
+        assert out == ""
+        assert err == "biquadrank report: cannot read input: a line is not a quadruple record\n"
+
     @pytest.mark.parametrize("p", ["1e400", "Infinity"])
     def test_number_beyond_the_floats_exits_with_one_line(self, capsys, tmp_path, p):
         # JSON reads both as the float inf, which no int can hold
